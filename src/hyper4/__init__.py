@@ -10,6 +10,7 @@ no floating point anywhere.
 
 __version__ = "0.1.0"
 
+# Public API: every name imported below is re-exported.
 from .cell24 import Cell24Complex, RootTwo, project_phi, the_24_cell
 from .cusp import (
     ETA_TABLE,
@@ -17,7 +18,6 @@ from .cusp import (
     classify_flat,
     cusp_flat_group,
     eta,
-    holonomy_report,
     horospherical_action,
     signature,
     vertex_classes,
@@ -82,72 +82,3 @@ from .pairing import (
     validate_pairings,
 )
 from .words import EMPTY_WORD, Word, parse_word
-
-__all__ = [
-    "__version__",
-    "Cell24Complex",
-    "RootTwo",
-    "project_phi",
-    "the_24_cell",
-    "ETA_TABLE",
-    "VertexClass",
-    "classify_flat",
-    "cusp_flat_group",
-    "eta",
-    "holonomy_report",
-    "horospherical_action",
-    "signature",
-    "vertex_classes",
-    "DEFAULT_MERIDIANS",
-    "DOUBLE_COVER_SPIN",
-    "ClassificationResult",
-    "CoverRecord",
-    "Meridian",
-    "classify_filled_cover",
-    "classify_homeo",
-    "cyclic_cover",
-    "default_meridians",
-    "double_cover_record",
-    "fill",
-    "parse_meridian_lines",
-    "validate_meridians",
-    "AffineMap",
-    "FlatGroup",
-    "StructuralError",
-    "classify_flat_group",
-    "reference_flat_groups",
-    "AbelianInvariants",
-    "CosetTable",
-    "GroupPresentation",
-    "abelianization",
-    "character_coset_table",
-    "format_presentation",
-    "parse_presentation",
-    "quotient",
-    "reidemeister_schreier",
-    "schreier_rewrite",
-    "tietze_simplify",
-    "todd_coxeter",
-    "transversal_words",
-    "IDENTITY",
-    "LorentzMatrix",
-    "LorentzVector",
-    "lorentz_product",
-    "membership_checks",
-    "orientation_sign",
-    "reflection_matrix",
-    "CodeError",
-    "FaceCycle",
-    "SidePairing",
-    "SidePairingSet",
-    "build_side_pairings",
-    "euler_characteristic",
-    "face_cycles",
-    "fundamental_group",
-    "parse_census_lines",
-    "parse_code",
-    "validate_pairings",
-    "EMPTY_WORD",
-    "Word",
-    "parse_word",
-]

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import __version__
-from .cusp import ETA_TABLE, classify_flat, cusp_flat_group, eta, vertex_classes
+from .cusp import ETA_TABLE, cusp_flat_group, signature, vertex_classes
 from .filling import (
     classify_filled_cover,
     classify_homeo,
@@ -25,6 +25,7 @@ from .filling import (
     fill,
     parse_meridian_lines,
 )
+from .flatgroups import StructuralError, classify_flat_group
 from .grouppres import abelianization, todd_coxeter
 from .lorentz import IDENTITY, orientation_sign
 from .pairing import (
@@ -115,8 +116,8 @@ def _decode_text(record: dict) -> str:
 def _cusp_summaries(pairing_set, classes) -> list[dict]:
     out = []
     for vclass in classes:
-        tag = classify_flat(vclass)
         group = cusp_flat_group(vclass)
+        tag = classify_flat_group(group)
         out.append(
             {
                 "index": vclass.index,
@@ -151,7 +152,6 @@ def _verify_record(code: str, double_cover: bool = False) -> dict:
     reversing = [
         p.letter for p in pairing_set.pairings if orientation_sign(p.matrix) == -1
     ]
-    etas = [c["eta"] for c in cusps]
     record = {
         "code": code,
         "valid": report.ok,
@@ -181,20 +181,12 @@ def _verify_record(code: str, double_cover: bool = False) -> dict:
         "h1": str(abelianization(pres)),
         "cusps": cusps,
         "cusp_types": types,
-        "signature": None if None in etas else _int_signature(etas),
+        "signature": signature(types) if all(t in ETA_TABLE for t in types) else None,
         "notes": [TORSION_NOTE],
     }
     if double_cover:
         record["double_cover"] = asdict(double_cover_record(code))
     return record
-
-
-def _int_signature(etas) -> int:
-    from fractions import Fraction
-
-    total = sum((Fraction(e) for e in etas), Fraction(0))
-    assert total.denominator == 1
-    return int(total)
 
 
 def _cmd_decode(args) -> tuple[list, list, str | None]:
@@ -215,13 +207,13 @@ def _cmd_cusps(args) -> tuple[list, list, None]:
     pairing_set = build_side_pairings(args.code)
     classes = vertex_classes(pairing_set)
     cusps = _cusp_summaries(pairing_set, classes)
-    etas = [c["eta"] for c in cusps]
+    types = "".join(c["flat_type"] for c in cusps)
     record = {
         "code": args.code,
         "cusp_count": len(cusps),
         "cusps": cusps,
-        "cusp_types": "".join(c["flat_type"] for c in cusps),
-        "signature": None if None in etas else _int_signature(etas),
+        "cusp_types": types,
+        "signature": signature(types) if all(t in ETA_TABLE for t in types) else None,
         "notes": [TORSION_NOTE],
     }
     return [record], [], None
@@ -329,7 +321,7 @@ def _census_line(lineno: int, code: str, annotation: str | None):
                 "message": "side pairing validation failed",
             }
         return record, error
-    except (CodeError, ValueError, AssertionError) as exc:
+    except (CodeError, ValueError, AssertionError, StructuralError) as exc:
         return None, {"line": lineno, "code": code, "message": str(exc)}
 
 
@@ -413,7 +405,7 @@ def main(argv=None) -> int:
     command = _normalized_command(tokens)
     try:
         records, errors, text = args.func(args)
-    except (CodeError, ValueError, OSError) as exc:
+    except (CodeError, ValueError, OSError, StructuralError) as exc:
         records, errors, text = [], [{"message": str(exc)}], None
     envelope = _envelope(command, records, errors)
     if text is not None:

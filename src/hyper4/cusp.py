@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .cell24 import the_24_cell
 from .flatgroups import AffineMap, FlatGroup, classify_flat_group
+from .grouppres import orbit_edges
 from .intmat import smith_normal_form
 from .lorentz import IDENTITY, LorentzMatrix, LorentzVector
 from .pairing import SidePairingSet
@@ -26,7 +27,6 @@ __all__ = [
     "horospherical_action",
     "cusp_flat_group",
     "classify_flat",
-    "holonomy_report",
     "eta",
     "signature",
     "ETA_TABLE",
@@ -64,42 +64,41 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     least light vector.
     """
     cell = the_24_cell()
+
+    def steps(current):
+        for side_label in cell.sides_of_vertex(current):
+            letter, exp, g, _ = pairing_set.transition(side_label)
+            image = g.apply(current)
+            if not cell.is_vertex(image):
+                raise ValueError(
+                    f"pairing does not act on the ideal vertices at {current}"
+                )
+            yield (letter, exp), image
+
     visited: dict[LorentzVector, Word] = {}
     classes = []
-    for start in cell.vertices:
-        if start in visited:
+    for rep in cell.vertices:
+        if rep in visited:
             continue
-        rep = start
-        visited[start] = Word(())
-        queue = [start]
-        members = [start]
+        visited[rep] = Word(())
+        members = [rep]
         stabilizer: list[tuple[Word, LorentzMatrix]] = []
         seen_matrices = {IDENTITY}
-        while queue:
-            current = queue.pop(0)
-            path = visited[current]
-            for side_label in cell.sides_of_vertex(current):
-                letter, exp, g, _ = pairing_set.transition(side_label)
-                image = g.apply(current)
-                if not cell.is_vertex(image):
-                    raise ValueError(
-                        f"pairing does not act on the ideal vertices at {current}"
-                    )
-                step = Word.make(((letter, exp),)) * path
-                if image in visited:
-                    loop = visited[image].inverse() * step
-                    matrix = pairing_set.evaluate(loop)
-                    if matrix.apply(rep) != rep:
-                        raise AssertionError(
-                            f"orbit loop {loop} does not fix the representative"
-                        )
-                    if matrix not in seen_matrices:
-                        seen_matrices.add(matrix)
-                        stabilizer.append((loop, matrix))
-                else:
-                    visited[image] = step
-                    queue.append(image)
-                    members.append(image)
+        for current, letter, image, new in orbit_edges(rep, steps):
+            step = Word.make((letter,)) * visited[current]
+            if new:
+                visited[image] = step
+                members.append(image)
+                continue
+            loop = visited[image].inverse() * step
+            matrix = pairing_set.evaluate(loop)
+            if matrix.apply(rep) != rep:
+                raise AssertionError(
+                    f"orbit loop {loop} does not fix the representative"
+                )
+            if matrix not in seen_matrices:
+                seen_matrices.add(matrix)
+                stabilizer.append((loop, matrix))
         ordered = tuple(sorted(members, key=lambda v: v.coords))
         classes.append(
             VertexClass(
@@ -203,17 +202,6 @@ def cusp_flat_group(vclass: VertexClass) -> FlatGroup:
 def classify_flat(vclass: VertexClass) -> str:
     """Flat type tag A..J of the cusp cross-section."""
     return classify_flat_group(cusp_flat_group(vclass))
-
-
-def holonomy_report(vclass: VertexClass) -> dict:
-    """Isomorphism type, order, and orientation character of the
-    holonomy of the cusp cross-section."""
-    group = cusp_flat_group(vclass)
-    return {
-        "order": group.holonomy_order,
-        "type": group.holonomy_type,
-        "orientation_preserving": group.orientable,
-    }
 
 
 ETA_TABLE: dict[str, Fraction] = {

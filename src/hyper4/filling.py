@@ -12,14 +12,14 @@ closed simply connected 4-manifolds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cusp import ETA_TABLE, VertexClass, eta, horospherical_action, vertex_classes
+from .cusp import ETA_TABLE, VertexClass, horospherical_action, signature, vertex_classes
 from .flatgroups import FlatGroup, classify_flat_group
 from .grouppres import (
     CosetTable,
     GroupPresentation,
     character_coset_table,
+    orbit_edges,
     quotient,
     reidemeister_schreier,
     schreier_rewrite,
@@ -160,38 +160,19 @@ def _word_permutation(table: CosetTable, word: Word) -> tuple[int, ...]:
 
 def _orbit_partition(perms, size: int) -> list[list[int]]:
     """Orbits of {0..size-1} under the group the permutations generate."""
-    seen = [False] * size
+
+    def steps(c):
+        return ((p, p[c]) for p in perms)
+
+    seen: set[int] = set()
     orbits = []
     for start in range(size):
-        if seen[start]:
+        if start in seen:
             continue
-        seen[start] = True
-        component = [start]
-        qi = 0
-        while qi < len(component):
-            c = component[qi]
-            qi += 1
-            for p in perms:
-                d = p[c]
-                if not seen[d]:
-                    seen[d] = True
-                    component.append(d)
-        orbits.append(sorted(component))
+        orbit = [start] + [d for _, _, d, new in orbit_edges(start, steps) if new]
+        seen.update(orbit)
+        orbits.append(sorted(orbit))
     return orbits
-
-
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        count += 1
-        c = start
-        while not seen[c]:
-            seen[c] = True
-            c = perm[c]
-    return count
 
 
 def _cusp_intersection_group(
@@ -200,22 +181,19 @@ def _cusp_intersection_group(
     """Stabilizer-intersect-kernel as a flat group, via a Schreier
     transversal of the stabilizer's action on the cosets."""
     trans: dict[int, Word] = {0: Word(())}
-    order = [0]
-    qi = 0
     gens: dict = {}
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for w, _ in vclass.stabilizer:
-            d = table.follow(c, w)
-            if d in trans:
-                element = trans[c] * w * trans[d].inverse()
-                matrix = pairing_set.evaluate(element)
-                if matrix != IDENTITY and matrix not in gens:
-                    gens[matrix] = element
-            else:
-                trans[d] = trans[c] * w
-                order.append(d)
+
+    def steps(c):
+        return ((w, table.follow(c, w)) for w, _ in vclass.stabilizer)
+
+    for c, w, d, new in orbit_edges(0, steps):
+        if new:
+            trans[d] = trans[c] * w
+            continue
+        element = trans[c] * w * trans[d].inverse()
+        matrix = pairing_set.evaluate(element)
+        if matrix != IDENTITY and matrix not in gens:
+            gens[matrix] = element
     maps = [
         horospherical_action(matrix, vclass.representative) for matrix in gens
     ]
@@ -226,11 +204,11 @@ def _cover_face_counts(pairing_set: SidePairingSet, table: CosetTable) -> dict:
     """Face class counts of the cover, by orbit counting over the cosets."""
     d = table.index
     ridges = sum(
-        _cycle_count(_word_permutation(table, cycle.word))
+        len(_orbit_partition([_word_permutation(table, cycle.word)], d))
         for cycle in face_cycles(pairing_set, 2)
     )
     edges = sum(
-        _cycle_count(_word_permutation(table, cycle.word))
+        len(_orbit_partition([_word_permutation(table, cycle.word)], d))
         for cycle in face_cycles(pairing_set, 1)
     )
     sides = len(pairing_set.pairings) * d
@@ -301,7 +279,7 @@ def cover_record_from_table(
     orientable = _schreier_orientable(pairing_set, table)
     sigma = None
     if orientable and all(t in ETA_TABLE for t in tags):
-        sigma = _signature_of(all_cusps)
+        sigma = signature(all_cusps)
     face = _cover_face_counts(pairing_set, table)
     base_orientable = all(
         orientation_sign(p.matrix) == 1 for p in pairing_set.pairings
@@ -322,12 +300,6 @@ def cover_record_from_table(
         spin_status=spin_status,
         degree_over_double_cover=over_double,
     )
-
-
-def _signature_of(tags: str) -> int:
-    total = sum((eta(t) for t in tags), Fraction(0))
-    assert total.denominator == 1
-    return int(total)
 
 
 def _cyclic_table(

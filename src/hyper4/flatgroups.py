@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .grouppres import AbelianInvariants, GroupPresentation, abelianization
+from .grouppres import AbelianInvariants, GroupPresentation, abelianization, orbit_edges
 from .intmat import hermite_row_basis, solve_integer
 from .words import Letter, Word
 
@@ -151,19 +151,18 @@ class FlatGroup:
 
         # finite group of linear parts
         hol: dict[Mat3, AffineMap] = {_ID3: AffineMap.identity()}
-        frontier = [_ID3]
-        while frontier:
-            sigma = frontier.pop(0)
-            for g in self.generators:
-                product = _mat_mul(sigma, g.linear)
-                if product not in hol:
-                    if len(hol) >= holonomy_cap:
-                        raise StructuralError(
-                            f"holonomy exceeds {holonomy_cap} elements; not finite"
-                        )
-                    # right-coset transversal: representative of T x_sigma g
-                    hol[product] = hol[sigma] @ g
-                    frontier.append(product)
+
+        def steps(sigma):
+            return ((g, _mat_mul(sigma, g.linear)) for g in self.generators)
+
+        for sigma, g, product, new in orbit_edges(_ID3, steps):
+            if new:
+                if len(hol) >= holonomy_cap:
+                    raise StructuralError(
+                        f"holonomy exceeds {holonomy_cap} elements; not finite"
+                    )
+                # right-coset transversal: representative of T x_sigma g
+                hol[product] = hol[sigma] @ g
         self.holonomy: tuple[Mat3, ...] = tuple(sorted(hol))
         self._transversal = hol
         self.holonomy_order = len(hol)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .intmat import smith_normal_form
 from .words import EMPTY_WORD, Letter, Word, parse_word
 
 __all__ = [
+    "orbit_edges",
     "GroupPresentation",
     "AbelianInvariants",
     "CosetTable",
@@ -78,6 +79,32 @@ def abelianization(pres: GroupPresentation) -> AbelianInvariants:
     nonzero = [x for x in diag if x != 0]
     torsion = tuple(x for x in nonzero if x > 1)
     return AbelianInvariants(len(gens) - len(nonzero), torsion)
+
+
+def orbit_edges(
+    start: Hashable, steps: Callable[[Hashable], Iterable[tuple]]
+) -> Iterator[tuple]:
+    """Breadth-first orbit of start, the standard orbit algorithm (Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, sec. 4.1).
+
+    steps(p) gives the (label, image) pairs leaving point p, in a fixed
+    order.  Points are expanded first in, first out, and every edge is
+    yielded as (p, label, image, new) in discovery order.  new marks a
+    spanning-tree edge, that is a Schreier transversal step; the other
+    edges give the Schreier generators.  The edge is yielded before the
+    next pair is drawn from steps, so a caller can stop at the first bad
+    edge.
+    """
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        p = queue.popleft()
+        for label, image in steps(p):
+            new = image not in seen
+            if new:
+                seen.add(image)
+                queue.append(image)
+            yield p, label, image, new
 
 
 class _Exceeded(Exception):
@@ -242,24 +269,19 @@ def todd_coxeter(
     return CosetTable(gens, _standardize(rows, g), True)
 
 
+def _coset_edges(rows: Sequence[tuple[int, ...]]) -> Iterator[tuple]:
+    """Breadth-first edges of a coset table from coset 0, labelled by column."""
+    return orbit_edges(0, lambda c: enumerate(rows[c]))
+
+
 def _standardize(rows: list[tuple[int, ...]], g: int) -> tuple[tuple[int, ...], ...]:
     """Renumber cosets in breadth-first discovery order from coset 0."""
-    ncols = 2 * g
-    pos = {0: 0}
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for j in range(ncols):
-            d = rows[c][j]
-            if d not in pos:
-                pos[d] = len(order)
-                order.append(d)
+    order = [0] + [d for _, _, d, new in _coset_edges(rows) if new]
     if len(order) != len(rows):
         raise AssertionError("coset table is not transitive")
+    pos = {c: i for i, c in enumerate(order)}
     return tuple(
-        tuple(pos[rows[c][j]] for j in range(ncols)) for c in order
+        tuple(pos[rows[c][j]] for j in range(2 * g)) for c in order
     )
 
 
@@ -286,38 +308,11 @@ def transversal_words(table: CosetTable) -> list[Word]:
     then inverses); entry c is a word carrying coset 0 to coset c."""
     g = len(table.generators)
     words: dict[int, Word] = {0: EMPTY_WORD}
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for j in range(2 * g):
-            d = table.rows[c][j]
-            if d not in words:
-                name = table.generators[j % g]
-                exp = 1 if j < g else -1
-                words[d] = words[c] * Word.generator(name, exp)
-                order.append(d)
+    for c, j, d, new in _coset_edges(table.rows):
+        if new:
+            exp = 1 if j < g else -1
+            words[d] = words[c] * Word.generator(table.generators[j % g], exp)
     return [words[i] for i in range(len(table.rows))]
-
-
-def _tree_edges(table: CosetTable) -> list[tuple[int, str, int]]:
-    """(coset, generator, exp) edges of the breadth-first spanning tree."""
-    g = len(table.generators)
-    seen = {0}
-    order = [0]
-    qi = 0
-    edges = []
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for j in range(2 * g):
-            d = table.rows[c][j]
-            if d not in seen:
-                seen.add(d)
-                edges.append((c, table.generators[j % g], 1 if j < g else -1))
-                order.append(d)
-    return edges
 
 
 def schreier_rewrite(table: CosetTable, word: Word, start: int = 0) -> Word:
@@ -358,11 +353,12 @@ def reidemeister_schreier(
     for r in pres.relators:
         for c in range(d):
             relators.append(schreier_rewrite(table, r, c))
-    for c, name, exp in _tree_edges(table):
-        if exp == 1:
-            relators.append(Word.generator(f"{name}{c}"))
-        else:
-            relators.append(Word.generator(f"{name}{table.step(c, name, -1)}"))
+    g = len(table.generators)
+    for c, j, d, new in _coset_edges(table.rows):
+        if new:
+            # an inverse edge c -> d under x^-1 is the generator x at coset d
+            coset = c if j < g else d
+            relators.append(Word.generator(f"{table.generators[j % g]}{coset}"))
     return GroupPresentation(names, tuple(relators))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cell24 import Cell24Complex, Ridge, Side, the_24_cell
-from .grouppres import GroupPresentation
+from .grouppres import GroupPresentation, orbit_edges
 from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, diagonal_k, membership_checks
 from .words import Word
 
@@ -270,6 +270,18 @@ def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
 def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
     """Orbits of the 96 edges, checking that all orbit loops are trivial."""
     cell = pairing_set.cell
+
+    def steps(key):
+        current = cell.edge_by_vertices[key]
+        for side_label in current.sides:
+            letter, exp, g, _ = pairing_set.transition(side_label)
+            image_key = frozenset(g.apply(v) for v in current.vertices)
+            if image_key not in cell.edge_by_vertices:
+                raise ValueError(
+                    f"pairing does not induce an edge bijection at {current.vertices}"
+                )
+            yield (letter, exp), image_key
+
     visited: dict[frozenset, Word] = {}
     orbits = []
     for edge in cell.edges:
@@ -277,31 +289,16 @@ def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
         if key in visited:
             continue
         visited[key] = Word(())
-        queue = [edge]
         members = [edge.vertices]
-        while queue:
-            current = queue.pop(0)
-            ckey = frozenset(current.vertices)
-            path = visited[ckey]
-            for side_label in current.sides:
-                letter, exp, g, _ = pairing_set.transition(side_label)
-                image_key = frozenset(g.apply(v) for v in current.vertices)
-                if image_key not in cell.edge_by_vertices:
-                    raise ValueError(
-                        f"pairing does not induce an edge bijection at {current.vertices}"
-                    )
-                step = Word.make(((letter, exp),)) * path
-                if image_key in visited:
-                    loop = visited[image_key].inverse() * step
-                    if pairing_set.evaluate(loop) != IDENTITY:
-                        raise ValueError(
-                            f"edge orbit loop {loop} is a nontrivial stabilizer"
-                        )
-                else:
-                    visited[image_key] = step
-                    nxt = cell.edge_by_vertices[image_key]
-                    queue.append(nxt)
-                    members.append(nxt.vertices)
+        for current, letter, image_key, new in orbit_edges(key, steps):
+            step = Word.make((letter,)) * visited[current]
+            if new:
+                visited[image_key] = step
+                members.append(cell.edge_by_vertices[image_key].vertices)
+                continue
+            loop = visited[image_key].inverse() * step
+            if pairing_set.evaluate(loop) != IDENTITY:
+                raise ValueError(f"edge orbit loop {loop} is a nontrivial stabilizer")
         orbits.append(FaceCycle(1, tuple(members), Word(()), IDENTITY))
     return orbits
 

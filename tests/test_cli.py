@@ -113,6 +113,15 @@ def test_cusps_record():
     assert rec["signature"] is None
 
 
+def test_cusps_torsion_is_error_envelope():
+    code, doc = run_json("cusps", "11CA8B")
+    assert code == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [
+        {"message": "group has torsion over holonomy element x1"}
+    ]
+
+
 def test_cover_record():
     code, doc = run_json("cover", "14FF28", "--cyclic", "2")
     assert code == 0

@@ -9,7 +9,6 @@ from hyper4.cusp import (
     classify_flat,
     cusp_flat_group,
     eta,
-    holonomy_report,
     horospherical_action,
     signature,
     vertex_classes,
@@ -108,12 +107,6 @@ def test_cusp_flat_groups_match_reports():
     for vc in CLASSES:
         group = cusp_flat_group(vc)
         assert group.invariants() == (False, "Z2", (2, (2,)))
-        report = holonomy_report(vc)
-        assert report == {
-            "order": 2,
-            "type": "Z2",
-            "orientation_preserving": False,
-        }
 
 
 def test_eta_values():

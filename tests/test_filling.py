@@ -16,8 +16,13 @@ from hyper4.filling import (
     parse_meridian_lines,
     validate_meridians,
 )
-from hyper4.grouppres import abelianization, todd_coxeter
-from hyper4.pairing import build_side_pairings
+from hyper4.grouppres import (
+    abelianization,
+    reidemeister_schreier,
+    todd_coxeter,
+    transversal_words,
+)
+from hyper4.pairing import build_side_pairings, fundamental_group
 from hyper4.words import parse_word
 
 
@@ -31,6 +36,23 @@ def _default_with_power(n):
         power = n if cusp == 1 else 1
         meridians.append(Meridian(cusp, parse_word(text) ** power))
     return meridians
+
+
+def test_breadth_first_order_pins():
+    # stabilizer words, transversals and tree relators all follow one
+    # breadth-first order: generators in listed order, then inverses
+    assert [[str(w) for w, _ in vc.stabilizer] for vc in CLASSES] == [
+        ["eG", "gE", "djDJ", "blBL", "jlFCB", "jlhCB", "dkiEB", "dkhJB",
+         "lbLB", "bliFD", "jdJD", "blGJD", "blciE", "bcHLJ"],
+        ["aB", "d", "D", "aG", "aH", "bA", "gA", "hA"],
+        ["b", "B", "eF", "eI", "eJ", "fE", "iE", "jE"],
+        ["cD", "cE", "cf", "l", "L", "dC", "eC", "FC"],
+        ["gh", "j", "J", "gK", "gL", "HG", "kG", "lG"],
+    ]
+    table = todd_coxeter(fill(PAIRINGS, _default_with_power(3), CLASSES))
+    assert [str(w) for w in transversal_words(table)] == ["1", "c", "e", "C", "ce", "ec"]
+    subgroup = reidemeister_schreier(fundamental_group(PAIRINGS), table)
+    assert [str(r) for r in subgroup.relators[-5:]] == ["c0", "e0", "c3", "e1", "c2"]
 
 
 def test_default_meridians_known_code():

@@ -6,6 +6,7 @@ from hyper4.grouppres import (
     abelianization,
     character_coset_table,
     format_presentation,
+    orbit_edges,
     parse_presentation,
     quotient,
     reidemeister_schreier,
@@ -20,6 +21,30 @@ from hyper4.words import parse_word
 
 def _orientation_signs(pairing_set):
     return {p.letter: (1 if p.matrix.det() == 1 else -1) for p in pairing_set.pairings}
+
+
+def test_orbit_edges_breadth_first():
+    # a = (0 1 2), b = (0 3) on four points
+    a, b = (1, 2, 0, 3), (3, 1, 2, 0)
+    drawn = []
+
+    def steps(p):
+        for label, perm in (("a", a), ("b", b)):
+            drawn.append((p, label))
+            yield label, perm[p]
+
+    edges = orbit_edges(0, steps)
+    assert next(edges) == (0, "a", 1, True)
+    assert drawn == [(0, "a")]  # each edge is yielded before the next is drawn
+    assert list(edges) == [
+        (0, "b", 3, True),
+        (1, "a", 2, True),
+        (1, "b", 1, False),
+        (3, "a", 3, False),
+        (3, "b", 0, False),
+        (2, "a", 0, False),
+        (2, "b", 2, False),
+    ]
 
 
 def test_abelianization_free_group():
