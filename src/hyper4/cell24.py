@@ -321,7 +321,8 @@ def project_phi(point: tuple[RootTwo, RootTwo, RootTwo, RootTwo]) -> tuple[RootT
         raise ValueError("cannot project the pole (0,0,0,1)")
     scale = two / denom
     fourth = ONE + scale * (x4 - ONE)
-    assert fourth.is_zero
+    if not fourth.is_zero:
+        raise ValueError("projection left the hyperplane x4 = 0")
     return (scale * x1, scale * x2, scale * x3)
 
 

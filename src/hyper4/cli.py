@@ -220,26 +220,26 @@ def _cmd_cusps(args) -> tuple[list, list, None]:
 
 
 def _cmd_cover(args) -> tuple[list, list, None]:
-    record = asdict(cyclic_cover(args.code, args.cyclic, limit=args.max_cosets))
-    errors = []
-    if args.classify_filling:
-        result = classify_filled_cover(
-            args.code,
-            args.cyclic,
-            limit=args.max_cosets,
-            tietze_effort=args.tietze_effort,
-        )
-        filling = {k: v for k, v in result.items() if k != "cover"}
-        for key in ("verdict",):
-            if key in filling:
-                filling[key] = asdict(filling[key])
-        if "verdicts" in filling:
-            filling["verdicts"] = {
-                k: (asdict(v) if not isinstance(v, str) else v)
-                for k, v in filling["verdicts"].items()
-            }
-        record["filling"] = filling
-    return [record], errors, None
+    if not args.classify_filling:
+        return [asdict(cyclic_cover(args.code, args.cyclic, limit=args.max_cosets))], [], None
+    result = classify_filled_cover(
+        args.code,
+        args.cyclic,
+        limit=args.max_cosets,
+        tietze_effort=args.tietze_effort,
+    )
+    record = asdict(result["cover"])
+    filling = {k: v for k, v in result.items() if k != "cover"}
+    for key in ("verdict",):
+        if key in filling:
+            filling[key] = asdict(filling[key])
+    if "verdicts" in filling:
+        filling["verdicts"] = {
+            k: (asdict(v) if not isinstance(v, str) else v)
+            for k, v in filling["verdicts"].items()
+        }
+    record["filling"] = filling
+    return [record], [], None
 
 
 def _cmd_fill(args) -> tuple[list, list, None]:

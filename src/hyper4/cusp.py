@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cell24 import the_24_cell
-from .flatgroups import AffineMap, FlatGroup, classify_flat_group
+from .flatgroups import AffineMap, FlatGroup, StructuralError, classify_flat_group
 from .grouppres import orbit_edges
 from .intmat import smith_normal_form
 from .lorentz import IDENTITY, LorentzMatrix, LorentzVector
@@ -116,7 +116,8 @@ def _kernel_basis(spatial: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
     """Basis of the integer vectors orthogonal (Euclidean) to the given
     spatial vector, embedded in the x5 = 0 hyperplane."""
     d, _, v = smith_normal_form([list(spatial)])
-    assert d[0][0] != 0 and all(d[0][j] == 0 for j in (1, 2, 3))
+    if d[0][0] == 0 or any(d[0][j] != 0 for j in (1, 2, 3)):
+        raise StructuralError(f"spatial vector {spatial} has no rank-3 integer complement")
     return [tuple(v[i][j] for i in range(4)) + (0,) for j in (1, 2, 3)]
 
 
@@ -166,10 +167,12 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
         ]
         conj.append(_solve_fraction(b_matrix, image))
     # conj[j] holds the basis coefficients of M . (basis vector j)
-    assert conj[0] == [1, 0, 0, 0, 0]
-    assert conj[1][1] == 1
-    for j in (2, 3, 4):
-        assert conj[j][1] == 0
+    if (
+        conj[0] != [1, 0, 0, 0, 0]
+        or conj[1][1] != 1
+        or any(conj[j][1] != 0 for j in (2, 3, 4))
+    ):
+        raise StructuralError("the stabilizer matrix is not block triangular in the cusp basis")
     linear = tuple(tuple(conj[j][i] for j in (2, 3, 4)) for i in (2, 3, 4))
     shift = tuple(conj[1][i] for i in (2, 3, 4))
     affine = AffineMap(linear, shift)
@@ -184,7 +187,8 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
                 for k in range(3)
                 for l in range(3)
             )
-            assert lhs == gram[i][j], "affine part does not preserve the cusp metric"
+            if lhs != gram[i][j]:
+                raise StructuralError("affine part does not preserve the cusp metric")
     return affine
 
 

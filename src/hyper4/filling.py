@@ -324,15 +324,25 @@ def _spin_status(code: str, n: int) -> str:
     return "spin" if DOUBLE_COVER_SPIN.get(code, False) and n % 2 == 1 else "unknown"
 
 
-def cyclic_cover(code: str, n: int, limit: int = 10**6) -> CoverRecord:
-    """The regular cover attached to killing the default meridians with
-    the distinguished one raised to the n-th power."""
-    pairing_set, _, classes, _, table = _cyclic_table(code, n, limit)
+def _cyclic_record(
+    code: str,
+    n: int,
+    pairing_set: SidePairingSet,
+    classes: list[VertexClass],
+    table: CosetTable,
+) -> CoverRecord:
     if not table.complete:
         return CoverRecord(code=code, complete=False, spin_status="unknown")
     return cover_record_from_table(
         code, pairing_set, classes, table, _spin_status(code, n)
     )
+
+
+def cyclic_cover(code: str, n: int, limit: int = 10**6) -> CoverRecord:
+    """The regular cover attached to killing the default meridians with
+    the distinguished one raised to the n-th power."""
+    pairing_set, _, classes, _, table = _cyclic_table(code, n, limit)
+    return _cyclic_record(code, n, pairing_set, classes, table)
 
 
 def double_cover_record(code: str) -> CoverRecord:
@@ -460,17 +470,17 @@ def classify_filled_cover(
     """Fill every cusp of the cyclic cover along the lifted meridians,
     certify simple connectivity by coset enumeration, and classify.
 
-    Returns a status of "certified", "conditional" (spin undetermined),
-    or "unverified" (an enumeration exceeded the limit)."""
+    Returns the cover's record under "cover" (the same record as
+    `cyclic_cover`) and a status of "certified", "conditional" (spin
+    undetermined), or "unverified" (an enumeration exceeded the limit)."""
     pairing_set, pres, classes, meridians, table = _cyclic_table(code, n, limit)
+    record = _cyclic_record(code, n, pairing_set, classes, table)
     if not table.complete:
         return {
+            "cover": record,
             "status": "unverified",
             "reason": f"coset enumeration did not complete within {limit} cosets",
         }
-    record = cover_record_from_table(
-        code, pairing_set, classes, table, _spin_status(code, n)
-    )
     subgroup_pres = reidemeister_schreier(pres, table)
     lifted = _lifted_meridians(pairing_set, table, classes, meridians)
     filled = quotient(subgroup_pres, lifted)

@@ -7,7 +7,7 @@ columns are ordered all generators first, then all inverses.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -386,8 +386,11 @@ def tietze_simplify(pres: GroupPresentation, effort: int = 1000) -> GroupPresent
 
     Rounds of: free/cyclic reduction, duplicate-relator removal, and
     elimination of a generator occurring exactly once in some relator
-    when the substitution does not increase total relator length.
-    Deterministic; never increases generator count or total length.
+    when the substitution does not increase total relator length.  Each
+    round eliminates the candidate with the least key (length change,
+    relator length, relator index, name); `effort` caps the number of
+    eliminations.  Deterministic; never increases generator count or
+    total length.
     """
     gens = list(pres.generators)
     rels = [r.cyclic_reduce() for r in pres.relators]
@@ -405,21 +408,15 @@ def tietze_simplify(pres: GroupPresentation, effort: int = 1000) -> GroupPresent
             cleaned.append(r)
         rels = cleaned
 
+        totals = Counter(name for r in rels for name, _ in r.letters)
         best = None  # (delta, relator length, relator index, generator)
         for i, r in enumerate(rels):
-            counts: dict[str, int] = {}
-            for name, _ in r.letters:
-                counts[name] = counts.get(name, 0) + 1
+            counts = Counter(name for name, _ in r.letters)
             for name, cnt in counts.items():
                 if cnt != 1:
                     continue
-                k = sum(
-                    1
-                    for j, other in enumerate(rels)
-                    if j != i
-                    for n, _ in other.letters
-                    if n == name
-                )
+                # occurs once in relator i, so k counts the other relators
+                k = totals[name] - 1
                 length = len(r)
                 delta = k * (length - 2) - length
                 if delta > 0:

@@ -143,6 +143,30 @@ def test_cover_classify_filling():
     assert filling["simply_connected"] is True
 
 
+@pytest.mark.parametrize("n", ["1", "2", "3"])
+def test_cover_classify_filling_reports_the_cover_record(n):
+    _, filled = run_json("cover", "14FF28", "--cyclic", n, "--classify-filling")
+    _, plain = run_json("cover", "14FF28", "--cyclic", n)
+    record = filled["records"][0]
+    del record["filling"]
+    assert record == plain["records"][0]
+
+
+def test_cover_classify_filling_incomplete_enumeration():
+    code, doc = run_json(
+        "cover", "14FF28", "--cyclic", "3", "--classify-filling", "--max-cosets", "5"
+    )
+    assert code == 0
+    rec = doc["records"][0]
+    assert rec["complete"] is False
+    assert rec["degree"] is None
+    assert rec["spin_status"] == "unknown"
+    assert rec["filling"] == {
+        "status": "unverified",
+        "reason": "coset enumeration did not complete within 5 cosets",
+    }
+
+
 def test_fill_default_meridians():
     code, doc = run_json("fill", "14FF28", "--meridians", "default")
     assert code == 0

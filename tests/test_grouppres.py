@@ -1,8 +1,12 @@
 """Coset enumeration, rewriting, and presentation surgery."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hyper4.filling import _cyclic_table, _lifted_meridians
 from hyper4.grouppres import (
+    GroupPresentation,
+    _cyclic_canonical,
     abelianization,
     character_coset_table,
     format_presentation,
@@ -16,7 +20,7 @@ from hyper4.grouppres import (
     transversal_words,
 )
 from hyper4.pairing import build_side_pairings, fundamental_group
-from hyper4.words import parse_word
+from hyper4.words import Word, parse_word
 
 
 def _orientation_signs(pairing_set):
@@ -154,6 +158,69 @@ def test_tietze_preserves_abelianization():
     a0, a1 = abelianization(pres), abelianization(simp)
     assert (a0.rank, a0.torsion) == (a1.rank, a1.torsion) == (0, (2,) * 6)
     assert len(simp.generators) <= len(pres.generators)
+
+
+def _reference_tietze(pres, effort):
+    """Tietze simplification that rescans every relator for each candidate."""
+    gens, rels = list(pres.generators), [r.cyclic_reduce() for r in pres.relators]
+    for _ in range(max(effort, 0)):
+        seen, cleaned = set(), []
+        for r in (r.cyclic_reduce() for r in rels):
+            key = _cyclic_canonical(r)
+            if not r.is_identity and key not in seen:
+                seen.add(key)
+                cleaned.append(r)
+        rels = cleaned
+        names = [[n for n, _ in r.letters] for r in rels]
+        candidates = []
+        for i, r in enumerate(rels):
+            for name in dict.fromkeys(names[i]):
+                if names[i].count(name) == 1:
+                    k = sum(other.count(name) for j, other in enumerate(names) if j != i)
+                    delta = k * (len(r) - 2) - len(r)
+                    if delta <= 0:
+                        candidates.append((delta, len(r), i, name))
+        if not candidates:
+            break
+        _, _, i, name = min(candidates)
+        j = names[i].index(name)
+        rotated = rels[i].letters[j:] + rels[i].letters[:j]
+        rest = Word(rotated[1:])
+        sub = rest.inverse() if rotated[0][1] == 1 else rest
+        image = {1: sub.letters, -1: sub.inverse().letters}
+        rels = [
+            Word.make(
+                [x for n, e in other.letters for x in (image[e] if n == name else [(n, e)])]
+            ).cyclic_reduce()
+            for idx, other in enumerate(rels)
+            if idx != i
+        ]
+        gens.remove(name)
+    return GroupPresentation(tuple(gens), tuple(rels))
+
+
+def test_tietze_matches_rescan_on_filled_cover():
+    # the filled presentation of `cover 14FF28 --cyclic 3 --classify-filling`
+    pairing_set, pres, classes, meridians, table = _cyclic_table("14FF28", 3, 10**6)
+    lifted = _lifted_meridians(pairing_set, table, classes, meridians)
+    filled = quotient(reidemeister_schreier(pres, table), lifted)
+    simplified = tietze_simplify(filled)
+    assert simplified == _reference_tietze(filled, 1000)
+    assert len(simplified.generators) < len(filled.generators)
+
+
+@st.composite
+def _presentations(draw):
+    names = ("a", "b", "c", "d")[: draw(st.integers(1, 4))]
+    letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letter, max_size=8).map(Word.make), max_size=5))
+    return GroupPresentation(names, tuple(relators))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_presentations(), st.sampled_from((0, 1, 5, 1000)))
+def test_tietze_matches_rescan(pres, effort):
+    assert tietze_simplify(pres, effort) == _reference_tietze(pres, effort)
 
 
 def test_presentation_text_round_trip():
