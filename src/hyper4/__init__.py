@@ -11,11 +11,11 @@ no floating point anywhere.
 __version__ = "0.1.0"
 
 # Public API: every name imported below is re-exported.
+from .analysis import CodeAnalysis
 from .cell24 import Cell24Complex, RootTwo, project_phi, the_24_cell
 from .cusp import (
     ETA_TABLE,
     VertexClass,
-    classify_flat,
     cusp_flat_group,
     eta,
     horospherical_action,

@@ -15,28 +15,21 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import __version__
-from .cusp import ETA_TABLE, cusp_flat_group, signature, vertex_classes
+from .analysis import CodeAnalysis
+from .cusp import ETA_TABLE, signature
 from .filling import (
     classify_filled_cover,
     classify_homeo,
     cyclic_cover,
     default_meridians,
     double_cover_record,
-    fill,
     parse_meridian_lines,
+    validate_meridians,
 )
-from .flatgroups import StructuralError, classify_flat_group
-from .grouppres import abelianization, todd_coxeter
-from .lorentz import IDENTITY, orientation_sign
-from .pairing import (
-    CodeError,
-    build_side_pairings,
-    euler_characteristic,
-    face_cycles,
-    fundamental_group,
-    parse_census_lines,
-    validate_pairings,
-)
+from .flatgroups import StructuralError
+from .grouppres import abelianization, quotient, todd_coxeter
+from .lorentz import IDENTITY
+from .pairing import CodeError, parse_census_lines
 
 SCHEMA = "hyper4-census/1"
 DETERMINISM_NOTE = (
@@ -73,32 +66,29 @@ def _normalized_command(tokens) -> list[str]:
     return out
 
 
-def _decode_record(code: str) -> dict:
-    pairing_set = build_side_pairings(code)
-    arrows = []
-    preserving = []
-    reversing = []
-    for p in pairing_set.pairings:
-        arrows.append(
-            {
-                "letter": p.letter,
-                "source": p.source.label,
-                "source_center": list(p.source.center),
-                "target": p.target.label,
-                "target_center": list(p.target.center),
-                "k": list(p.kpart),
-                "matrix": [list(row) for row in p.matrix.rows],
-            }
-        )
-        if orientation_sign(p.matrix) == 1:
-            preserving.append(p.letter)
-        else:
-            reversing.append(p.letter)
+def _orientation(analysis: CodeAnalysis) -> dict:
+    signs = analysis.signs
     return {
-        "code": code,
-        "arrows": arrows,
-        "orientation": {"preserving": preserving, "reversing": reversing},
+        "preserving": [letter for letter, s in signs.items() if s == 1],
+        "reversing": [letter for letter, s in signs.items() if s == -1],
     }
+
+
+def _decode_record(code: str) -> dict:
+    analysis = CodeAnalysis(code)
+    arrows = [
+        {
+            "letter": p.letter,
+            "source": p.source.label,
+            "source_center": list(p.source.center),
+            "target": p.target.label,
+            "target_center": list(p.target.center),
+            "k": list(p.kpart),
+            "matrix": [list(row) for row in p.matrix.rows],
+        }
+        for p in analysis.pairing_set.pairings
+    ]
+    return {"code": code, "arrows": arrows, "orientation": _orientation(analysis)}
 
 
 def _decode_text(record: dict) -> str:
@@ -113,45 +103,42 @@ def _decode_text(record: dict) -> str:
     return "\n".join(lines)
 
 
-def _cusp_summaries(pairing_set, classes) -> list[dict]:
-    out = []
-    for vclass in classes:
-        group = cusp_flat_group(vclass)
-        tag = classify_flat_group(group)
-        out.append(
-            {
-                "index": vclass.index,
-                "size": vclass.size,
-                "representative": list(vclass.representative.coords),
-                "flat_type": tag,
-                "holonomy": {
-                    "order": group.holonomy_order,
-                    "type": group.holonomy_type,
-                    "orientation_preserving": group.orientable,
-                },
-                "stabilizer_words": [str(w) for w, _ in vclass.stabilizer],
-                "eta": str(ETA_TABLE[tag]) if tag in ETA_TABLE else None,
-            }
-        )
-    return out
+def _cusp_fields(analysis: CodeAnalysis) -> dict:
+    """The per-cusp summaries, cusp types and signature of a code."""
+    cusps = [
+        {
+            "index": vclass.index,
+            "size": vclass.size,
+            "representative": list(vclass.representative.coords),
+            "flat_type": tag,
+            "holonomy": {
+                "order": group.holonomy_order,
+                "type": group.holonomy_type,
+                "orientation_preserving": group.orientable,
+            },
+            "stabilizer_words": [str(w) for w, _ in vclass.stabilizer],
+            "eta": str(ETA_TABLE[tag]) if tag in ETA_TABLE else None,
+        }
+        for vclass, (group, tag) in zip(analysis.classes, analysis.cusps)
+    ]
+    types = "".join(c["flat_type"] for c in cusps)
+    return {
+        "cusps": cusps,
+        "cusp_types": types,
+        "signature": signature(types) if all(t in ETA_TABLE for t in types) else None,
+    }
 
 
 def _verify_record(code: str, double_cover: bool = False) -> dict:
-    pairing_set = build_side_pairings(code)
-    report = validate_pairings(pairing_set)
-    ridge = face_cycles(pairing_set, 2)
-    edge = face_cycles(pairing_set, 1)
-    chi = euler_characteristic(pairing_set)
-    pres = fundamental_group(pairing_set)
-    classes = vertex_classes(pairing_set)
-    cusps = _cusp_summaries(pairing_set, classes)
-    types = "".join(c["flat_type"] for c in cusps)
-    preserving = [
-        p.letter for p in pairing_set.pairings if orientation_sign(p.matrix) == 1
-    ]
-    reversing = [
-        p.letter for p in pairing_set.pairings if orientation_sign(p.matrix) == -1
-    ]
+    analysis = CodeAnalysis(code)
+    # read in the order the manifold conditions are reported: a failing
+    # ridge cycle (closing, then its matrix) comes before the edge orbits
+    report = analysis.report
+    ridge = analysis.ridge_cycles
+    pres = analysis.presentation
+    edge = analysis.edge_orbits
+    cusp_fields = _cusp_fields(analysis)
+    orientation = _orientation(analysis)
     record = {
         "code": code,
         "valid": report.ok,
@@ -167,9 +154,9 @@ def _verify_record(code: str, double_cover: bool = False) -> dict:
             ],
             "involution": report.involution_ok,
         },
-        "orientable": not reversing,
-        "orientation": {"preserving": preserving, "reversing": reversing},
-        "side_classes": len(pairing_set.pairings),
+        "orientable": not orientation["reversing"],
+        "orientation": orientation,
+        "side_classes": len(analysis.pairing_set.pairings),
         "ridge_classes": len(ridge),
         "edge_classes": len(edge),
         "ridge_cycles": {
@@ -177,11 +164,9 @@ def _verify_record(code: str, double_cover: bool = False) -> dict:
             "lengths": sorted({c.length for c in ridge}),
             "all_identity": all(c.cycle_matrix == IDENTITY for c in ridge),
         },
-        "chi": chi,
+        "chi": analysis.chi,
         "h1": str(abelianization(pres)),
-        "cusps": cusps,
-        "cusp_types": types,
-        "signature": signature(types) if all(t in ETA_TABLE for t in types) else None,
+        **cusp_fields,
         "notes": [TORSION_NOTE],
     }
     if double_cover:
@@ -204,16 +189,11 @@ def _cmd_verify(args) -> tuple[list, list, None]:
 
 
 def _cmd_cusps(args) -> tuple[list, list, None]:
-    pairing_set = build_side_pairings(args.code)
-    classes = vertex_classes(pairing_set)
-    cusps = _cusp_summaries(pairing_set, classes)
-    types = "".join(c["flat_type"] for c in cusps)
+    cusp_fields = _cusp_fields(CodeAnalysis(args.code))
     record = {
         "code": args.code,
-        "cusp_count": len(cusps),
-        "cusps": cusps,
-        "cusp_types": types,
-        "signature": signature(types) if all(t in ETA_TABLE for t in types) else None,
+        "cusp_count": len(cusp_fields["cusps"]),
+        **cusp_fields,
         "notes": [TORSION_NOTE],
     }
     return [record], [], None
@@ -243,14 +223,15 @@ def _cmd_cover(args) -> tuple[list, list, None]:
 
 
 def _cmd_fill(args) -> tuple[list, list, None]:
-    pairing_set = build_side_pairings(args.code)
-    classes = vertex_classes(pairing_set)
+    analysis = CodeAnalysis(args.code)
+    classes = analysis.classes
     if args.meridians == "default":
         meridians = default_meridians(args.code)
     else:
         with open(args.meridians, encoding="utf-8") as handle:
             meridians = parse_meridian_lines(handle)
-    filled = fill(pairing_set, meridians, classes)
+    validate_meridians(analysis.pairing_set, classes, meridians)
+    filled = quotient(analysis.presentation, [m.relator for m in meridians])
     table = todd_coxeter(filled, (), limit=args.max_cosets)
     record = {
         "code": args.code,
@@ -258,7 +239,7 @@ def _cmd_fill(args) -> tuple[list, list, None]:
             {"cusp": m.cusp_index, "word": str(m.word), "exponent": m.exponent}
             for m in meridians
         ],
-        "chi": euler_characteristic(pairing_set),
+        "chi": analysis.chi,
         "order": table.index if table.complete else "unknown",
         "h1": str(abelianization(filled)),
     }

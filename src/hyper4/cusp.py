@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cell24 import the_24_cell
-from .flatgroups import AffineMap, FlatGroup, StructuralError, classify_flat_group
+from .flatgroups import AffineMap, FlatGroup, StructuralError
 from .grouppres import orbit_edges
 from .intmat import smith_normal_form
 from .lorentz import IDENTITY, LorentzMatrix, LorentzVector
@@ -26,7 +26,6 @@ __all__ = [
     "vertex_classes",
     "horospherical_action",
     "cusp_flat_group",
-    "classify_flat",
     "eta",
     "signature",
     "ETA_TABLE",
@@ -201,11 +200,6 @@ def cusp_flat_group(vclass: VertexClass) -> FlatGroup:
         for _, matrix in vclass.stabilizer
     ]
     return FlatGroup(maps)
-
-
-def classify_flat(vclass: VertexClass) -> str:
-    """Flat type tag A..J of the cusp cross-section."""
-    return classify_flat_group(cusp_flat_group(vclass))
 
 
 ETA_TABLE: dict[str, Fraction] = {

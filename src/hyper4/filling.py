@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .analysis import CodeAnalysis
 from .cusp import ETA_TABLE, VertexClass, horospherical_action, signature, vertex_classes
 from .flatgroups import FlatGroup, classify_flat_group
 from .grouppres import (
@@ -27,14 +28,8 @@ from .grouppres import (
     todd_coxeter,
     transversal_words,
 )
-from .lorentz import IDENTITY, orientation_sign
-from .pairing import (
-    SidePairingSet,
-    build_side_pairings,
-    euler_characteristic,
-    face_cycles,
-    fundamental_group,
-)
+from .lorentz import IDENTITY
+from .pairing import SidePairingSet, fundamental_group
 from .words import Word, parse_word
 
 __all__ = [
@@ -200,18 +195,16 @@ def _cusp_intersection_group(
     return FlatGroup(maps)
 
 
-def _cover_face_counts(pairing_set: SidePairingSet, table: CosetTable) -> dict:
+def _cover_face_counts(analysis: CodeAnalysis, table: CosetTable) -> dict:
     """Face class counts of the cover, by orbit counting over the cosets."""
     d = table.index
     ridges = sum(
         len(_orbit_partition([_word_permutation(table, cycle.word)], d))
-        for cycle in face_cycles(pairing_set, 2)
+        for cycle in analysis.ridge_cycles
     )
-    edges = sum(
-        len(_orbit_partition([_word_permutation(table, cycle.word)], d))
-        for cycle in face_cycles(pairing_set, 1)
-    )
-    sides = len(pairing_set.pairings) * d
+    # edge orbits have trivial stabilizers, so each lifts to d edge classes
+    edges = d * len(analysis.edge_orbits)
+    sides = len(analysis.pairing_set.pairings) * d
     counts = {
         "cells": d,
         "sides": sides,
@@ -222,12 +215,9 @@ def _cover_face_counts(pairing_set: SidePairingSet, table: CosetTable) -> dict:
     return counts
 
 
-def _schreier_orientable(pairing_set: SidePairingSet, table: CosetTable) -> bool:
+def _schreier_orientable(letter_det: dict[str, int], table: CosetTable) -> bool:
     """Whether the cover is orientable: every Schreier generator of the
     kernel must have determinant +1."""
-    letter_det = {
-        p.letter: orientation_sign(p.matrix) for p in pairing_set.pairings
-    }
     trans_det = []
     for word in transversal_words(table):
         sign = 1
@@ -262,31 +252,26 @@ class CoverRecord:
 
 
 def cover_record_from_table(
-    code: str,
-    pairing_set: SidePairingSet,
-    classes: list[VertexClass],
-    table: CosetTable,
-    spin_status: str,
+    analysis: CodeAnalysis, table: CosetTable, spin_status: str
 ) -> CoverRecord:
     d = table.index
     lift_counts = []
     tags = []
-    for vclass in classes:
+    for vclass in analysis.classes:
         perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
         lift_counts.append(len(_orbit_partition(perms, d)))
-        tags.append(classify_flat_group(_cusp_intersection_group(pairing_set, table, vclass)))
+        group = _cusp_intersection_group(analysis.pairing_set, table, vclass)
+        tags.append(classify_flat_group(group))
     all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
-    orientable = _schreier_orientable(pairing_set, table)
+    orientable = _schreier_orientable(analysis.signs, table)
     sigma = None
     if orientable and all(t in ETA_TABLE for t in tags):
         sigma = signature(all_cusps)
-    face = _cover_face_counts(pairing_set, table)
-    base_orientable = all(
-        orientation_sign(p.matrix) == 1 for p in pairing_set.pairings
-    )
+    face = _cover_face_counts(analysis, table)
+    base_orientable = all(s == 1 for s in analysis.signs.values())
     over_double = d // 2 if orientable and not base_orientable else None
     return CoverRecord(
-        code=code,
+        code=analysis.code,
         complete=True,
         degree=d,
         chi=face["chi"],
@@ -302,58 +287,40 @@ def cover_record_from_table(
     )
 
 
-def _cyclic_table(
-    code: str, n: int, limit: int
-) -> tuple[SidePairingSet, GroupPresentation, list[VertexClass], list[Meridian], CosetTable]:
+def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTable]:
     if n < 1:
         raise ValueError("the cyclic parameter must be a positive integer")
-    pairing_set = build_side_pairings(code)
-    pres = fundamental_group(pairing_set)
-    classes = vertex_classes(pairing_set)
+    analysis = CodeAnalysis(code)
+    pres, classes = analysis.presentation, analysis.classes
     meridians = default_meridians(code)
-    validate_meridians(pairing_set, classes, meridians)
+    validate_meridians(analysis.pairing_set, classes, meridians)
     distinguished = DISTINGUISHED_CUSP[code]
     relators = [
         m.word ** (n if m.cusp_index == distinguished else 1) for m in meridians
     ]
-    table = todd_coxeter(quotient(pres, relators), (), limit)
-    return pairing_set, pres, classes, meridians, table
+    return analysis, todd_coxeter(quotient(pres, relators), (), limit)
 
 
-def _spin_status(code: str, n: int) -> str:
-    return "spin" if DOUBLE_COVER_SPIN.get(code, False) and n % 2 == 1 else "unknown"
-
-
-def _cyclic_record(
-    code: str,
-    n: int,
-    pairing_set: SidePairingSet,
-    classes: list[VertexClass],
-    table: CosetTable,
-) -> CoverRecord:
+def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRecord:
     if not table.complete:
-        return CoverRecord(code=code, complete=False, spin_status="unknown")
-    return cover_record_from_table(
-        code, pairing_set, classes, table, _spin_status(code, n)
-    )
+        return CoverRecord(code=analysis.code, complete=False, spin_status="unknown")
+    spin = DOUBLE_COVER_SPIN.get(analysis.code, False) and n % 2 == 1
+    return cover_record_from_table(analysis, table, "spin" if spin else "unknown")
 
 
 def cyclic_cover(code: str, n: int, limit: int = 10**6) -> CoverRecord:
     """The regular cover attached to killing the default meridians with
     the distinguished one raised to the n-th power."""
-    pairing_set, _, classes, _, table = _cyclic_table(code, n, limit)
-    return _cyclic_record(code, n, pairing_set, classes, table)
+    analysis, table = _cyclic_table(code, n, limit)
+    return _cyclic_record(analysis, n, table)
 
 
 def double_cover_record(code: str) -> CoverRecord:
     """The orientation double cover, from the determinant character."""
-    pairing_set = build_side_pairings(code)
-    pres = fundamental_group(pairing_set)
-    classes = vertex_classes(pairing_set)
-    signs = {p.letter: orientation_sign(p.matrix) for p in pairing_set.pairings}
-    table = character_coset_table(pres, signs)
+    analysis = CodeAnalysis(code)
+    table = character_coset_table(analysis.presentation, analysis.signs)
     spin = "spin" if DOUBLE_COVER_SPIN.get(code, False) else "unknown"
-    return cover_record_from_table(code, pairing_set, classes, table, spin)
+    return cover_record_from_table(analysis, table, spin)
 
 
 @dataclass(frozen=True)
@@ -439,19 +406,16 @@ def _rebased_meridian(
 
 
 def _lifted_meridians(
-    pairing_set: SidePairingSet,
-    table: CosetTable,
-    classes: list[VertexClass],
-    meridians: list[Meridian],
+    analysis: CodeAnalysis, table: CosetTable, meridians: list[Meridian]
 ) -> list[Word]:
     """One meridian relator per cover cusp: the rebased meridian raised
     to its return time, conjugated to the lift's coset and rewritten in
     Schreier generators."""
     out = []
     for m in meridians:
-        vclass = classes[m.cusp_index]
+        vclass = analysis.classes[m.cusp_index]
         perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
-        base = _rebased_meridian(pairing_set, vclass, m) ** m.exponent
+        base = _rebased_meridian(analysis.pairing_set, vclass, m) ** m.exponent
         perm = _word_permutation(table, base)
         for orbit in _orbit_partition(perms, table.index):
             q = orbit[0]
@@ -473,16 +437,16 @@ def classify_filled_cover(
     Returns the cover's record under "cover" (the same record as
     `cyclic_cover`) and a status of "certified", "conditional" (spin
     undetermined), or "unverified" (an enumeration exceeded the limit)."""
-    pairing_set, pres, classes, meridians, table = _cyclic_table(code, n, limit)
-    record = _cyclic_record(code, n, pairing_set, classes, table)
+    analysis, table = _cyclic_table(code, n, limit)
+    record = _cyclic_record(analysis, n, table)
     if not table.complete:
         return {
             "cover": record,
             "status": "unverified",
             "reason": f"coset enumeration did not complete within {limit} cosets",
         }
-    subgroup_pres = reidemeister_schreier(pres, table)
-    lifted = _lifted_meridians(pairing_set, table, classes, meridians)
+    subgroup_pres = reidemeister_schreier(analysis.presentation, table)
+    lifted = _lifted_meridians(analysis, table, default_meridians(code))
     filled = quotient(subgroup_pres, lifted)
     simplified = tietze_simplify(filled, tietze_effort)
     cert = todd_coxeter(simplified, (), limit)

@@ -31,6 +31,7 @@ __all__ = [
     "validate_pairings",
     "face_cycles",
     "euler_characteristic",
+    "ridge_presentation",
     "fundamental_group",
     "parse_census_lines",
 ]
@@ -324,17 +325,20 @@ def euler_characteristic(pairing_set: SidePairingSet) -> int:
     return 1 - sides + ridges - edges
 
 
-def fundamental_group(pairing_set: SidePairingSet) -> GroupPresentation:
+def ridge_presentation(ridge_cycles: list[FaceCycle]) -> GroupPresentation:
     """Presentation with the 12 letters as generators and one relator
     per ridge class.  Requires every cycle matrix to be the identity."""
-    relators = []
-    for cycle in face_cycles(pairing_set, 2):
+    for cycle in ridge_cycles:
         if cycle.cycle_matrix != IDENTITY:
             raise ValueError(
                 f"ridge cycle {cycle.word} has non-identity matrix: not a manifold code"
             )
-        relators.append(cycle.word)
-    return GroupPresentation(GENERATOR_LETTERS, tuple(relators))
+    return GroupPresentation(GENERATOR_LETTERS, tuple(c.word for c in ridge_cycles))
+
+
+def fundamental_group(pairing_set: SidePairingSet) -> GroupPresentation:
+    """The `ridge_presentation` of the code's ridge cycles."""
+    return ridge_presentation(face_cycles(pairing_set, 2))
 
 
 def parse_census_lines(lines) -> list[tuple[int, str, str]]:

@@ -52,13 +52,8 @@ class Word:
         return Word(tuple((name, -exp) for name, exp in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return EMPTY_WORD
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return Word.make(base.letters * abs(n))
 
     def __len__(self) -> int:
         return len(self.letters)

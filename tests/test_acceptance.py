@@ -16,7 +16,7 @@ import pytest
 import hyper4.filling as filling_module
 from hyper4.cli import main as cli_main
 from hyper4.cusp import (
-    classify_flat,
+    cusp_flat_group,
     eta,
     signature,
     vertex_classes,
@@ -111,7 +111,7 @@ def test_accept_manifold_conditions():
 @criterion(4, "cusp structure and parabolic words")
 def test_accept_cusp_structure():
     assert sorted(len(vc.members) for vc in CLASSES) == [2, 2, 2, 2, 16]
-    assert [classify_flat(vc) for vc in CLASSES] == ["G"] * 5
+    assert [classify_flat_group(cusp_flat_group(vc)) for vc in CLASSES] == ["G"] * 5
     # tabulated generators of each cusp group; the half-vertex class
     # third word carries a trailing c (the bare 4-letter variant fixes
     # no vertex of the class)

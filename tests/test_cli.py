@@ -122,6 +122,21 @@ def test_cusps_torsion_is_error_envelope():
     ]
 
 
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        ("FF79DA", "ridge cycle Ca has non-identity matrix: not a manifold code"),
+        ("A6783B", "edge orbit loop lIH is a nontrivial stabilizer"),
+    ],
+)
+def test_verify_reports_first_failing_condition(code, message):
+    # ridge cycles are checked (closing, then identity matrix) before edge orbits
+    status, doc = run_json("verify", code)
+    assert status == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [{"message": message}]
+
+
 def test_cover_record():
     code, doc = run_json("cover", "14FF28", "--cyclic", "2")
     assert code == 0

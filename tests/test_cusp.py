@@ -6,13 +6,13 @@ import pytest
 
 from hyper4.cusp import (
     ETA_TABLE,
-    classify_flat,
     cusp_flat_group,
     eta,
     horospherical_action,
     signature,
     vertex_classes,
 )
+from hyper4.flatgroups import classify_flat_group
 from hyper4.lorentz import LorentzVector
 from hyper4.pairing import build_side_pairings
 from hyper4.words import parse_word
@@ -100,7 +100,7 @@ def test_horospherical_action_requires_fixed_vertex():
 
 
 def test_all_cusps_have_type_g():
-    assert [classify_flat(vc) for vc in CLASSES] == ["G"] * 5
+    assert [classify_flat_group(cusp_flat_group(vc)) for vc in CLASSES] == ["G"] * 5
 
 
 def test_cusp_flat_groups_match_reports():

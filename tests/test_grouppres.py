@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyper4.filling import _cyclic_table, _lifted_meridians
+from hyper4.filling import _cyclic_table, _lifted_meridians, default_meridians
 from hyper4.grouppres import (
     GroupPresentation,
     _cyclic_canonical,
@@ -201,9 +201,9 @@ def _reference_tietze(pres, effort):
 
 def test_tietze_matches_rescan_on_filled_cover():
     # the filled presentation of `cover 14FF28 --cyclic 3 --classify-filling`
-    pairing_set, pres, classes, meridians, table = _cyclic_table("14FF28", 3, 10**6)
-    lifted = _lifted_meridians(pairing_set, table, classes, meridians)
-    filled = quotient(reidemeister_schreier(pres, table), lifted)
+    analysis, table = _cyclic_table("14FF28", 3, 10**6)
+    lifted = _lifted_meridians(analysis, table, default_meridians("14FF28"))
+    filled = quotient(reidemeister_schreier(analysis.presentation, table), lifted)
     simplified = tietze_simplify(filled)
     assert simplified == _reference_tietze(filled, 1000)
     assert len(simplified.generators) < len(filled.generators)

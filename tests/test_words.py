@@ -74,3 +74,15 @@ def test_product_associates_with_reduction(s, t):
     u, v = parse_word(s), parse_word(t)
     # reduction of the concatenation equals the product of reductions
     assert u * v == parse_word(s + t)
+
+
+_letters = st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))), max_size=6)
+
+
+@given(_letters.map(Word.make), st.integers(-6, 6))
+def test_power_is_repeated_product(w, n):
+    base = w if n >= 0 else w.inverse()
+    expected = EMPTY_WORD
+    for _ in range(abs(n)):
+        expected = expected * base
+    assert w**n == expected
