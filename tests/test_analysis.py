@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+import threading
 from collections import Counter
 
 import pytest
 
+import hyper4.analysis as analysis_module
 import hyper4.pairing as pairing_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cli import main
@@ -56,3 +58,44 @@ def test_analysis_matches_free_functions(code):
     assert analysis.signs == {
         p.letter: orientation_sign(p.matrix) for p in pairing_set.pairings
     }
+
+
+def test_attributes_are_computed_once(monkeypatch):
+    calls = Counter()
+    original = analysis_module.vertex_classes
+
+    def counted(pairing_set):
+        calls[pairing_set.code] += 1
+        return original(pairing_set)
+
+    monkeypatch.setattr(analysis_module, "vertex_classes", counted)
+    analysis = CodeAnalysis("14FF28")
+    assert analysis.classes is analysis.classes
+    analysis.cusps
+    assert calls == {"14FF28": 1}
+
+
+def test_analyses_of_different_codes_do_not_wait_on_each_other(monkeypatch):
+    # census workers analyse codes side by side: one analysis stuck in
+    # an attribute must not hold up the same attribute of another
+    entered, release = threading.Event(), threading.Event()
+    original = analysis_module.vertex_classes
+
+    def held(pairing_set):
+        if pairing_set.code == "14FF28":
+            entered.set()
+            release.wait(30)
+        return original(pairing_set)
+
+    monkeypatch.setattr(analysis_module, "vertex_classes", held)
+    stuck = threading.Thread(target=lambda: CodeAnalysis("14FF28").classes)
+    stuck.start()
+    try:
+        assert entered.wait(30)
+        other = threading.Thread(target=lambda: CodeAnalysis("1428BD").classes)
+        other.start()
+        other.join(10)
+        assert not other.is_alive()
+    finally:
+        release.set()
+        stuck.join()
