@@ -37,6 +37,10 @@ DETERMINISM_NOTE = (
     "randomness; records are independent of thread count"
 )
 TORSION_NOTE = "torsion freeness of the side-pairing group is assumed per census"
+ORIENTABLE_NOTE = (
+    "the code is orientable, so it is its own orientation cover: "
+    "there is no orientation double cover to report"
+)
 
 
 def _envelope(command, records, errors) -> dict:
@@ -169,7 +173,10 @@ def _verify_record(code: str, double_cover: bool = False) -> dict:
         **cusp_fields,
         "notes": [TORSION_NOTE],
     }
-    if double_cover:
+    if double_cover and record["orientable"]:
+        record["double_cover"] = None
+        record["notes"].append(ORIENTABLE_NOTE)
+    elif double_cover:
         record["double_cover"] = asdict(double_cover_record(code))
     return record
 

@@ -10,6 +10,8 @@ orientable cusp types into the signature.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from .cell24 import the_24_cell
 from .flatgroups import AffineMap, FlatGroup, StructuralError
 from .grouppres import orbit_edges
 from .intmat import smith_normal_form
-from .lorentz import IDENTITY, LorentzMatrix, LorentzVector
+from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
 from .pairing import SidePairingSet
 from .words import Word
 
@@ -136,49 +138,80 @@ def _solve_fraction(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[F
     return [a[i][n] for i in range(n)]
 
 
+@dataclass(frozen=True)
+class _CuspBasis:
+    """The cusp basis at one ideal vertex as integer matrices: the
+    columns of `basis` are a common multiple of (u, z, w1, w2, w3), and
+    `inverse` / `denominator` is the inverse of `basis`."""
+
+    basis: LorentzMatrix
+    inverse: LorentzMatrix
+    denominator: int
+    gram: tuple[tuple[int, ...], ...]  # Lorentz products of the w_j
+
+
+@functools.lru_cache(maxsize=24)
+def _cusp_basis(vertex: LorentzVector) -> _CuspBasis:
+    """The basis (u, z, w1, w2, w3) at a vertex, built on first use; the
+    24-cell has 24 ideal vertices, and no entry depends on the code.
+
+    u is the vertex light vector, z = (-u1, -u2, -u3, -u4, u5) / u5^2 the
+    opposite light vector, with u . z = -2, and the w_j an integer basis
+    of the space-like complement.  The columns are scaled by u5^2, which
+    leaves conjugation by the basis unchanged.
+    """
+    u = vertex.coords
+    w = _kernel_basis(u[:4])
+    if len(w) != 3:
+        raise AssertionError("space-like complement must have rank 3")
+    scale = u[4] * u[4]
+    columns = [
+        tuple(scale * c for c in u),
+        tuple(-c for c in u[:4]) + (u[4],),
+        *(tuple(scale * c for c in vec) for vec in w),
+    ]
+    b_matrix = [[Fraction(columns[j][i]) for j in range(5)] for i in range(5)]
+    inverse_columns = [
+        _solve_fraction(b_matrix, [Fraction(int(i == j)) for i in range(5)])
+        for j in range(5)
+    ]
+    denominator = math.lcm(*(x.denominator for col in inverse_columns for x in col))
+    return _CuspBasis(
+        LorentzMatrix(tuple(zip(*columns))),
+        LorentzMatrix(
+            tuple(
+                tuple(int(col[i] * denominator) for col in inverse_columns)
+                for i in range(5)
+            )
+        ),
+        denominator,
+        tuple(tuple(lorentz_product(a, b) for b in w) for a in w),
+    )
+
+
 def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> AffineMap:
     """The exact affine action of a vertex stabilizer element on the
     horosphere at the vertex.
 
-    Uses the basis (u, z, w1, w2, w3) where u is the vertex light
-    vector, z the opposite light vector with u . z = -1, and the w_j an
-    integer basis of the space-like complement; in that basis the matrix
-    is block triangular and the w-block with the z-column give the
-    affine map.
+    In the vertex's cusp basis (u, z, w1, w2, w3) the matrix is block
+    triangular, and the w-block with the z-column give the affine map.
+    The conjugation is one integer product, divided exactly by the
+    basis's denominator.
     """
-    u = vertex.coords
     if matrix.apply(vertex) != vertex:
         raise ValueError("matrix does not fix the vertex")
-    half = Fraction(1, 2 * u[4] * u[4])
-    z = tuple(Fraction(-c) * 2 * half for c in u[:4]) + (Fraction(u[4]) * 2 * half,)
-    w = _kernel_basis(u[:4])
-    if len(w) != 3:
-        raise AssertionError("space-like complement must have rank 3")
-    columns = [tuple(Fraction(c) for c in u), z] + [
-        tuple(Fraction(c) for c in vec) for vec in w
-    ]
-    b_matrix = [[columns[j][i] for j in range(5)] for i in range(5)]
-    conj = []
-    for j in range(5):
-        image = [
-            sum(Fraction(matrix.rows[i][k]) * columns[j][k] for k in range(5))
-            for i in range(5)
-        ]
-        conj.append(_solve_fraction(b_matrix, image))
-    # conj[j] holds the basis coefficients of M . (basis vector j)
+    basis = _cusp_basis(vertex)
+    den = basis.denominator
+    conj = (basis.inverse @ matrix @ basis.basis).rows
+    # column j of conj / den holds the basis coefficients of M . (basis vector j)
     if (
-        conj[0] != [1, 0, 0, 0, 0]
-        or conj[1][1] != 1
-        or any(conj[j][1] != 0 for j in (2, 3, 4))
+        any(conj[i][0] != (den if i == 0 else 0) for i in range(5))
+        or conj[1][1] != den
+        or any(conj[1][j] != 0 for j in (2, 3, 4))
     ):
         raise StructuralError("the stabilizer matrix is not block triangular in the cusp basis")
-    linear = tuple(tuple(conj[j][i] for j in (2, 3, 4)) for i in (2, 3, 4))
-    shift = tuple(conj[1][i] for i in (2, 3, 4))
-    affine = AffineMap(linear, shift)
-
-    from .lorentz import lorentz_product
-
-    gram = [[lorentz_product(w[i], w[j]) for j in range(3)] for i in range(3)]
+    linear = [[conj[i][j] for j in (2, 3, 4)] for i in (2, 3, 4)]
+    gram = basis.gram
     for i in range(3):
         for j in range(3):
             lhs = sum(
@@ -186,9 +219,12 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
                 for k in range(3)
                 for l in range(3)
             )
-            if lhs != gram[i][j]:
+            if lhs != den * den * gram[i][j]:
                 raise StructuralError("affine part does not preserve the cusp metric")
-    return affine
+    return AffineMap(
+        tuple(tuple(Fraction(x, den) for x in row) for row in linear),
+        tuple(Fraction(conj[i][1], den) for i in (2, 3, 4)),
+    )
 
 
 def cusp_flat_group(vclass: VertexClass) -> FlatGroup:

@@ -12,6 +12,7 @@ closed simply connected 4-manifolds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .analysis import CodeAnalysis
 from .cusp import ETA_TABLE, VertexClass, horospherical_action, signature, vertex_classes
@@ -170,29 +171,38 @@ def _orbit_partition(perms, size: int) -> list[list[int]]:
     return orbits
 
 
-def _cusp_intersection_group(
-    pairing_set: SidePairingSet, table: CosetTable, vclass: VertexClass
-) -> FlatGroup:
-    """Stabilizer-intersect-kernel as a flat group, via a Schreier
-    transversal of the stabilizer's action on the cosets."""
-    trans: dict[int, Word] = {0: Word(())}
-    gens: dict = {}
+def _schreier_elements(vclass: VertexClass, perms) -> Iterator[tuple]:
+    """The Schreier elements of the stabilizer's action on the cosets.
+
+    perms[i] is the coset permutation of the i-th stabilizer generator
+    M_i.  Along the breadth-first tree from coset 0, T[d] = T[c] @ M_i
+    and T[d]^-1 = M_i^-1 @ T[c]^-1, one product each per tree edge; every
+    other edge c -i-> d yields (c, i, d, T[c] @ M_i @ T[d]^-1).
+    """
+    matrices = [m for _, m in vclass.stabilizer]
+    inverses = [m.inverse() for m in matrices]
+    trans = {0: IDENTITY}
+    trans_inv = {0: IDENTITY}
 
     def steps(c):
-        return ((w, table.follow(c, w)) for w, _ in vclass.stabilizer)
+        return ((i, perm[c]) for i, perm in enumerate(perms))
 
-    for c, w, d, new in orbit_edges(0, steps):
+    for c, i, d, new in orbit_edges(0, steps):
         if new:
-            trans[d] = trans[c] * w
-            continue
-        element = trans[c] * w * trans[d].inverse()
-        matrix = pairing_set.evaluate(element)
-        if matrix != IDENTITY and matrix not in gens:
-            gens[matrix] = element
-    maps = [
-        horospherical_action(matrix, vclass.representative) for matrix in gens
-    ]
-    return FlatGroup(maps)
+            trans[d] = trans[c] @ matrices[i]
+            trans_inv[d] = inverses[i] @ trans_inv[c]
+        else:
+            yield c, i, d, trans[c] @ matrices[i] @ trans_inv[d]
+
+
+def _cusp_intersection_group(vclass: VertexClass, perms) -> FlatGroup:
+    """Stabilizer-intersect-kernel as a flat group, generated by the
+    distinct nontrivial Schreier elements in discovery order."""
+    gens: dict = {}  # an insertion-ordered set of matrices
+    for *_, matrix in _schreier_elements(vclass, perms):
+        if matrix != IDENTITY:
+            gens[matrix] = None
+    return FlatGroup([horospherical_action(m, vclass.representative) for m in gens])
 
 
 def _cover_face_counts(analysis: CodeAnalysis, table: CosetTable) -> dict:
@@ -260,7 +270,7 @@ def cover_record_from_table(
     for vclass in analysis.classes:
         perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
         lift_counts.append(len(_orbit_partition(perms, d)))
-        group = _cusp_intersection_group(analysis.pairing_set, table, vclass)
+        group = _cusp_intersection_group(vclass, perms)
         tags.append(classify_flat_group(group))
     all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
     orientable = _schreier_orientable(analysis.signs, table)

@@ -18,8 +18,8 @@ with positive last coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Sequence
 
 __all__ = [
     "DIMENSION",
@@ -95,22 +95,18 @@ class LorentzMatrix:
         if len(self.rows) != DIMENSION or any(len(r) != DIMENSION for r in self.rows):
             raise ValueError("expected a 5x5 matrix")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "LorentzMatrix":
-        return cls(tuple(tuple(int(c) for c in row) for row in rows))
-
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
         cols = tuple(zip(*other.rows))
         return LorentzMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(sum(map(mul, row, col)) for col in cols)
                 for row in self.rows
             )
         )
 
     def apply(self, v: LorentzVector) -> LorentzVector:
         return LorentzVector(
-            tuple(sum(a * b for a, b in zip(row, v.coords)) for row in self.rows)
+            tuple(sum(map(mul, row, v.coords)) for row in self.rows)
         )
 
     def transpose(self) -> "LorentzMatrix":

@@ -88,30 +88,43 @@ class SidePairing:
 
 @dataclass(frozen=True)
 class SidePairingSet:
+    """The 12 generators of one code.
+
+    Each letter's inverse is computed once, by the checked
+    `LorentzMatrix.inverse`, and each side's transition is looked up in a
+    table; neither table takes part in equality.
+    """
+
     code: str
     pairings: tuple[SidePairing, ...]
+    _letters: dict = field(init=False, repr=False, compare=False)
+    _transitions: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        letters: dict[tuple[str, int], LorentzMatrix] = {}
+        transitions: dict[str, tuple[str, int, LorentzMatrix, str]] = {}
+        for p in self.pairings:
+            inverse = p.matrix.inverse()
+            letters[p.letter, 1] = p.matrix
+            letters[p.letter, -1] = inverse
+            transitions[p.source.label] = (p.letter, 1, p.matrix, p.target.label)
+            transitions[p.target.label] = (p.letter, -1, inverse, p.source.label)
+        object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "_transitions", transitions)
 
     @property
     def cell(self) -> Cell24Complex:
         return the_24_cell()
 
-    def by_letter(self, letter: str) -> SidePairing:
-        for p in self.pairings:
-            if p.letter == letter:
-                return p
-        raise KeyError(f"no generator {letter!r}")
-
-    def matrices(self) -> dict[str, LorentzMatrix]:
-        return {p.letter: p.matrix for p in self.pairings}
-
     def evaluate(self, word: Word) -> LorentzMatrix:
         """The matrix of a word in the generators (left-to-right product)."""
-        return word.evaluate(
-            self.matrices(),
-            multiply=lambda a, b: a @ b,
-            invert=lambda m: m.inverse(),
-            identity=IDENTITY,
-        )
+        out = IDENTITY
+        for letter in word.letters:
+            try:
+                out = out @ self._letters[letter]
+            except KeyError:
+                raise ValueError(f"word uses unknown generator {letter[0]!r}") from None
+        return out
 
     def transition(self, side_label: str) -> tuple[str, int, LorentzMatrix, str]:
         """(letter, exponent, matrix, partner label) for leaving through a side.
@@ -119,15 +132,10 @@ class SidePairingSet:
         The matrix is the generator itself when the side is a source,
         its inverse when the side is a target.
         """
-        for p in self.pairings:
-            if p.source.label == side_label:
-                return p.letter, 1, p.matrix, p.target.label
-            if p.target.label == side_label:
-                return p.letter, -1, p.matrix.inverse(), p.source.label
-        raise KeyError(f"side {side_label!r} is not paired")
-
-    def partner(self, side_label: str) -> str:
-        return self.transition(side_label)[3]
+        try:
+            return self._transitions[side_label]
+        except KeyError:
+            raise KeyError(f"side {side_label!r} is not paired") from None
 
 
 def build_side_pairings(code: str) -> SidePairingSet:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hyper4.cli import DETERMINISM_NOTE, SCHEMA, main
+from hyper4.cli import DETERMINISM_NOTE, ORIENTABLE_NOTE, SCHEMA, TORSION_NOTE, main
 
 
 DATA = Path(__file__).parent / "data"
@@ -101,6 +101,24 @@ def test_verify_double_cover_flag():
     rec = doc["records"][0]
     assert rec["double_cover"]["degree"] == 2
     assert rec["double_cover"]["cusp_types"] == "AAAAA"
+
+
+@pytest.mark.parametrize("code", ["2EBB84", "B1EE7B"])
+def test_verify_double_cover_of_orientable_code(code):
+    # an orientable code is its own orientation cover: the full record,
+    # no cover, and a note saying why
+    status, doc = run_json("verify", code, "--double-cover")
+    assert status == 0
+    assert doc["errors"] == []
+    rec = doc["records"][0]
+    _, plain = run_json("verify", code)
+    expected = plain["records"][0]
+    assert expected["orientable"] is True
+    assert rec == {
+        **expected,
+        "notes": [TORSION_NOTE, ORIENTABLE_NOTE],
+        "double_cover": None,
+    }
 
 
 def test_cusps_record():

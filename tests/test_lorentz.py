@@ -57,14 +57,14 @@ def test_reflection_membership():
 
 
 def test_coordinate_swap_not_congruence_two():
-    swap = LorentzMatrix.from_rows(
-        [
-            [0, 1, 0, 0, 0],
-            [1, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1],
-        ]
+    swap = LorentzMatrix(
+        (
+            (0, 1, 0, 0, 0),
+            (1, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0),
+            (0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 1),
+        )
     )
     checks = membership_checks(swap)
     assert checks.lorentzian and checks.positive
@@ -87,14 +87,14 @@ def test_inverse_uses_form():
 
 
 def test_inverse_rejects_non_lorentzian():
-    bad = LorentzMatrix.from_rows(
-        [
-            [1, 1, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1],
-        ]
+    bad = LorentzMatrix(
+        (
+            (1, 1, 0, 0, 0),
+            (0, 1, 0, 0, 0),
+            (0, 0, 1, 0, 0),
+            (0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 1),
+        )
     )
     with pytest.raises(ValueError):
         bad.inverse()

@@ -1,0 +1,195 @@
+"""The exact matrix layer's fast paths against their oracles.
+
+`SidePairingSet.evaluate` (one product per letter) is the reference for
+the transversal matrices of a cover's Schreier elements; a copy of the
+five-solve `Fraction` elimination is the reference for the per-vertex
+cusp basis of `horospherical_action`; a linear scan over the pairings is
+the reference for the transition table.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyper4 import cusp as cusp_module
+from hyper4.analysis import CodeAnalysis
+from hyper4.cusp import _kernel_basis, _solve_fraction, horospherical_action
+from hyper4.filling import _cyclic_table, _schreier_elements, _word_permutation
+from hyper4.flatgroups import AffineMap, StructuralError
+from hyper4.grouppres import character_coset_table, orbit_edges
+from hyper4.lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
+from hyper4.pairing import GENERATOR_LETTERS, build_side_pairings
+from hyper4.words import Word
+
+POOL = Path(__file__).parent.parent / "perfbench" / "data" / "pool.tsv"
+
+# the first manifold codes of the pool, all non-orientable
+POOL_MANIFOLDS = ("157CB4", "B948D6", "5C678D", "134DF8", "9CBA69")
+# the first rejected codes of the pool: decodable, not manifolds
+POOL_REJECTED = ("FF79DA", "39AB8C", "194FE5", "E4FDDD", "DC4BE8", "25DEFF")
+
+CYCLIC_N = (1, 2, 3, 5, 13)
+DOUBLE_COVER_CODES = ("14FF28",) + POOL_MANIFOLDS[:3]
+ACTION_CODES = ("14FF28", "1428BD") + POOL_MANIFOLDS
+
+
+def _reference_action(matrix: LorentzMatrix, vertex: LorentzVector) -> AffineMap:
+    """The horospherical action by five Fraction solves, one per basis
+    vector, with the basis (u, z, w1, w2, w3) rebuilt on every call."""
+    u = vertex.coords
+    if matrix.apply(vertex) != vertex:
+        raise ValueError("matrix does not fix the vertex")
+    half = Fraction(1, 2 * u[4] * u[4])
+    z = tuple(Fraction(-c) * 2 * half for c in u[:4]) + (Fraction(u[4]) * 2 * half,)
+    w = _kernel_basis(u[:4])
+    columns = [tuple(Fraction(c) for c in u), z] + [
+        tuple(Fraction(c) for c in vec) for vec in w
+    ]
+    b_matrix = [[columns[j][i] for j in range(5)] for i in range(5)]
+    conj = []
+    for j in range(5):
+        image = [
+            sum(Fraction(matrix.rows[i][k]) * columns[j][k] for k in range(5))
+            for i in range(5)
+        ]
+        conj.append(_solve_fraction(b_matrix, image))
+    if (
+        conj[0] != [1, 0, 0, 0, 0]
+        or conj[1][1] != 1
+        or any(conj[j][1] != 0 for j in (2, 3, 4))
+    ):
+        raise StructuralError("the stabilizer matrix is not block triangular in the cusp basis")
+    linear = tuple(tuple(conj[j][i] for j in (2, 3, 4)) for i in (2, 3, 4))
+    shift = tuple(conj[1][i] for i in (2, 3, 4))
+    gram = [[lorentz_product(w[i], w[j]) for j in range(3)] for i in range(3)]
+    for i in range(3):
+        for j in range(3):
+            lhs = sum(
+                linear[k][i] * gram[k][l] * linear[l][j]
+                for k in range(3)
+                for l in range(3)
+            )
+            if lhs != gram[i][j]:
+                raise StructuralError("affine part does not preserve the cusp metric")
+    return AffineMap(linear, shift)
+
+
+def _cover_tables():
+    for n in CYCLIC_N:
+        yield f"14FF28 --cyclic {n}", *_cyclic_table("14FF28", n, 10**6)
+    for code in DOUBLE_COVER_CODES:
+        analysis = CodeAnalysis(code)
+        table = character_coset_table(analysis.presentation, analysis.signs)
+        yield f"{code} double cover", analysis, table
+
+
+@lru_cache(maxsize=None)
+def _schreier_cases() -> tuple:
+    """(label, analysis, vertex class, Schreier word, transversal matrix)
+    for every non-tree edge of every cusp of every cover under test; the
+    words are rebuilt here from the same breadth-first tree."""
+    cases = []
+    for label, analysis, table in _cover_tables():
+        for vclass in analysis.classes:
+            perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
+            trans = {0: Word(())}
+
+            def steps(c, perms=perms):
+                return ((i, perm[c]) for i, perm in enumerate(perms))
+
+            for c, i, d, new in orbit_edges(0, steps):
+                if new:
+                    trans[d] = trans[c] * vclass.stabilizer[i][0]
+            for c, i, d, matrix in _schreier_elements(vclass, perms):
+                word = trans[c] * vclass.stabilizer[i][0] * trans[d].inverse()
+                cases.append((label, analysis, vclass, word, matrix))
+    return tuple(cases)
+
+
+def test_transversal_products_match_evaluate():
+    cases = _schreier_cases()
+    assert {label for label, *_ in cases} == {label for label, *_ in _cover_tables()}
+    for label, analysis, vclass, word, matrix in cases:
+        assert analysis.pairing_set.evaluate(word) == matrix, (label, vclass.index, str(word))
+        assert matrix.apply(vclass.representative) == vclass.representative
+
+
+def _assert_same_action(matrix: LorentzMatrix, vertex: LorentzVector) -> None:
+    fast = horospherical_action(matrix, vertex)
+    assert fast == _reference_action(matrix, vertex)
+    entries = [x for row in fast.linear for x in row] + list(fast.shift)
+    assert all(type(x) is Fraction for x in entries)
+
+
+def test_horospherical_action_matches_reference_on_stabilizers():
+    for code in ACTION_CODES:
+        for vclass in CodeAnalysis(code).classes:
+            for _, matrix in vclass.stabilizer:
+                _assert_same_action(matrix, vclass.representative)
+
+
+def test_horospherical_action_matches_reference_on_schreier_elements():
+    distinct = {
+        (matrix, vclass.representative): None
+        for _, _, vclass, _, matrix in _schreier_cases()
+        if matrix != IDENTITY
+    }
+    assert distinct
+    for matrix, vertex in distinct:
+        _assert_same_action(matrix, vertex)
+
+
+def _scan_transition(pairing_set, side_label):
+    for p in pairing_set.pairings:
+        if p.source.label == side_label:
+            return p.letter, 1, p.matrix, p.target.label
+        if p.target.label == side_label:
+            return p.letter, -1, p.matrix.inverse(), p.source.label
+    raise KeyError(side_label)
+
+
+def test_transition_matches_linear_scan():
+    for code in ACTION_CODES + POOL_REJECTED:
+        pairing_set = build_side_pairings(code)
+        for side in pairing_set.cell.sides:
+            assert pairing_set.transition(side.label) == _scan_transition(
+                pairing_set, side.label
+            ), (code, side.label)
+
+
+letters = st.tuples(st.sampled_from(GENERATOR_LETTERS), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    code=st.sampled_from(ACTION_CODES + POOL_REJECTED),
+    raw=st.lists(letters, max_size=12),
+)
+def test_evaluate_is_the_product_of_generators_and_inverses(code, raw):
+    pairing_set = build_side_pairings(code)
+    matrix = {p.letter: p.matrix for p in pairing_set.pairings}
+    expected = IDENTITY
+    for name, exp in raw:
+        expected = expected @ (matrix[name] if exp == 1 else matrix[name].inverse())
+    assert pairing_set.evaluate(Word.make(raw)) == expected
+
+
+def test_cusp_basis_table_is_per_vertex():
+    codes = [
+        line.split()[0]
+        for line in POOL.read_text().splitlines()
+        if not line.startswith("#") and line.split()[1] == "M"
+    ]
+    assert len(codes) == 183
+    cusp_module._cusp_basis.cache_clear()
+    for code in codes:
+        for vclass in CodeAnalysis(code).classes:
+            for _, matrix in vclass.stabilizer:
+                horospherical_action(matrix, vclass.representative)
+    info = cusp_module._cusp_basis.cache_info()
+    # every basis was built once, and the table stays within the 24 vertices
+    assert 0 < info.currsize == info.misses <= 24
+    assert info.hits > len(codes)

@@ -68,7 +68,7 @@ def test_golden_arrows():
     ps = build_side_pairings("14FF28")
     assert len(ps.pairings) == 12
     for letter, src, tgt, kpart in GOLDEN_ARROWS:
-        p = ps.by_letter(letter)
+        p = next(q for q in ps.pairings if q.letter == letter)
         assert p.source.label == src
         assert p.target.label == tgt
         assert p.kpart == kpart
@@ -87,9 +87,9 @@ def test_pairings_validate():
 
 def test_partner_involution():
     ps = build_side_pairings("14FF28")
-    assert ps.partner("A") == "A'"
-    assert ps.partner("A'") == "A"
-    assert ps.partner("K'") == "K"
+    assert ps.transition("A")[3] == "A'"
+    assert ps.transition("A'")[3] == "A"
+    assert ps.transition("K'")[3] == "K"
 
 
 def test_ridge_cycles():
