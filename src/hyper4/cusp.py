@@ -196,7 +196,7 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
     In the vertex's cusp basis (u, z, w1, w2, w3) the matrix is block
     triangular, and the w-block with the z-column give the affine map.
     The conjugation is one integer product, divided exactly by the
-    basis's denominator.
+    basis's denominator; an integral entry stays an int.
     """
     if matrix.apply(vertex) != vertex:
         raise ValueError("matrix does not fix the vertex")
@@ -221,10 +221,7 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
             )
             if lhs != den * den * gram[i][j]:
                 raise StructuralError("affine part does not preserve the cusp metric")
-    return AffineMap(
-        tuple(tuple(Fraction(x, den) for x in row) for row in linear),
-        tuple(Fraction(conj[i][1], den) for i in (2, 3, 4)),
-    )
+    return AffineMap.scaled(linear, [conj[i][1] for i in (2, 3, 4)], den)
 
 
 def cusp_flat_group(vclass: VertexClass) -> FlatGroup:

@@ -35,42 +35,64 @@ __all__ = [
 
 FLAT_TYPE_TAGS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
 
-Row = tuple[Fraction, Fraction, Fraction]
+Rational = int | Fraction  # an int wherever the value is integral
+Row = tuple[Rational, Rational, Rational]
 Mat3 = tuple[Row, Row, Row]
-Vec3 = tuple[Fraction, Fraction, Fraction]
+Vec3 = tuple[Rational, Rational, Rational]
 
 
 class StructuralError(Exception):
     """Input that is not the group of a closed flat 3-manifold."""
 
 
-def _frac_rows(rows) -> Mat3:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)  # type: ignore[return-value]
+def _exact(x) -> Rational:
+    """x as an int when it is integral, otherwise as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def _frac_vec(vec) -> Vec3:
-    return tuple(Fraction(x) for x in vec)  # type: ignore[return-value]
+def _div(x: Rational, d: Rational) -> Rational:
+    """The exact quotient x / d, an int when d divides x."""
+    if type(x) is int and type(d) is int:
+        q, r = divmod(x, d)
+        return q if r == 0 else Fraction(x, d)
+    return _exact(x / d)
 
 
-_ID3: Mat3 = _frac_rows(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+def _exact_rows(rows) -> Mat3:
+    return tuple(tuple(_exact(x) for x in row) for row in rows)  # type: ignore[return-value]
+
+
+def _exact_vec(vec) -> Vec3:
+    return tuple(_exact(x) for x in vec)  # type: ignore[return-value]
+
+
+_ID3: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )  # type: ignore[return-value]
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return (
+        (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8),
+        (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8),
+        (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8),
+    )
 
 
 def _mat_vec(a: Mat3, v: Vec3) -> Vec3:
-    return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))  # type: ignore[return-value]
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    v0, v1, v2 = v
+    return (a0 * v0 + a1 * v1 + a2 * v2, a3 * v0 + a4 * v1 + a5 * v2, a6 * v0 + a7 * v1 + a8 * v2)
 
 
 def _vec_add(u: Vec3, v: Vec3) -> Vec3:
-    return tuple(x + y for x, y in zip(u, v))  # type: ignore[return-value]
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
 
-def _det3(a: Mat3) -> Fraction:
+def _det3(a: Mat3) -> Rational:
     return (
         a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
@@ -90,30 +112,39 @@ def _inv3(a: Mat3) -> Mat3:
         ]
         for i in range(3)
     ]
-    # inverse = adjugate / det; adjugate = transpose of cofactor matrix
+    # inverse = adjugate / det, divided exactly; adjugate = transpose of cofactors
     return tuple(
-        tuple(cof[j][i] / d for j in range(3)) for i in range(3)
+        tuple(_div(cof[j][i], d) for j in range(3)) for i in range(3)
     )  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    """v :-> linear v + shift, all entries exact rationals."""
+    """v :-> linear v + shift, all entries exact rationals; `of` and
+    `scaled` store each integral entry as an int."""
 
     linear: Mat3
     shift: Vec3
 
     @classmethod
     def of(cls, linear, shift) -> "AffineMap":
-        return cls(_frac_rows(linear), _frac_vec(shift))
+        return cls(_exact_rows(linear), _exact_vec(shift))
+
+    @classmethod
+    def scaled(cls, linear, shift, den: int) -> "AffineMap":
+        """The map (linear / den, shift / den), from integer entries."""
+        return cls(
+            tuple(tuple(_div(x, den) for x in row) for row in linear),  # type: ignore[arg-type]
+            tuple(_div(x, den) for x in shift),  # type: ignore[arg-type]
+        )
 
     @classmethod
     def translation(cls, shift) -> "AffineMap":
-        return cls(_ID3, _frac_vec(shift))
+        return cls(_ID3, _exact_vec(shift))
 
     @classmethod
     def identity(cls) -> "AffineMap":
-        return cls(_ID3, _frac_vec((0, 0, 0)))
+        return cls(_ID3, (0, 0, 0))
 
     def __matmul__(self, other: "AffineMap") -> "AffineMap":
         # composition: (self @ other)(v) = self(other(v))
@@ -149,11 +180,19 @@ class FlatGroup:
         if not self.generators:
             raise StructuralError("no generators")
 
-        # finite group of linear parts
+        # finite group of linear parts.  The closure steps only over the
+        # first generator of each linear part: a later generator with the
+        # same linear part reaches an element its predecessor already
+        # reached, so the breadth-first tree and transversal are unchanged.
+        firsts: dict[Mat3, AffineMap] = {}
+        for g in self.generators:
+            firsts.setdefault(g.linear, g)
+        if any(_det3(a) == 0 for a in firsts):
+            raise StructuralError("a generator has a singular linear part")
         hol: dict[Mat3, AffineMap] = {_ID3: AffineMap.identity()}
 
         def steps(sigma):
-            return ((g, _mat_mul(sigma, g.linear)) for g in self.generators)
+            return ((g, _mat_mul(sigma, a)) for a, g in firsts.items())
 
         for sigma, g, product, new in orbit_edges(_ID3, steps):
             if new:
@@ -164,14 +203,16 @@ class FlatGroup:
                 # right-coset transversal: representative of T x_sigma g
                 hol[product] = hol[sigma] @ g
         self.holonomy: tuple[Mat3, ...] = tuple(sorted(hol))
-        self._transversal = hol
         self.holonomy_order = len(hol)
 
-        # translation subgroup via Schreier generators x_sigma g x_{sigma.g}^-1
+        # translation subgroup via Schreier generators x_sigma g x_{sigma.g}^-1,
+        # each transversal element inverted once
+        inverses = {sigma: x.inverse() for sigma, x in hol.items()}
         vectors = []
-        for sigma, x in hol.items():
+        for x in hol.values():
             for g in self.generators:
-                t = (x @ g) @ hol[_mat_mul(sigma, g.linear)].inverse()
+                xg = x @ g
+                t = xg @ inverses[xg.linear]
                 if t.linear != _ID3:
                     raise AssertionError("Schreier element has nontrivial linear part")
                 vectors.append(t.shift)
@@ -184,14 +225,14 @@ class FlatGroup:
             )
         # lattice basis as columns of a rational matrix
         self.lattice: Mat3 = tuple(
-            tuple(Fraction(basis[j][i], denom) for j in range(3)) for i in range(3)
+            tuple(_div(basis[j][i], denom) for j in range(3)) for i in range(3)
         )  # type: ignore[assignment]
         lattice_inv = _inv3(self.lattice)
 
         def to_lattice(m: AffineMap) -> AffineMap:
             return AffineMap(
-                _mat_mul(lattice_inv, _mat_mul(m.linear, self.lattice)),
-                _mat_vec(lattice_inv, m.shift),
+                _exact_rows(_mat_mul(lattice_inv, _mat_mul(m.linear, self.lattice))),
+                _exact_vec(_mat_vec(lattice_inv, m.shift)),
             )
 
         # non-identity holonomy elements in a deterministic order
@@ -228,6 +269,7 @@ class FlatGroup:
 
     def _extension_presentation(self) -> GroupPresentation:
         names = [f"e{j}" for j in (1, 2, 3)] + [self._names[s] for s in self._sigmas]
+        inverses = {s: self._reduced[s].inverse() for s in self._sigmas}
         relators = []
         for i in range(3):
             for j in range(i + 1, 3):
@@ -257,7 +299,7 @@ class FlatGroup:
                     shift = combined.shift
                     letters = [(self._names[s], 1), (self._names[t], 1)]
                 else:
-                    residue = combined @ self._reduced[product].inverse()
+                    residue = combined @ inverses[product]
                     shift = residue.shift
                     letters = [
                         (self._names[s], 1),

@@ -102,3 +102,11 @@ def test_unknown_invariants_rejected():
     ]
     with pytest.raises((StructuralError, KeyError, ValueError)):
         classify_flat_group(FlatGroup(basis))
+
+
+def test_singular_linear_part_rejected():
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    basis = [AffineMap.of(identity, row) for row in identity]
+    projection = AffineMap.of(((1, 0, 0), (0, 1, 0), (0, 0, 0)), (0, 0, 0))
+    with pytest.raises(StructuralError, match="singular"):
+        FlatGroup(basis + [projection])
