@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # Public API: every name imported below is re-exported.
 from .analysis import CodeAnalysis
-from .cell24 import Cell24Complex, RootTwo, project_phi, the_24_cell
+from .cell24 import Cell24Complex, the_24_cell
 from .cusp import (
     ETA_TABLE,
     VertexClass,
@@ -50,7 +50,6 @@ from .grouppres import (
     GroupPresentation,
     abelianization,
     character_coset_table,
-    format_presentation,
     parse_presentation,
     quotient,
     reidemeister_schreier,

@@ -11,72 +11,19 @@ on exactly three common sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 
 from .lorentz import LorentzMatrix, LorentzVector, reflection_matrix
 
 __all__ = [
-    "RootTwo",
     "Side",
     "Ridge",
     "Edge",
     "Cell24Complex",
     "SIDE_LABELS",
     "the_24_cell",
-    "project_phi",
 ]
-
-
-@dataclass(frozen=True)
-class RootTwo:
-    """Exact element a + b*sqrt(2) of Q(sqrt 2)."""
-
-    rational: Fraction = Fraction(0)
-    root_part: Fraction = Fraction(0)
-
-    def __add__(self, other: "RootTwo") -> "RootTwo":
-        return RootTwo(self.rational + other.rational, self.root_part + other.root_part)
-
-    def __sub__(self, other: "RootTwo") -> "RootTwo":
-        return RootTwo(self.rational - other.rational, self.root_part - other.root_part)
-
-    def __neg__(self) -> "RootTwo":
-        return RootTwo(-self.rational, -self.root_part)
-
-    def __mul__(self, other: "RootTwo") -> "RootTwo":
-        a, b = self.rational, self.root_part
-        c, d = other.rational, other.root_part
-        return RootTwo(a * c + 2 * b * d, a * d + b * c)
-
-    def __truediv__(self, other: "RootTwo") -> "RootTwo":
-        c, d = other.rational, other.root_part
-        norm = c * c - 2 * d * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        num = self * RootTwo(c, -d)
-        return RootTwo(num.rational / norm, num.root_part / norm)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rational == 0 and self.root_part == 0
-
-    def as_pair(self) -> tuple[str, str]:
-        """String pair (rational, sqrt-2 coefficient) for serialization."""
-        return str(self.rational), str(self.root_part)
-
-    def __str__(self) -> str:
-        if self.root_part == 0:
-            return str(self.rational)
-        root = f"{self.root_part}*sqrt(2)"
-        if self.rational == 0:
-            return root
-        return f"{self.rational} + {root}" if self.root_part > 0 else f"{self.rational} - {-self.root_part}*sqrt(2)"
-
-
-ONE = RootTwo(Fraction(1))
-ZERO = RootTwo()
 
 
 # Fixed labeling of the 24 sides by their centers.  Unprimed/primed
@@ -282,48 +229,6 @@ class Cell24Complex:
         if any(s is None for s in found):
             raise ValueError(f"no side quadruple with support ({p}, {q})")
         return tuple(found)  # type: ignore[return-value]
-
-    def radial_point(self, label: str) -> tuple[RootTwo, RootTwo, RootTwo, RootTwo]:
-        """Unit vector through the side center: center / sqrt(2)."""
-        side = self.side(label)
-        return tuple(RootTwo(Fraction(0), Fraction(c, 2)) for c in side.center)  # type: ignore[return-value]
-
-    def projected_points(self) -> list[dict]:
-        """All 24 side centers, radially projected then mapped by
-        stereographic projection; coordinates as (rational, sqrt-2) string pairs."""
-        out = []
-        for side in self.sides:
-            image = project_phi(self.radial_point(side.label))
-            out.append(
-                {
-                    "label": side.label,
-                    "center": list(side.center),
-                    "projection": [list(x.as_pair()) for x in image],
-                }
-            )
-        return out
-
-
-def project_phi(point: tuple[RootTwo, RootTwo, RootTwo, RootTwo]) -> tuple[RootTwo, RootTwo, RootTwo]:
-    """Stereographic-type projection of a unit 3-sphere point from (0,0,0,1).
-
-    phi(x) = (0,0,0,1) + 2/(x1^2+x2^2+x3^2+(x4-1)^2) * (x1,x2,x3,x4-1).
-    On the unit sphere the fourth output coordinate vanishes exactly
-    (checked), so only the first three are returned.
-    """
-    x1, x2, x3, x4 = point
-    norm = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
-    if norm != ONE:
-        raise ValueError("projection expects a unit vector")
-    two = RootTwo(Fraction(2))
-    denom = x1 * x1 + x2 * x2 + x3 * x3 + (x4 - ONE) * (x4 - ONE)
-    if denom.is_zero:
-        raise ValueError("cannot project the pole (0,0,0,1)")
-    scale = two / denom
-    fourth = ONE + scale * (x4 - ONE)
-    if not fourth.is_zero:
-        raise ValueError("projection left the hyperplane x4 = 0")
-    return (scale * x1, scale * x2, scale * x3)
 
 
 @cache

@@ -20,6 +20,7 @@ from .cusp import ETA_TABLE, signature
 from .filling import (
     classify_filled_cover,
     classify_homeo,
+    conditional_verdicts,
     cyclic_cover,
     default_meridians,
     double_cover_record,
@@ -206,6 +207,10 @@ def _cmd_cusps(args) -> tuple[list, list, None]:
     return [record], [], None
 
 
+def _plain_verdicts(verdicts: dict) -> dict:
+    return {k: v if isinstance(v, str) else asdict(v) for k, v in verdicts.items()}
+
+
 def _cmd_cover(args) -> tuple[list, list, None]:
     if not args.classify_filling:
         return [asdict(cyclic_cover(args.code, args.cyclic, limit=args.max_cosets))], [], None
@@ -217,14 +222,10 @@ def _cmd_cover(args) -> tuple[list, list, None]:
     )
     record = asdict(result["cover"])
     filling = {k: v for k, v in result.items() if k != "cover"}
-    for key in ("verdict",):
-        if key in filling:
-            filling[key] = asdict(filling[key])
+    if "verdict" in filling:
+        filling["verdict"] = asdict(filling["verdict"])
     if "verdicts" in filling:
-        filling["verdicts"] = {
-            k: (asdict(v) if not isinstance(v, str) else v)
-            for k, v in filling["verdicts"].items()
-        }
+        filling["verdicts"] = _plain_verdicts(filling["verdicts"])
     record["filling"] = filling
     return [record], [], None
 
@@ -285,13 +286,7 @@ def _cmd_classify(args) -> tuple[list, list, None]:
         except ValueError as exc:
             errors.append({"message": str(exc)})
     else:
-        verdicts = {}
-        for flag, key in ((True, "if_spin"), (False, "if_not_spin")):
-            try:
-                verdicts[key] = asdict(classify_homeo(chi, sigma, flag, True))
-            except ValueError as exc:
-                verdicts[key] = str(exc)
-        record["verdicts"] = verdicts
+        record["verdicts"] = _plain_verdicts(conditional_verdicts(chi, sigma))
     return [record], errors, None
 
 

@@ -53,10 +53,6 @@ class VertexClass:
     def size(self) -> int:
         return len(self.members)
 
-    def transversal_to(self, vertex: LorentzVector) -> Word:
-        """Word carrying the representative to the given class member."""
-        return self.transversals[self.members.index(vertex)]
-
 
 def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     """Orbits of the 24 ideal vertices under the pairing action.

@@ -48,6 +48,7 @@ __all__ = [
     "double_cover_record",
     "ClassificationResult",
     "classify_homeo",
+    "conditional_verdicts",
     "classify_filled_cover",
 ]
 
@@ -400,6 +401,18 @@ def classify_homeo(
     )
 
 
+def conditional_verdicts(chi: int, sigma: int) -> dict:
+    """The verdicts of a simply connected (chi, sigma) under "if_spin" and
+    "if_not_spin": a ClassificationResult, or why the triple is impossible."""
+    verdicts: dict = {}
+    for flag, key in ((True, "if_spin"), (False, "if_not_spin")):
+        try:
+            verdicts[key] = classify_homeo(chi, sigma, flag, True)
+        except ValueError as exc:
+            verdicts[key] = str(exc)
+    return verdicts
+
+
 def _rebased_meridian(
     pairing_set: SidePairingSet, vclass: VertexClass, meridian: Meridian
 ) -> Word:
@@ -478,11 +491,5 @@ def classify_filled_cover(
         out["verdict"] = classify_homeo(record.chi, record.sigma, True, True)
     else:
         out["status"] = "conditional"
-        verdicts = {}
-        for flag, key in ((True, "if_spin"), (False, "if_not_spin")):
-            try:
-                verdicts[key] = classify_homeo(record.chi, record.sigma, flag, True)
-            except ValueError as exc:
-                verdicts[key] = str(exc)
-        out["verdicts"] = verdicts
+        out["verdicts"] = conditional_verdicts(record.chi, record.sigma)
     return out

@@ -28,17 +28,18 @@ __all__ = [
     "StructuralError",
     "AffineMap",
     "FlatGroup",
-    "FLAT_TYPE_TAGS",
     "reference_flat_groups",
     "classify_flat_group",
 ]
-
-FLAT_TYPE_TAGS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
 
 Rational = int | Fraction  # an int wherever the value is integral
 Row = tuple[Rational, Rational, Rational]
 Mat3 = tuple[Row, Row, Row]
 Vec3 = tuple[Rational, Rational, Rational]
+
+# The largest finite subgroup of GL(3, Z) has order 48, so a larger
+# holonomy closure, or a longer power cycle, is not finite.
+HOLONOMY_CAP = 48
 
 
 class StructuralError(Exception):
@@ -158,13 +159,13 @@ class AffineMap:
         return AffineMap(inv, tuple(-x for x in _mat_vec(inv, self.shift)))  # type: ignore[arg-type]
 
 
-def _matrix_order(a: Mat3, cap: int = 48) -> int:
+def _matrix_order(a: Mat3) -> int:
     power = a
-    for n in range(1, cap + 1):
+    for n in range(1, HOLONOMY_CAP + 1):
         if power == _ID3:
             return n
         power = _mat_mul(power, a)
-    raise StructuralError("linear part does not have finite order <= 48")
+    raise StructuralError(f"linear part does not have finite order <= {HOLONOMY_CAP}")
 
 
 class FlatGroup:
@@ -175,7 +176,7 @@ class FlatGroup:
     3-manifold (holonomy not finite, lattice rank < 3, or torsion).
     """
 
-    def __init__(self, generators, holonomy_cap: int = 48):
+    def __init__(self, generators):
         self.generators: tuple[AffineMap, ...] = tuple(generators)
         if not self.generators:
             raise StructuralError("no generators")
@@ -196,9 +197,9 @@ class FlatGroup:
 
         for sigma, g, product, new in orbit_edges(_ID3, steps):
             if new:
-                if len(hol) >= holonomy_cap:
+                if len(hol) >= HOLONOMY_CAP:
                     raise StructuralError(
-                        f"holonomy exceeds {holonomy_cap} elements; not finite"
+                        f"holonomy exceeds {HOLONOMY_CAP} elements; not finite"
                     )
                 # right-coset transversal: representative of T x_sigma g
                 hol[product] = hol[sigma] @ g
@@ -269,7 +270,6 @@ class FlatGroup:
 
     def _extension_presentation(self) -> GroupPresentation:
         names = [f"e{j}" for j in (1, 2, 3)] + [self._names[s] for s in self._sigmas]
-        inverses = {s: self._reduced[s].inverse() for s in self._sigmas}
         relators = []
         for i in range(3):
             for j in range(i + 1, 3):
@@ -299,8 +299,11 @@ class FlatGroup:
                     shift = combined.shift
                     letters = [(self._names[s], 1), (self._names[t], 1)]
                 else:
-                    residue = combined @ inverses[product]
-                    shift = residue.shift
+                    # combined shares its linear part with the product's
+                    # map, so the residue combined @ reduced[product]^-1
+                    # is the translation by the difference of the shifts
+                    base = self._reduced[product].shift
+                    shift = tuple(c - b for c, b in zip(combined.shift, base))
                     letters = [
                         (self._names[s], 1),
                         (self._names[t], 1),

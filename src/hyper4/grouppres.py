@@ -27,7 +27,6 @@ __all__ = [
     "schreier_rewrite",
     "quotient",
     "tietze_simplify",
-    "format_presentation",
     "parse_presentation",
 ]
 
@@ -450,12 +449,6 @@ def tietze_simplify(pres: GroupPresentation, effort: int = 1000) -> GroupPresent
         gens.remove(name)
         rels = new_rels
     return GroupPresentation(tuple(gens), tuple(rels))
-
-
-def format_presentation(pres: GroupPresentation) -> str:
-    lines = ["gens: " + " ".join(pres.generators)]
-    lines.extend(str(r) for r in pres.relators)
-    return "\n".join(lines) + "\n"
 
 
 def parse_presentation(text: str) -> GroupPresentation:

@@ -11,7 +11,6 @@ from typing import Sequence
 
 __all__ = [
     "smith_normal_form",
-    "diagonal_invariants",
     "hermite_row_basis",
     "solve_integer",
 ]
@@ -110,15 +109,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
             for k in range(m):
                 u[i][k] = -u[i][k]
     return a, u, v
-
-
-def diagonal_invariants(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form (including zeros), d[i] | d[i+1]."""
-    d, _, _ = smith_normal_form(mat)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        out.append(d[i][i])
-    return out
 
 
 def hermite_row_basis(mat: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -53,10 +53,6 @@ class LorentzVector:
         if not all(isinstance(c, int) for c in self.coords):
             raise ValueError("coordinates must be integers")
 
-    @classmethod
-    def of(cls, *coords: int) -> "LorentzVector":
-        return cls(tuple(coords))
-
     def dot(self, other: "LorentzVector") -> int:
         """Lorentzian inner product <self, other>."""
         return lorentz_product(self.coords, other.coords)
@@ -73,9 +69,6 @@ class LorentzVector:
 
     def __neg__(self) -> "LorentzVector":
         return LorentzVector(tuple(-c for c in self.coords))
-
-    def spatial(self) -> tuple[int, int, int, int]:
-        return self.coords[:4]
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -108,9 +101,6 @@ class LorentzMatrix:
         return LorentzVector(
             tuple(sum(map(mul, row, v.coords)) for row in self.rows)
         )
-
-    def transpose(self) -> "LorentzMatrix":
-        return LorentzMatrix(tuple(zip(*self.rows)))
 
     def inverse(self) -> "LorentzMatrix":
         """Inverse of a Lorentzian matrix, computed as J M^T J."""

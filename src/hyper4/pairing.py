@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cell24 import Cell24Complex, Ridge, Side, the_24_cell
+from .cell24 import Cell24Complex, Side, the_24_cell
 from .grouppres import GroupPresentation, orbit_edges
-from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, diagonal_k, membership_checks
+from .lorentz import IDENTITY, LorentzMatrix, diagonal_k, membership_checks
 from .words import Word
 
 __all__ = [

@@ -10,13 +10,11 @@ matrix assignment yields M(x) @ M(y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable
 
 __all__ = ["Letter", "Word", "parse_word", "EMPTY_WORD"]
 
 Letter = tuple[str, int]
-
-T = TypeVar("T")
 
 
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -67,23 +65,6 @@ class Word:
         while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
             letters = letters[1:-1]
         return Word(tuple(letters))
-
-    def evaluate(
-        self,
-        assignment: Mapping[str, T],
-        multiply: Callable[[T, T], T],
-        invert: Callable[[T], T],
-        identity: T,
-    ) -> T:
-        """Left-to-right product of the letters under an assignment."""
-        out = identity
-        for name, exp in self.letters:
-            try:
-                value = assignment[name]
-            except KeyError:
-                raise ValueError(f"word uses unknown generator {name!r}") from None
-            out = multiply(out, value if exp == 1 else invert(value))
-        return out
 
     def names(self) -> set[str]:
         return {name for name, _ in self.letters}

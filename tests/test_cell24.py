@@ -1,10 +1,6 @@
-"""Combinatorics of the ideal 24-cell and its projected picture."""
+"""Combinatorics of the ideal 24-cell."""
 
-from fractions import Fraction
-
-import pytest
-
-from hyper4.cell24 import ONE, RootTwo, SIDE_LABELS, project_phi, the_24_cell
+from hyper4.cell24 import SIDE_LABELS, the_24_cell
 from hyper4.lorentz import LorentzVector, lorentz_product
 
 
@@ -78,61 +74,3 @@ def test_side_lookup_by_center():
     side = CELL.by_center[(1, 0, 0, 1)]
     assert side.label == "G"
     assert CELL.side("G") is side
-
-
-def test_root_two_arithmetic():
-    a = RootTwo(1, 1)  # 1 + sqrt(2)
-    b = RootTwo(-1, 1)  # -1 + sqrt(2)
-    assert a * b == RootTwo(1, 0)  # (sqrt2+1)(sqrt2-1) = 1
-    assert a + b == RootTwo(0, 2)
-    assert a - a == RootTwo(0, 0)
-    assert (a / a) == ONE
-    half = RootTwo(0, Fraction(1, 2))  # sqrt(2)/2
-    assert half * half == RootTwo(Fraction(1, 2), 0)
-
-
-def test_radial_points_are_unit():
-    for side in CELL.sides:
-        rp = CELL.radial_point(side.label)
-        assert sum((x * x for x in rp), RootTwo(0, 0)) == ONE
-
-
-def test_projection_golden_values():
-    # pole side G' projects to infinity; G goes to distance 1 + sqrt(2)
-    assert project_phi(CELL.radial_point("G")) == (
-        RootTwo(1, 1),
-        RootTwo(0, 0),
-        RootTwo(0, 0),
-    )
-    assert project_phi(CELL.radial_point("K'")) == (
-        RootTwo(0, 0),
-        RootTwo(0, 0),
-        RootTwo(-1, 1),
-    )
-    # equatorial sides are fixed by the projection
-    assert project_phi(CELL.radial_point("A")) == (
-        RootTwo(0, Fraction(1, 2)),
-        RootTwo(0, Fraction(1, 2)),
-        RootTwo(0, 0),
-    )
-    assert project_phi(CELL.radial_point("C")) == (
-        RootTwo(0, Fraction(1, 2)),
-        RootTwo(0, 0),
-        RootTwo(0, Fraction(1, 2)),
-    )
-
-
-def test_projection_rejects_pole_and_non_unit():
-    # no side center sits at the pole, so construct it directly
-    pole = (RootTwo(0, 0), RootTwo(0, 0), RootTwo(0, 0), RootTwo(1, 0))
-    with pytest.raises(ValueError):
-        project_phi(pole)
-    with pytest.raises(ValueError):
-        project_phi((RootTwo(1, 0), RootTwo(1, 0), RootTwo(0, 0), RootTwo(0, 0)))
-
-
-def test_projected_points_report():
-    pts = CELL.projected_points()
-    assert len(pts) == 24
-    by_label = {p["label"]: p for p in pts}
-    assert by_label["A"]["projection"] == [["0", "1/2"], ["0", "1/2"], ["0", "0"]]

@@ -5,7 +5,6 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings, strategies as st
 
 from hyper4.intmat import (
-    diagonal_invariants,
     hermite_row_basis,
     smith_normal_form,
     solve_integer,
@@ -28,12 +27,12 @@ def test_smith_example():
     d, u, v = smith_normal_form(a)
     assert _mat_mul(_mat_mul(u, a), v) == d
     assert _unimodular(u) and _unimodular(v)
-    assert diagonal_invariants(d) == [2, 2, 156]
+    assert [d[i][i] for i in range(3)] == [2, 2, 156]
 
 
 def test_smith_zero_matrix():
     d, u, v = smith_normal_form([[0, 0], [0, 0]])
-    assert diagonal_invariants(d) == [0, 0]
+    assert [d[i][i] for i in range(2)] == [0, 0]
     assert _unimodular(u) and _unimodular(v)
 
 
@@ -54,7 +53,7 @@ def test_smith_matches_sympy(rows, cols, data):
     d, u, v = smith_normal_form(a)
     assert _mat_mul(_mat_mul(u, a), v) == d
     assert _unimodular(u) and _unimodular(v)
-    mine = sorted(abs(x) for x in diagonal_invariants(d) if x != 0)
+    mine = sorted(abs(d[i][i]) for i in range(min(rows, cols)) if d[i][i] != 0)
     sm = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
     theirs = sorted(
         abs(int(sm[i, i])) for i in range(min(sm.shape)) if sm[i, i] != 0

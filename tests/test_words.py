@@ -47,14 +47,6 @@ def test_cyclic_reduce():
     assert str(v.cyclic_reduce()) == "b"
 
 
-def test_evaluate_left_to_right():
-    # with string concatenation the evaluation order is directly visible
-    out = parse_word("ab").evaluate(
-        {"a": "x", "b": "y"}, lambda p, q: p + q, lambda p: p[::-1].swapcase(), ""
-    )
-    assert out == "xy"
-
-
 def test_exponent_sum():
     w = parse_word("aabA")
     assert w.exponent_sum("a") == 1
