@@ -56,7 +56,6 @@ from .grouppres import (
     schreier_rewrite,
     tietze_simplify,
     todd_coxeter,
-    transversal_words,
 )
 from .lorentz import (
     IDENTITY,

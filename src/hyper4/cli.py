@@ -24,11 +24,11 @@ from .filling import (
     cyclic_cover,
     default_meridians,
     double_cover_record,
+    fill,
     parse_meridian_lines,
-    validate_meridians,
 )
 from .flatgroups import StructuralError
-from .grouppres import abelianization, quotient, todd_coxeter
+from .grouppres import abelianization, todd_coxeter
 from .lorentz import IDENTITY
 from .pairing import CodeError, parse_census_lines
 
@@ -232,14 +232,12 @@ def _cmd_cover(args) -> tuple[list, list, None]:
 
 def _cmd_fill(args) -> tuple[list, list, None]:
     analysis = CodeAnalysis(args.code)
-    classes = analysis.classes
     if args.meridians == "default":
         meridians = default_meridians(args.code)
     else:
         with open(args.meridians, encoding="utf-8") as handle:
             meridians = parse_meridian_lines(handle)
-    validate_meridians(analysis.pairing_set, classes, meridians)
-    filled = quotient(analysis.presentation, [m.relator for m in meridians])
+    filled = fill(analysis, meridians)
     table = todd_coxeter(filled, (), limit=args.max_cosets)
     record = {
         "code": args.code,

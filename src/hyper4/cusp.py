@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cell24 import the_24_cell
 from .flatgroups import AffineMap, FlatGroup, StructuralError
-from .grouppres import orbit_edges
+from .grouppres import schreier_transversal
 from .intmat import smith_normal_form
 from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
 from .pairing import SidePairingSet
@@ -70,40 +70,44 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
                 raise ValueError(
                     f"pairing does not act on the ideal vertices at {current}"
                 )
-            yield (letter, exp), image
+            yield (letter, exp), (Word.make(((letter, exp),)), g), image
 
-    visited: dict[LorentzVector, Word] = {}
+    # (word, matrix) pairs under the left action: b after a
+    def product(a, b):
+        return b[0] * a[0], b[1] @ a[1]
+
+    def inverse(a):
+        return a[0].inverse(), a[1].inverse()
+
+    seen: set[LorentzVector] = set()
     classes = []
     for rep in cell.vertices:
-        if rep in visited:
+        if rep in seen:
             continue
-        visited[rep] = Word(())
-        members = [rep]
+        members = [(rep, Word(()))]
         stabilizer: list[tuple[Word, LorentzMatrix]] = []
         seen_matrices = {IDENTITY}
-        for current, letter, image, new in orbit_edges(rep, steps):
-            step = Word.make((letter,)) * visited[current]
+        orbit = schreier_transversal(rep, steps, (Word(()), IDENTITY), product, inverse)
+        for *_, image, new, (word, matrix) in orbit:
             if new:
-                visited[image] = step
-                members.append(image)
+                members.append((image, word))
                 continue
-            loop = visited[image].inverse() * step
-            matrix = pairing_set.evaluate(loop)
             if matrix.apply(rep) != rep:
                 raise AssertionError(
-                    f"orbit loop {loop} does not fix the representative"
+                    f"orbit loop {word} does not fix the representative"
                 )
             if matrix not in seen_matrices:
                 seen_matrices.add(matrix)
-                stabilizer.append((loop, matrix))
-        ordered = tuple(sorted(members, key=lambda v: v.coords))
+                stabilizer.append((word, matrix))
+        members.sort(key=lambda member: member[0].coords)
+        seen.update(v for v, _ in members)
         classes.append(
             VertexClass(
                 len(classes),
-                ordered,
+                tuple(v for v, _ in members),
                 rep,
                 tuple(stabilizer),
-                tuple(visited[v] for v in ordered),
+                tuple(w for _, w in members),
             )
         )
     return classes

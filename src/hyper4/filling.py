@@ -11,11 +11,11 @@ closed simply connected 4-manifolds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator
 
 from .analysis import CodeAnalysis
-from .cusp import ETA_TABLE, VertexClass, horospherical_action, signature, vertex_classes
+from .cusp import ETA_TABLE, VertexClass, horospherical_action, signature
 from .flatgroups import FlatGroup, classify_flat_group
 from .grouppres import (
     CosetTable,
@@ -25,12 +25,12 @@ from .grouppres import (
     quotient,
     reidemeister_schreier,
     schreier_rewrite,
+    schreier_transversal,
     tietze_simplify,
     todd_coxeter,
-    transversal_words,
 )
-from .lorentz import IDENTITY
-from .pairing import SidePairingSet, fundamental_group
+from .lorentz import IDENTITY, LorentzMatrix
+from .pairing import SidePairingSet
 from .words import Word, parse_word
 
 __all__ = [
@@ -130,25 +130,13 @@ def validate_meridians(
             raise ValueError(
                 f"meridian {m.word}: cusp index {m.cusp_index} out of range"
             )
-        vclass = classes[m.cusp_index]
-        matrix = pairing_set.evaluate(m.word)
-        if not any(matrix.apply(v) == v for v in vclass.members):
-            raise ValueError(
-                f"meridian {m.word} is not in the stabilizer of cusp {m.cusp_index}"
-            )
+        _rebased_meridian(pairing_set, classes[m.cusp_index], m)
 
 
-def fill(
-    pairing_set: SidePairingSet,
-    meridians: list[Meridian],
-    classes: list[VertexClass] | None = None,
-) -> GroupPresentation:
+def fill(analysis: CodeAnalysis, meridians: list[Meridian]) -> GroupPresentation:
     """Quotient of the fundamental group by the meridian relators."""
-    if classes is None:
-        classes = vertex_classes(pairing_set)
-    validate_meridians(pairing_set, classes, meridians)
-    pres = fundamental_group(pairing_set)
-    return quotient(pres, [m.relator for m in meridians])
+    validate_meridians(analysis.pairing_set, analysis.classes, meridians)
+    return quotient(analysis.presentation, [m.relator for m in meridians])
 
 
 def _word_permutation(table: CosetTable, word: Word) -> tuple[int, ...]:
@@ -172,36 +160,22 @@ def _orbit_partition(perms, size: int) -> list[list[int]]:
     return orbits
 
 
-def _schreier_elements(vclass: VertexClass, perms) -> Iterator[tuple]:
-    """The Schreier elements of the stabilizer's action on the cosets.
-
-    perms[i] is the coset permutation of the i-th stabilizer generator
-    M_i.  Along the breadth-first tree from coset 0, T[d] = T[c] @ M_i
-    and T[d]^-1 = M_i^-1 @ T[c]^-1, one product each per tree edge; every
-    other edge c -i-> d yields (c, i, d, T[c] @ M_i @ T[d]^-1).
-    """
-    matrices = [m for _, m in vclass.stabilizer]
-    inverses = [m.inverse() for m in matrices]
-    trans = {0: IDENTITY}
-    trans_inv = {0: IDENTITY}
-
-    def steps(c):
-        return ((i, perm[c]) for i, perm in enumerate(perms))
-
-    for c, i, d, new in orbit_edges(0, steps):
-        if new:
-            trans[d] = trans[c] @ matrices[i]
-            trans_inv[d] = inverses[i] @ trans_inv[c]
-        else:
-            yield c, i, d, trans[c] @ matrices[i] @ trans_inv[d]
-
-
 def _cusp_intersection_group(vclass: VertexClass, perms) -> FlatGroup:
     """Stabilizer-intersect-kernel as a flat group, generated by the
-    distinct nontrivial Schreier elements in discovery order."""
+    distinct nontrivial Schreier elements of the stabilizer's action on
+    the cosets, in discovery order.
+
+    perms[i] is the coset permutation of the i-th stabilizer generator.
+    """
+
+    def steps(c):
+        return ((i, m, perms[i][c]) for i, (_, m) in enumerate(vclass.stabilizer))
+
     gens: dict = {}  # an insertion-ordered set of matrices
-    for *_, matrix in _schreier_elements(vclass, perms):
-        if matrix != IDENTITY:
+    for *_, new, matrix in schreier_transversal(
+        0, steps, IDENTITY, LorentzMatrix.__matmul__, LorentzMatrix.inverse
+    ):
+        if not new and matrix != IDENTITY:
             gens[matrix] = None
     return FlatGroup([horospherical_action(m, vclass.representative) for m in gens])
 
@@ -227,20 +201,14 @@ def _cover_face_counts(analysis: CodeAnalysis, table: CosetTable) -> dict:
 
 
 def _schreier_orientable(letter_det: dict[str, int], table: CosetTable) -> bool:
-    """Whether the cover is orientable: every Schreier generator of the
+    """Whether the cover is orientable: every Schreier element of the
     kernel must have determinant +1."""
-    trans_det = []
-    for word in transversal_words(table):
-        sign = 1
-        for name, _ in word.letters:
-            sign *= letter_det[name]
-        trans_det.append(sign)
-    for c in range(table.index):
-        for name, sign in letter_det.items():
-            image = table.step(c, name, 1)
-            if trans_det[c] * sign * trans_det[image] != 1:
-                return False
-    return True
+
+    def steps(c):
+        return ((name, sign, table.step(c, name, 1)) for name, sign in letter_det.items())
+
+    orbit = schreier_transversal(0, steps, 1, operator.mul, lambda sign: sign)
+    return all(new or sign == 1 for *_, new, sign in orbit)
 
 
 @dataclass(frozen=True)
@@ -302,14 +270,15 @@ def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTab
     if n < 1:
         raise ValueError("the cyclic parameter must be a positive integer")
     analysis = CodeAnalysis(code)
-    pres, classes = analysis.presentation, analysis.classes
+    # a code that is not a manifold reports that before missing meridians
+    analysis.presentation
     meridians = default_meridians(code)
-    validate_meridians(analysis.pairing_set, classes, meridians)
     distinguished = DISTINGUISHED_CUSP[code]
-    relators = [
-        m.word ** (n if m.cusp_index == distinguished else 1) for m in meridians
+    powered = [
+        Meridian(m.cusp_index, m.word, n if m.cusp_index == distinguished else 1)
+        for m in meridians
     ]
-    return analysis, todd_coxeter(quotient(pres, relators), (), limit)
+    return analysis, todd_coxeter(fill(analysis, powered), (), limit)
 
 
 def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRecord:

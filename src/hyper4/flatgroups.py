@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .grouppres import AbelianInvariants, GroupPresentation, abelianization, orbit_edges
+from .grouppres import AbelianInvariants, GroupPresentation, abelianization, schreier_transversal
 from .intmat import hermite_row_basis, solve_integer
 from .words import Letter, Word
 
@@ -181,42 +181,33 @@ class FlatGroup:
         if not self.generators:
             raise StructuralError("no generators")
 
-        # finite group of linear parts.  The closure steps only over the
-        # first generator of each linear part: a later generator with the
-        # same linear part reaches an element its predecessor already
-        # reached, so the breadth-first tree and transversal are unchanged.
-        firsts: dict[Mat3, AffineMap] = {}
-        for g in self.generators:
-            firsts.setdefault(g.linear, g)
-        if any(_det3(a) == 0 for a in firsts):
+        if any(_det3(g.linear) == 0 for g in self.generators):
             raise StructuralError("a generator has a singular linear part")
-        hol: dict[Mat3, AffineMap] = {_ID3: AffineMap.identity()}
 
+        # one pass over the finite group of linear parts: the right-coset
+        # transversal x_sigma, and the translation subgroup from the
+        # Schreier elements x_sigma g x_{sigma.g}^-1
         def steps(sigma):
-            return ((g, _mat_mul(sigma, a)) for a, g in firsts.items())
+            return ((g, g, _mat_mul(sigma, g.linear)) for g in self.generators)
 
-        for sigma, g, product, new in orbit_edges(_ID3, steps):
-            if new:
-                if len(hol) >= HOLONOMY_CAP:
-                    raise StructuralError(
-                        f"holonomy exceeds {HOLONOMY_CAP} elements; not finite"
-                    )
-                # right-coset transversal: representative of T x_sigma g
-                hol[product] = hol[sigma] @ g
+        hol: dict[Mat3, AffineMap] = {_ID3: AffineMap.identity()}
+        vectors = []
+        for *_, product, new, x in schreier_transversal(
+            _ID3, steps, AffineMap.identity(), AffineMap.__matmul__, AffineMap.inverse
+        ):
+            if not new:
+                if x.linear != _ID3:
+                    raise AssertionError("Schreier element has nontrivial linear part")
+                vectors.append(x.shift)
+            elif len(hol) >= HOLONOMY_CAP:
+                raise StructuralError(
+                    f"holonomy exceeds {HOLONOMY_CAP} elements; not finite"
+                )
+            else:
+                hol[product] = x
         self.holonomy: tuple[Mat3, ...] = tuple(sorted(hol))
         self.holonomy_order = len(hol)
 
-        # translation subgroup via Schreier generators x_sigma g x_{sigma.g}^-1,
-        # each transversal element inverted once
-        inverses = {sigma: x.inverse() for sigma, x in hol.items()}
-        vectors = []
-        for x in hol.values():
-            for g in self.generators:
-                xg = x @ g
-                t = xg @ inverses[xg.linear]
-                if t.linear != _ID3:
-                    raise AssertionError("Schreier element has nontrivial linear part")
-                vectors.append(t.shift)
         denom = lcm(*(f.denominator for v in vectors for f in v)) if vectors else 1
         int_rows = [[int(f * denom) for f in v] for v in vectors]
         basis = hermite_row_basis(int_rows)

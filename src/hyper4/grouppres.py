@@ -12,17 +12,17 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .intmat import smith_normal_form
-from .words import EMPTY_WORD, Letter, Word, parse_word
+from .words import Letter, Word, parse_word
 
 __all__ = [
     "orbit_edges",
+    "schreier_transversal",
     "GroupPresentation",
     "AbelianInvariants",
     "CosetTable",
     "abelianization",
     "todd_coxeter",
     "character_coset_table",
-    "transversal_words",
     "reidemeister_schreier",
     "schreier_rewrite",
     "quotient",
@@ -104,6 +104,41 @@ def orbit_edges(
                 seen.add(image)
                 queue.append(image)
             yield p, label, image, new
+
+
+def schreier_transversal(
+    start: Hashable,
+    steps: Callable[[Hashable], Iterable[tuple]],
+    identity,
+    product: Callable,
+    inverse: Callable,
+) -> Iterator[tuple]:
+    """`orbit_edges` with a Schreier transversal in a group given by its
+    identity, product and inverse (Holt, Eick & O'Brien, sec. 4.1).
+
+    steps(p) gives the (label, g, image) triples leaving point p, g being
+    the group element of the edge.  The transversal element of start is
+    the identity, and a tree edge sets T[image] = product(T[p], g) and,
+    once, its inverse.  Every edge is yielded as (p, label, image, new,
+    element): element is T[image] on a tree edge (new), and otherwise the
+    Schreier element product(product(T[p], g), T[image]^-1).  A left
+    action, where g T[p] carries start to image, passes product(a, b) =
+    b a.
+    """
+    trans = {start: identity}
+    trans_inv = {start: identity}
+
+    def labelled(p):
+        return (((label, g), image) for label, g, image in steps(p))
+
+    for p, (label, g), image, new in orbit_edges(start, labelled):
+        moved = product(trans[p], g)
+        if new:
+            trans[image] = moved
+            trans_inv[image] = inverse(moved)
+            yield p, label, image, True, moved
+        else:
+            yield p, label, image, False, product(moved, trans_inv[image])
 
 
 class _Exceeded(Exception):
@@ -300,18 +335,6 @@ def character_coset_table(
         if table.follow(0, r) != 0:
             raise ValueError(f"character does not vanish on relator {r}")
     return table
-
-
-def transversal_words(table: CosetTable) -> list[Word]:
-    """Breadth-first Schreier transversal (generators in listed order,
-    then inverses); entry c is a word carrying coset 0 to coset c."""
-    g = len(table.generators)
-    words: dict[int, Word] = {0: EMPTY_WORD}
-    for c, j, d, new in _coset_edges(table.rows):
-        if new:
-            exp = 1 if j < g else -1
-            words[d] = words[c] * Word.generator(table.generators[j % g], exp)
-    return [words[i] for i in range(len(table.rows))]
 
 
 def schreier_rewrite(table: CosetTable, word: Word, start: int = 0) -> Word:

@@ -14,9 +14,10 @@ matrix is the reflection in the target side composed with k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .cell24 import Cell24Complex, Side, the_24_cell
-from .grouppres import GroupPresentation, orbit_edges
+from .grouppres import GroupPresentation, schreier_transversal
 from .lorentz import IDENTITY, LorentzMatrix, diagonal_k, membership_checks
 from .words import Word
 
@@ -277,7 +278,8 @@ def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
 
 
 def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
-    """Orbits of the 96 edges, checking that all orbit loops are trivial."""
+    """Orbits of the 96 edges, checking that every orbit loop
+    T[image]^-1 g T[p] is trivial, that is g T[p] = T[image]."""
     cell = pairing_set.cell
 
     def steps(key):
@@ -289,25 +291,32 @@ def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
                 raise ValueError(
                     f"pairing does not induce an edge bijection at {current.vertices}"
                 )
-            yield (letter, exp), image_key
+            yield (letter, exp), g, image_key
 
-    visited: dict[frozenset, Word] = {}
+    def word_steps(key):
+        return ((label, Word.make((label,)), image) for label, _, image in steps(key))
+
+    seen: set[frozenset] = set()
     orbits = []
     for edge in cell.edges:
         key = frozenset(edge.vertices)
-        if key in visited:
+        if key in seen:
             continue
-        visited[key] = Word(())
         members = [edge.vertices]
-        for current, letter, image_key, new in orbit_edges(key, steps):
-            step = Word.make((letter,)) * visited[current]
+        loops = schreier_transversal(
+            key, steps, IDENTITY, lambda a, b: b @ a, LorentzMatrix.inverse
+        )
+        for count, (*_, image_key, new, element) in enumerate(loops):
             if new:
-                visited[image_key] = step
                 members.append(cell.edge_by_vertices[image_key].vertices)
-                continue
-            loop = visited[image_key].inverse() * step
-            if pairing_set.evaluate(loop) != IDENTITY:
+            elif element != IDENTITY:
+                # the loop's word, from the same tree, only for the message
+                words = schreier_transversal(
+                    key, word_steps, Word(()), lambda a, b: b * a, Word.inverse
+                )
+                loop = next(islice(words, count, None))[-1]
                 raise ValueError(f"edge orbit loop {loop} is a nontrivial stabilizer")
+        seen.update(frozenset(m) for m in members)
         orbits.append(FaceCycle(1, tuple(members), Word(()), IDENTITY))
     return orbits
 

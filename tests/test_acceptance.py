@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import hyper4.filling as filling_module
+from hyper4.analysis import CodeAnalysis
 from hyper4.cli import main as cli_main
 from hyper4.cusp import (
     cusp_flat_group,
@@ -45,6 +46,7 @@ from hyper4.words import parse_word
 
 
 PAIRINGS = build_side_pairings("14FF28")
+ANALYSIS = CodeAnalysis("14FF28")
 CLASSES = vertex_classes(PAIRINGS)
 
 
@@ -150,7 +152,7 @@ def test_accept_double_cover():
 @criterion(6, "filling quotients")
 def test_accept_filling_quotients():
     base = default_meridians("14FF28")
-    pres1 = fill(PAIRINGS, base)
+    pres1 = fill(ANALYSIS, base)
     table1 = todd_coxeter(pres1, limit=10**4)
     assert table1.complete and table1.index == 2
     for n in (2, 3, 4, 5, 7):
@@ -158,7 +160,7 @@ def test_accept_filling_quotients():
             Meridian(m.cusp_index, m.word, n if m.cusp_index == 1 else 1)
             for m in base
         ]
-        pres = fill(PAIRINGS, meridians)
+        pres = fill(ANALYSIS, meridians)
         table = todd_coxeter(pres, limit=10**4)
         assert table.complete and table.index == 2 * n
         dihedral = parse_presentation(f"gens: c e\nc^{n}\ne^2\nEcec\n")

@@ -21,6 +21,13 @@ from hyper4.words import parse_word
 PAIRINGS = build_side_pairings("14FF28")
 CLASSES = vertex_classes(PAIRINGS)
 
+# two census codes and the first 10 manifold codes of perfbench/data/pool.tsv;
+# `SidePairingSet.evaluate` is the oracle for the matrices on them
+ORACLE_CODES = (
+    "14FF28", "1428BD", "157CB4", "B948D6", "5C678D", "134DF8",
+    "9CBA69", "ABE3C6", "71A5CF", "39FD8C", "96453B", "E1BB86",
+)
+
 
 def test_class_sizes_and_representatives():
     assert [len(vc.members) for vc in CLASSES] == [16, 2, 2, 2, 2]
@@ -42,17 +49,21 @@ def test_stabilizer_generator_counts():
     assert [len(vc.stabilizer) for vc in CLASSES] == [14, 8, 8, 8, 8]
 
 
-def test_stabilizers_fix_their_representative():
-    for vc in CLASSES:
+@pytest.mark.parametrize("code", ORACLE_CODES)
+def test_stabilizers_fix_their_representative(code):
+    pairings = build_side_pairings(code)
+    for vc in vertex_classes(pairings):
         for word, matrix in vc.stabilizer:
-            assert PAIRINGS.evaluate(word) == matrix
+            assert pairings.evaluate(word) == matrix
             assert matrix.apply(vc.representative) == vc.representative
 
 
-def test_transversals_reach_members():
-    for vc in CLASSES:
+@pytest.mark.parametrize("code", ORACLE_CODES)
+def test_transversals_reach_members(code):
+    pairings = build_side_pairings(code)
+    for vc in vertex_classes(pairings):
         for member, tau in zip(vc.members, vc.transversals):
-            assert PAIRINGS.evaluate(tau).apply(vc.representative) == member
+            assert pairings.evaluate(tau).apply(vc.representative) == member
         assert str(vc.transversals[vc.members.index(vc.representative)]) == "1"
 
 

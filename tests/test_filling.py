@@ -2,6 +2,7 @@
 
 import pytest
 
+from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import vertex_classes
 from hyper4.filling import (
     DEFAULT_MERIDIANS,
@@ -16,18 +17,14 @@ from hyper4.filling import (
     parse_meridian_lines,
     validate_meridians,
 )
-from hyper4.grouppres import (
-    abelianization,
-    reidemeister_schreier,
-    todd_coxeter,
-    transversal_words,
-)
+from hyper4.grouppres import abelianization, reidemeister_schreier, todd_coxeter
 from hyper4.pairing import build_side_pairings, fundamental_group
 from hyper4.words import parse_word
 
 
 PAIRINGS = build_side_pairings("14FF28")
 CLASSES = vertex_classes(PAIRINGS)
+ANALYSIS = CodeAnalysis("14FF28")
 
 
 def _default_with_power(n):
@@ -49,8 +46,7 @@ def test_breadth_first_order_pins():
         ["cD", "cE", "cf", "l", "L", "dC", "eC", "FC"],
         ["gh", "j", "J", "gK", "gL", "HG", "kG", "lG"],
     ]
-    table = todd_coxeter(fill(PAIRINGS, _default_with_power(3), CLASSES))
-    assert [str(w) for w in transversal_words(table)] == ["1", "c", "e", "C", "ce", "ec"]
+    table = todd_coxeter(fill(ANALYSIS, _default_with_power(3)))
     subgroup = reidemeister_schreier(fundamental_group(PAIRINGS), table)
     assert [str(r) for r in subgroup.relators[-5:]] == ["c0", "e0", "c3", "e1", "c2"]
 
@@ -112,7 +108,7 @@ def test_validate_meridians_rejects_non_parabolic():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
 def test_filled_group_is_dihedral(n):
     # filling with {Eg, c^n, a, k, j} leaves the dihedral group of order 2n
-    pres = fill(PAIRINGS, _default_with_power(n))
+    pres = fill(ANALYSIS, _default_with_power(n))
     table = todd_coxeter(pres, limit=10**4)
     assert table.complete and table.index == 2 * n
     ab = abelianization(pres)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from hyper4 import cusp as cusp_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import _kernel_basis, _solve_fraction, horospherical_action
-from hyper4.filling import _cyclic_table, _schreier_elements, _word_permutation
+from hyper4.filling import _cyclic_table, _word_permutation
 from hyper4.flatgroups import AffineMap, StructuralError
-from hyper4.grouppres import character_coset_table, orbit_edges
+from hyper4.grouppres import character_coset_table, orbit_edges, schreier_transversal
 from hyper4.lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
 from hyper4.pairing import GENERATOR_LETTERS, build_side_pairings
 from hyper4.words import Word
@@ -100,12 +100,18 @@ def _schreier_cases() -> tuple:
             def steps(c, perms=perms):
                 return ((i, perm[c]) for i, perm in enumerate(perms))
 
+            def matrix_steps(c, perms=perms, vclass=vclass):
+                return ((i, m, perms[i][c]) for i, (_, m) in enumerate(vclass.stabilizer))
+
             for c, i, d, new in orbit_edges(0, steps):
                 if new:
                     trans[d] = trans[c] * vclass.stabilizer[i][0]
-            for c, i, d, matrix in _schreier_elements(vclass, perms):
-                word = trans[c] * vclass.stabilizer[i][0] * trans[d].inverse()
-                cases.append((label, analysis, vclass, word, matrix))
+            for c, i, d, new, matrix in schreier_transversal(
+                0, matrix_steps, IDENTITY, LorentzMatrix.__matmul__, LorentzMatrix.inverse
+            ):
+                if not new:
+                    word = trans[c] * vclass.stabilizer[i][0] * trans[d].inverse()
+                    cases.append((label, analysis, vclass, word, matrix))
     return tuple(cases)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hyper4.grouppres import orbit_edges
 from hyper4.lorentz import IDENTITY
 from hyper4.pairing import (
     CodeError,
@@ -13,6 +14,7 @@ from hyper4.pairing import (
     parse_code,
     validate_pairings,
 )
+from hyper4.words import Word, parse_word
 
 
 # (letter, source, target, k) for the census manifold with code 14FF28
@@ -108,6 +110,56 @@ def test_edge_classes():
     edges = face_cycles(ps, 1)
     assert len(edges) == 12
     assert sum(c.length for c in edges) == 96
+
+
+# two census codes and the first 10 manifold codes of perfbench/data/pool.tsv
+ORACLE_CODES = (
+    "14FF28", "1428BD", "157CB4", "B948D6", "5C678D", "134DF8",
+    "9CBA69", "ABE3C6", "71A5CF", "39FD8C", "96453B", "E1BB86",
+)
+
+
+def _edge_loop_words(pairing_set):
+    """Every edge orbit loop as a word, in discovery order, rebuilt from
+    the breadth-first tree over the edges: the word of a tree path to p
+    is extended on the left by the letter leaving p."""
+    cell = pairing_set.cell
+
+    def steps(key):
+        current = cell.edge_by_vertices[key]
+        for side_label in current.sides:
+            letter, exp, g, _ = pairing_set.transition(side_label)
+            yield (letter, exp), frozenset(g.apply(v) for v in current.vertices)
+
+    paths: dict = {}
+    for edge in cell.edges:
+        key = frozenset(edge.vertices)
+        if key in paths:
+            continue
+        paths[key] = Word(())
+        for current, letter, image, new in orbit_edges(key, steps):
+            step = Word.make((letter,)) * paths[current]
+            if new:
+                paths[image] = step
+            else:
+                yield paths[image].inverse() * step
+
+
+@pytest.mark.parametrize("code", ORACLE_CODES)
+def test_edge_loops_evaluate_to_identity(code):
+    ps = build_side_pairings(code)
+    assert face_cycles(ps, 1)
+    loops = list(_edge_loop_words(ps))
+    assert loops and all(ps.evaluate(w) == IDENTITY for w in loops)
+
+
+def test_edge_loop_message_names_the_first_nontrivial_loop():
+    ps = build_side_pairings("A6783B")
+    with pytest.raises(ValueError) as info:
+        face_cycles(ps, 1)
+    assert str(info.value) == "edge orbit loop lIH is a nontrivial stabilizer"
+    first = next(w for w in _edge_loop_words(ps) if ps.evaluate(w) != IDENTITY)
+    assert first == parse_word("lIH")
 
 
 def test_euler_characteristic():

@@ -22,7 +22,6 @@ DATA = Path(__file__).parent / "data"
 
 # qualified name (module.Class.function) -> why it is kept
 LIBRARY_ONLY = {
-    "filling.fill": "library form of the fill verb; the acceptance gate and the filling tests call it",
     "pairing.euler_characteristic": "chi from a pairing set alone; the acceptance gate checks chi = 1 with it",
     "pairing.fundamental_group": "presentation from a pairing set alone; a traced layer of the benchmark",
     "grouppres.parse_presentation": "reads the text form of a presentation; many group tests build inputs with it",
@@ -69,6 +68,7 @@ def _sweep_calls(tmp_path: Path) -> list[list[str]]:
         ["verify", "14FF28", "--double-cover"],
         ["verify", "2EBB84", "--double-cover"],
         ["verify", "FF79DA"],  # rejected: a ridge cycle fails
+        ["verify", "A6783B"],  # rejected: an edge orbit loop fails
         ["verify", "ZZZZZZ"],  # undecodable
         ["cusps", "14FF28"],
         ["cusps", "11CA8B"],  # a torsion cusp
