@@ -22,7 +22,7 @@ from .filling import (
     classify_homeo,
     conditional_verdicts,
     cyclic_cover,
-    default_meridians,
+    default_fill,
     double_cover_record,
     fill,
     parse_meridian_lines,
@@ -233,11 +233,11 @@ def _cmd_cover(args) -> tuple[list, list, None]:
 def _cmd_fill(args) -> tuple[list, list, None]:
     analysis = CodeAnalysis(args.code)
     if args.meridians == "default":
-        meridians = default_meridians(args.code)
+        meridians, filled = default_fill(analysis, 1)
     else:
         with open(args.meridians, encoding="utf-8") as handle:
             meridians = parse_meridian_lines(handle)
-    filled = fill(analysis, meridians)
+        filled = fill(analysis, meridians)
     table = todd_coxeter(filled, (), limit=args.max_cosets)
     record = {
         "code": args.code,

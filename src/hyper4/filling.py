@@ -42,6 +42,7 @@ __all__ = [
     "parse_meridian_lines",
     "validate_meridians",
     "fill",
+    "default_fill",
     "CoverRecord",
     "cover_record_from_table",
     "cyclic_cover",
@@ -137,6 +138,26 @@ def fill(analysis: CodeAnalysis, meridians: list[Meridian]) -> GroupPresentation
     """Quotient of the fundamental group by the meridian relators."""
     validate_meridians(analysis.pairing_set, analysis.classes, meridians)
     return quotient(analysis.presentation, [m.relator for m in meridians])
+
+
+def default_fill(
+    analysis: CodeAnalysis, n: int
+) -> tuple[list[Meridian], GroupPresentation]:
+    """`fill` along the default meridians, the distinguished one raised to
+    the n-th power: the meridians and the filled presentation.
+
+    The presentation is built before the meridians are looked up, so a
+    code that is not a manifold reports its failed ridge cycle, not that
+    no meridians are on record for it."""
+    presentation = analysis.presentation
+    recorded = default_meridians(analysis.code)
+    distinguished = DISTINGUISHED_CUSP[analysis.code]
+    meridians = [
+        Meridian(m.cusp_index, m.word, n if m.cusp_index == distinguished else 1)
+        for m in recorded
+    ]
+    validate_meridians(analysis.pairing_set, analysis.classes, meridians)
+    return meridians, quotient(presentation, [m.relator for m in meridians])
 
 
 def _word_permutation(table: CosetTable, word: Word) -> tuple[int, ...]:
@@ -270,15 +291,8 @@ def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTab
     if n < 1:
         raise ValueError("the cyclic parameter must be a positive integer")
     analysis = CodeAnalysis(code)
-    # a code that is not a manifold reports that before missing meridians
-    analysis.presentation
-    meridians = default_meridians(code)
-    distinguished = DISTINGUISHED_CUSP[code]
-    powered = [
-        Meridian(m.cusp_index, m.word, n if m.cusp_index == distinguished else 1)
-        for m in meridians
-    ]
-    return analysis, todd_coxeter(fill(analysis, powered), (), limit)
+    _, filled = default_fill(analysis, n)
+    return analysis, todd_coxeter(filled, (), limit)
 
 
 def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRecord:

@@ -406,72 +406,113 @@ def _cyclic_canonical(word: Word) -> tuple[Letter, ...]:
 def tietze_simplify(pres: GroupPresentation, effort: int = 1000) -> GroupPresentation:
     """Simplify a presentation without changing the group.
 
-    Rounds of: free/cyclic reduction, duplicate-relator removal, and
-    elimination of a generator occurring exactly once in some relator
-    when the substitution does not increase total relator length.  Each
-    round eliminates the candidate with the least key (length change,
-    relator length, relator index, name); `effort` caps the number of
-    eliminations.  Deterministic; never increases generator count or
-    total length.
-    """
-    gens = list(pres.generators)
-    rels = [r.cyclic_reduce() for r in pres.relators]
-    for _ in range(max(effort, 0)):
-        seen: set[tuple[Letter, ...]] = set()
-        cleaned = []
-        for r in rels:
-            r = r.cyclic_reduce()
-            if r.is_identity:
-                continue
-            key = _cyclic_canonical(r)
-            if key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(r)
-        rels = cleaned
+    Rounds of: duplicate-relator removal, then elimination of a generator
+    occurring exactly once in some relator when the substitution does not
+    increase total relator length.  Relators are kept cyclically reduced.
+    Each round eliminates the candidate with the least key (length change,
+    relator length, relator index, name); `effort`, which must be
+    non-negative, caps the number of eliminations.  Deterministic; never
+    increases generator count or total length.
 
-        totals = Counter(name for r in rels for name, _ in r.letters)
-        best = None  # (delta, relator length, relator index, generator)
-        for i, r in enumerate(rels):
-            counts = Counter(name for name, _ in r.letters)
-            for name, cnt in counts.items():
+    The relators keep their order, each in a slot with its name counts
+    and, once deduplicated, its cyclic canonical form; running totals, a
+    name -> slots index and a canonical form -> slot map sit beside them.
+    Only the relators that contain the eliminated generator are rewritten
+    and re-canonicalized, and the next round drops identities and
+    duplicates among those alone (on a collision the lower slot wins), so
+    the result equals a full rescan of every relator in every round (Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, on Tietze
+    transformations).  When `effort` runs out, the last round's relators
+    are returned as they stand, without that pass.
+    """
+    if effort < 0:
+        raise ValueError("tietze effort must be non-negative")
+    gens = list(pres.generators)
+    size = len(pres.relators)
+    words: list[Word | None] = [None] * size  # slot -> relator, None once dropped
+    counts: list[Counter | None] = [None] * size
+    keys: list[tuple[Letter, ...] | None] = [None] * size
+    totals: Counter = Counter()
+    occurs: dict[str, set[int]] = {name: set() for name in gens}
+    holder: dict[tuple[Letter, ...], int] = {}  # canonical form -> its slot
+
+    def place(slot: int, word: Word) -> None:
+        words[slot] = word
+        counts[slot] = Counter(name for name, _ in word.letters)
+        totals.update(counts[slot])
+        for name in counts[slot]:
+            occurs[name].add(slot)
+
+    def clear(slot: int) -> None:
+        totals.subtract(counts[slot])
+        for name in counts[slot]:
+            occurs[name].discard(slot)
+        if keys[slot] is not None:
+            del holder[keys[slot]]
+            keys[slot] = None
+        words[slot] = None
+
+    for slot, r in enumerate(pres.relators):
+        place(slot, r.cyclic_reduce())
+
+    touched: Iterable[int] = range(size)  # slots rewritten since the last dedup
+    for _ in range(effort):
+        for slot in touched:
+            word = words[slot]
+            if word.is_identity:
+                clear(slot)
+                continue
+            key = _cyclic_canonical(word)
+            other = holder.get(key)
+            if other is not None:
+                if other < slot:
+                    clear(slot)
+                    continue
+                clear(other)
+            keys[slot] = key
+            holder[key] = slot
+
+        best = None  # (delta, relator length, relator slot, generator)
+        for slot, word in enumerate(words):
+            if word is None:
+                continue
+            length = len(word)
+            for name, cnt in counts[slot].items():
                 if cnt != 1:
                     continue
-                # occurs once in relator i, so k counts the other relators
+                # occurs once in this relator, so k counts the other relators
                 k = totals[name] - 1
-                length = len(r)
                 delta = k * (length - 2) - length
                 if delta > 0:
                     continue
-                key = (delta, length, i, name)
-                if best is None or key < best:
-                    best = key
+                candidate = (delta, length, slot, name)
+                if best is None or candidate < best:
+                    best = candidate
         if best is None:
             break
         _, _, i, name = best
-        r = rels[i]
+        r = words[i]
         j = next(idx for idx, (n, _) in enumerate(r.letters) if n == name)
         rotated = r.letters[j:] + r.letters[:j]
-        exp = rotated[0][1]
         rest = Word(rotated[1:])
         # relator is name^exp * rest = 1, so name = rest^(-exp)
-        substitution = rest.inverse() if exp == 1 else rest
-        new_rels = []
-        for idx, other in enumerate(rels):
-            if idx == i:
-                continue
+        substitution = rest.inverse() if rotated[0][1] == 1 else rest
+        image = {1: substitution.letters, -1: substitution.inverse().letters}
+        clear(i)
+        touched = sorted(occurs[name])
+        for slot in touched:
+            other = words[slot]
+            clear(slot)
             letters: list[Letter] = []
             for n, e in other.letters:
                 if n == name:
-                    letters.extend(
-                        substitution.letters if e == 1 else substitution.inverse().letters
-                    )
+                    letters.extend(image[e])
                 else:
                     letters.append((n, e))
-            new_rels.append(Word.make(letters).cyclic_reduce())
+            place(slot, Word.make(letters).cyclic_reduce())
+        del occurs[name]
         gens.remove(name)
-        rels = new_rels
-    return GroupPresentation(tuple(gens), tuple(rels))
+    return GroupPresentation(tuple(gens), tuple(w for w in words if w is not None))
 
 
 def parse_presentation(text: str) -> GroupPresentation:

@@ -200,6 +200,27 @@ def test_cover_classify_filling_incomplete_enumeration():
     }
 
 
+def test_cover_negative_tietze_effort_is_error():
+    code, doc = run_json(
+        "cover", "14FF28", "--cyclic", "3", "--classify-filling", "--tietze-effort", "-3"
+    )
+    assert code == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [{"message": "tietze effort must be non-negative"}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fill", "FF79DA", "--meridians", "default"), ("cover", "FF79DA", "--cyclic", "3")],
+)
+def test_non_manifold_reported_before_missing_meridians(argv):
+    code, doc = run_json(*argv)
+    assert code == 1
+    assert doc["errors"] == [
+        {"message": "ridge cycle Ca has non-identity matrix: not a manifold code"}
+    ]
+
+
 def test_fill_default_meridians():
     code, doc = run_json("fill", "14FF28", "--meridians", "default")
     assert code == 0

@@ -226,3 +226,12 @@ def test_classify_filled_cover_odd():
     assert out["filled_cusps"] == 13
     assert out["verdict"].verdict == "#_2(S^2xS^2)"
     assert out["presentation"]["generators"] is not None
+
+
+def test_classify_filled_cover_at_the_tietze_cap():
+    # the default effort of 1000 eliminations runs out at n = 51, and the
+    # last round's relators are counted as they stand, with no dedup pass
+    out = classify_filled_cover("14FF28", 51)
+    assert out["presentation"] == {"generators": 224, "relators": 274}
+    assert out["status"] == "certified"
+    assert out["verdict"].verdict == "#_50(S^2xS^2)"

@@ -1,7 +1,7 @@
 """Coset enumeration, rewriting, and presentation surgery."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyper4.filling import _cyclic_table, _lifted_meridians, default_meridians
 from hyper4.grouppres import (
@@ -197,25 +197,39 @@ def _reference_tietze(pres, effort):
 
 
 def test_tietze_matches_rescan_on_filled_cover():
-    # the filled presentation of `cover 14FF28 --cyclic 3 --classify-filling`
-    analysis, table = _cyclic_table("14FF28", 3, 10**6)
-    lifted = _lifted_meridians(analysis, table, default_meridians("14FF28"))
-    filled = quotient(reidemeister_schreier(analysis.presentation, table), lifted)
-    simplified = tietze_simplify(filled)
-    assert simplified == _reference_tietze(filled, 1000)
-    assert len(simplified.generators) < len(filled.generators)
+    for n, efforts in ((3, (1000,)), (5, (10, 50, 1000)), (7, (10, 50, 1000))):
+        # the filled presentation of `cover 14FF28 --cyclic n --classify-filling`
+        analysis, table = _cyclic_table("14FF28", n, 10**6)
+        lifted = _lifted_meridians(analysis, table, default_meridians("14FF28"))
+        filled = quotient(reidemeister_schreier(analysis.presentation, table), lifted)
+        for effort in efforts:
+            simplified = tietze_simplify(filled, effort)
+            assert simplified == _reference_tietze(filled, effort), (n, effort)
+            assert len(simplified.generators) < len(filled.generators)
 
 
 @st.composite
 def _presentations(draw):
     names = ("a", "b", "c", "d")[: draw(st.integers(1, 4))]
     letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
-    relators = draw(st.lists(st.lists(letter, max_size=8).map(Word.make), max_size=5))
+    relators: list[Word] = []
+    for _ in range(draw(st.integers(0, 6))):
+        if relators and draw(st.booleans()):
+            # a repeated, possibly inverted and rotated, earlier relator
+            word = draw(st.sampled_from(relators))
+            if draw(st.booleans()):
+                word = word.inverse()
+            shift = draw(st.integers(0, len(word)))
+            relators.append(Word.make(word.letters[shift:] + word.letters[:shift]))
+        else:
+            relators.append(Word.make(draw(st.lists(letter, max_size=8))))
     return GroupPresentation(names, tuple(relators))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_presentations(), st.sampled_from((0, 1, 5, 1000)))
+@settings(max_examples=300, deadline=None)
+@given(_presentations(), st.sampled_from((0, 1, 2, 3, 5, 1000)))
+# eliminating b makes relator 0 read AA, a rotated inverse of the later aa
+@example(parse_presentation("gens: a b\nABA\naa\nb\n"), 1000)
 def test_tietze_matches_rescan(pres, effort):
     assert tietze_simplify(pres, effort) == _reference_tietze(pres, effort)
 
