@@ -135,9 +135,13 @@ def validate_meridians(
 
 
 def fill(analysis: CodeAnalysis, meridians: list[Meridian]) -> GroupPresentation:
-    """Quotient of the fundamental group by the meridian relators."""
+    """Quotient of the fundamental group by the meridian relators.
+
+    The presentation is built before the meridians are checked, so a code
+    that is not a manifold reports its failed ridge cycle first."""
+    presentation = analysis.presentation
     validate_meridians(analysis.pairing_set, analysis.classes, meridians)
-    return quotient(analysis.presentation, [m.relator for m in meridians])
+    return quotient(presentation, [m.relator for m in meridians])
 
 
 def default_fill(
@@ -149,15 +153,14 @@ def default_fill(
     The presentation is built before the meridians are looked up, so a
     code that is not a manifold reports its failed ridge cycle, not that
     no meridians are on record for it."""
-    presentation = analysis.presentation
+    analysis.presentation
     recorded = default_meridians(analysis.code)
     distinguished = DISTINGUISHED_CUSP[analysis.code]
     meridians = [
         Meridian(m.cusp_index, m.word, n if m.cusp_index == distinguished else 1)
         for m in recorded
     ]
-    validate_meridians(analysis.pairing_set, analysis.classes, meridians)
-    return meridians, quotient(presentation, [m.relator for m in meridians])
+    return meridians, fill(analysis, meridians)
 
 
 def _word_permutation(table: CosetTable, word: Word) -> tuple[int, ...]:
@@ -443,6 +446,8 @@ def classify_filled_cover(
     Returns the cover's record under "cover" (the same record as
     `cyclic_cover`) and a status of "certified", "conditional" (spin
     undetermined), or "unverified" (an enumeration exceeded the limit)."""
+    if tietze_effort < 0:
+        raise ValueError("tietze effort must be non-negative")
     analysis, table = _cyclic_table(code, n, limit)
     record = _cyclic_record(analysis, n, table)
     if not table.complete:

@@ -200,9 +200,12 @@ def test_cover_classify_filling_incomplete_enumeration():
     }
 
 
-def test_cover_negative_tietze_effort_is_error():
+@pytest.mark.parametrize("extra", [(), ("--max-cosets", "5")], ids=["full", "max-cosets-5"])
+def test_cover_negative_tietze_effort_is_error(extra):
+    # rejected even when the enumeration stops before Tietze would run
     code, doc = run_json(
-        "cover", "14FF28", "--cyclic", "3", "--classify-filling", "--tietze-effort", "-3"
+        "cover", "14FF28", "--cyclic", "3", "--classify-filling", "--tietze-effort", "-3",
+        *extra,
     )
     assert code == 1
     assert doc["records"] == []
@@ -211,10 +214,16 @@ def test_cover_negative_tietze_effort_is_error():
 
 @pytest.mark.parametrize(
     "argv",
-    [("fill", "FF79DA", "--meridians", "default"), ("cover", "FF79DA", "--cyclic", "3")],
+    [
+        ("fill", "FF79DA", "--meridians", "default"),
+        ("fill", "FF79DA", "--meridians", "FILE"),
+        ("cover", "FF79DA", "--cyclic", "3"),
+    ],
 )
-def test_non_manifold_reported_before_missing_meridians(argv):
-    code, doc = run_json(*argv)
+def test_non_manifold_reported_before_missing_meridians(argv, tmp_path):
+    path = tmp_path / "meridians.txt"
+    path.write_text("0 : a\n")
+    code, doc = run_json(*(str(path) if a == "FILE" else a for a in argv))
     assert code == 1
     assert doc["errors"] == [
         {"message": "ridge cycle Ca has non-identity matrix: not a manifold code"}
