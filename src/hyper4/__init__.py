@@ -72,7 +72,6 @@ from .pairing import (
     SidePairing,
     SidePairingSet,
     build_side_pairings,
-    euler_characteristic,
     face_cycles,
     fundamental_group,
     parse_census_lines,

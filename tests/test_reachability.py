@@ -22,7 +22,6 @@ DATA = Path(__file__).parent / "data"
 
 # qualified name (module.Class.function) -> why it is kept
 LIBRARY_ONLY = {
-    "pairing.euler_characteristic": "chi from a pairing set alone; the acceptance gate checks chi = 1 with it",
     "pairing.fundamental_group": "presentation from a pairing set alone; a traced layer of the benchmark",
     "grouppres.parse_presentation": "reads the text form of a presentation; many group tests build inputs with it",
     "grouppres._parse_relator": "one relator line of parse_presentation",
