@@ -80,9 +80,6 @@ class Side:
     def reflection(self) -> LorentzMatrix:
         return reflection_matrix(self.normal)
 
-    def __str__(self) -> str:
-        return self.label
-
 
 @dataclass(frozen=True)
 class Ridge:

@@ -178,7 +178,7 @@ def _verify_record(code: str, double_cover: bool = False) -> dict:
         record["double_cover"] = None
         record["notes"].append(ORIENTABLE_NOTE)
     elif double_cover:
-        record["double_cover"] = asdict(double_cover_record(code))
+        record["double_cover"] = asdict(double_cover_record(analysis))
     return record
 
 
@@ -257,11 +257,19 @@ def _cmd_classify(args) -> tuple[list, list, None]:
     if args.record is not None:
         with open(args.record, encoding="utf-8") as handle:
             data = json.load(handle)
-        if "records" in data:
-            data = data["records"][0]
+        if isinstance(data, dict) and "records" in data:
+            records = data["records"]
+            data = records[0] if isinstance(records, list) and records else None
+        if not isinstance(data, dict):
+            raise ValueError("record file: expected a JSON object or a nonempty 'records' list")
+        for field, given in (("chi", chi), ("sigma", sigma)):
+            if given is None and type(data.get(field)) is not int:
+                raise ValueError(f"record file: {field!r} must be an integer")
         chi = data["chi"] if chi is None else chi
         sigma = data["sigma"] if sigma is None else sigma
         spin_status = data.get("spin_status")
+        if spin_status not in (None, "spin", "nonspin", "unknown"):
+            raise ValueError("record file: 'spin_status' must be spin, nonspin or unknown")
     if args.spin:
         spin_status = "spin"
     elif args.nonspin:

@@ -15,8 +15,8 @@ import operator
 from dataclasses import dataclass
 
 from .analysis import CodeAnalysis
-from .cusp import ETA_TABLE, VertexClass, horospherical_action, signature
-from .flatgroups import FlatGroup, classify_flat_group
+from .cusp import ETA_TABLE, VertexClass, signature
+from .flatgroups import AffineMap, FlatGroup, classify_flat_group
 from .grouppres import (
     CosetTable,
     GroupPresentation,
@@ -29,7 +29,6 @@ from .grouppres import (
     tietze_simplify,
     todd_coxeter,
 )
-from .lorentz import IDENTITY, LorentzMatrix
 from .pairing import SidePairingSet
 from .words import Word, parse_word
 
@@ -184,24 +183,18 @@ def _orbit_partition(perms, size: int) -> list[list[int]]:
     return orbits
 
 
-def _cusp_intersection_group(vclass: VertexClass, perms) -> FlatGroup:
+def _cusp_intersection_group(base: FlatGroup, perms) -> FlatGroup:
     """Stabilizer-intersect-kernel as a flat group, generated by the
-    distinct nontrivial Schreier elements of the stabilizer's action on
-    the cosets, in discovery order.
-
-    perms[i] is the coset permutation of the i-th stabilizer generator.
-    """
+    distinct nontrivial Schreier elements of the base cusp group's action
+    on the cosets, in discovery order; perms[i] is the coset permutation
+    of base.generators[i], the action of the i-th stabilizer generator."""
 
     def steps(c):
-        return ((i, m, perms[i][c]) for i, (_, m) in enumerate(vclass.stabilizer))
+        return ((i, g, perms[i][c]) for i, g in enumerate(base.generators))
 
-    gens: dict = {}  # an insertion-ordered set of matrices
-    for *_, new, matrix in schreier_transversal(
-        0, steps, IDENTITY, LorentzMatrix.__matmul__, LorentzMatrix.inverse
-    ):
-        if not new and matrix != IDENTITY:
-            gens[matrix] = None
-    return FlatGroup([horospherical_action(m, vclass.representative) for m in gens])
+    one = AffineMap.identity()
+    walk = schreier_transversal(0, steps, one, AffineMap.__matmul__, AffineMap.inverse)
+    return FlatGroup(dict.fromkeys(g for *_, new, g in walk if not new and g != one))
 
 
 def _cover_face_counts(analysis: CodeAnalysis, table: CosetTable) -> dict:
@@ -260,10 +253,10 @@ def cover_record_from_table(
     d = table.index
     lift_counts = []
     tags = []
-    for vclass in analysis.classes:
+    for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
         perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
         lift_counts.append(len(_orbit_partition(perms, d)))
-        group = _cusp_intersection_group(vclass, perms)
+        group = _cusp_intersection_group(base, perms)
         tags.append(classify_flat_group(group))
     all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
     orientable = _schreier_orientable(analysis.signs, table)
@@ -312,11 +305,10 @@ def cyclic_cover(code: str, n: int, limit: int = 10**6) -> CoverRecord:
     return _cyclic_record(analysis, n, table)
 
 
-def double_cover_record(code: str) -> CoverRecord:
-    """The orientation double cover, from the determinant character."""
-    analysis = CodeAnalysis(code)
+def double_cover_record(analysis: CodeAnalysis) -> CoverRecord:
+    """The analysed code's orientation double cover, by the determinant character."""
     table = character_coset_table(analysis.presentation, analysis.signs)
-    spin = "spin" if DOUBLE_COVER_SPIN.get(code, False) else "unknown"
+    spin = "spin" if DOUBLE_COVER_SPIN.get(analysis.code, False) else "unknown"
     return cover_record_from_table(analysis, table, spin)
 
 

@@ -158,9 +158,6 @@ class LorentzMatrix:
                     return False
         return True
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(f"{c:4d}" for c in row) for row in self.rows)
-
 
 IDENTITY = LorentzMatrix(
     tuple(tuple(1 if i == j else 0 for j in range(DIMENSION)) for i in range(DIMENSION))

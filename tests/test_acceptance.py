@@ -141,7 +141,7 @@ def test_accept_double_cover():
     before = abelianization(sub)
     after = abelianization(tietze_simplify(sub))
     assert (before.rank, before.torsion) == (after.rank, after.torsion)
-    rec = double_cover_record("14FF28")
+    rec = double_cover_record(CodeAnalysis("14FF28"))
     assert rec.chi == 2
     assert rec.cusp_count == 5
     assert rec.cusp_types == "AAAAA"
@@ -216,7 +216,7 @@ def test_accept_property_suites(tmp_path):
     for n in (1, 2, 3):
         rec = cyclic_cover("14FF28", n)
         assert rec.chi == rec.degree * 1
-    assert double_cover_record("14FF28").chi == 2
+    assert double_cover_record(CodeAnalysis("14FF28")).chi == 2
     # every relator of the presentation evaluates to the identity matrix
     pres = fundamental_group(PAIRINGS)
     for rel in pres.relators:

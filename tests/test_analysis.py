@@ -17,17 +17,20 @@ from hyper4.lorentz import orientation_sign
 from hyper4.pairing import build_side_pairings, fundamental_group
 
 
-@pytest.mark.parametrize(
-    "argv, most",
+VERB_CALLS = pytest.mark.parametrize(
+    "argv",
     [
-        (["verify", "14FF28"], 1),
-        (["cover", "14FF28", "--cyclic", "3", "--classify-filling"], 1),
-        (["fill", "14FF28", "--meridians", "default"], 1),
-        (["verify", "14FF28", "--double-cover"], 2),
+        ["verify", "14FF28"],
+        ["cover", "14FF28", "--cyclic", "3", "--classify-filling"],
+        ["fill", "14FF28", "--meridians", "default"],
+        ["verify", "14FF28", "--double-cover"],
     ],
     ids=["verify", "classify-filling", "fill", "double-cover"],
 )
-def test_face_cycles_computed_once_per_analysis(monkeypatch, argv, most):
+
+
+@VERB_CALLS
+def test_face_cycles_computed_once_per_analysis(monkeypatch, argv):
     calls = Counter()
     for name in ("_ridge_cycles", "_edge_orbits"):
         original = getattr(pairing_module, name)
@@ -39,8 +42,23 @@ def test_face_cycles_computed_once_per_analysis(monkeypatch, argv, most):
         monkeypatch.setattr(pairing_module, name, counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert 1 <= calls["_ridge_cycles"] <= most
-    assert 1 <= calls["_edge_orbits"] <= most
+    assert calls == {"_ridge_cycles": 1, "_edge_orbits": 1}
+
+
+@VERB_CALLS
+def test_one_analysis_per_verb(monkeypatch, argv):
+    # the double cover reads the verb's analysis instead of decoding again
+    codes = []
+    original = analysis_module.build_side_pairings
+
+    def counted(code):
+        codes.append(code)
+        return original(code)
+
+    monkeypatch.setattr(analysis_module, "build_side_pairings", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert codes == ["14FF28"]
 
 
 @pytest.mark.parametrize("code", ["14FF28", "1428BD"])

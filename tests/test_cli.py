@@ -274,6 +274,35 @@ def test_classify_unknown_spin_reports_both():
     assert rec["verdicts"]["if_not_spin"]["verdict"] == "#_1CP^2#_1CP^2bar"
 
 
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        ({"records": []}, "'records'"),
+        ({"records": [{"sigma": 0}]}, "'chi'"),
+        ({"chi": "6", "sigma": 0, "spin_status": "spin"}, "'chi'"),
+        ([1, 2], "JSON object"),
+        ({"chi": 6, "sigma": 0, "spin_status": "maybe"}, "'spin_status'"),
+    ],
+    ids=["empty-envelope", "missing-chi", "string-chi", "list", "bad-spin-status"],
+)
+def test_classify_malformed_record_is_error_envelope(tmp_path, content, field):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(content))
+    code, doc = run_json("classify", "--record", str(path))
+    assert code == 1
+    assert doc["records"] == []
+    assert field in doc["errors"][0]["message"]
+
+
+def test_classify_reads_a_filled_cover_envelope(tmp_path):
+    path = tmp_path / "cover.json"
+    _, out = run("cover", "14FF28", "--cyclic", "3", "--classify-filling")
+    path.write_text(out)
+    code, doc = run_json("classify", "--record", str(path))
+    assert code == 0
+    assert doc["records"][0]["verdict"]["verdict"] == "#_2(S^2xS^2)"
+
+
 def test_census_runs_sample():
     code, doc = run_json("census", str(DATA / "census_sample.txt"))
     assert code == 0

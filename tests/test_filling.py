@@ -119,7 +119,7 @@ def test_filled_group_is_dihedral(n):
 
 
 def test_double_cover_record():
-    rec = double_cover_record("14FF28")
+    rec = double_cover_record(CodeAnalysis("14FF28"))
     assert rec.complete
     assert rec.degree == 2
     assert rec.chi == 2

@@ -1,12 +1,15 @@
 """The exact matrix layer's fast paths against their oracles.
 
 `SidePairingSet.evaluate` (one product per letter) is the reference for
-the transversal matrices of a cover's Schreier elements; a copy of the
-five-solve `Fraction` elimination is the reference for the per-vertex
-cusp basis of `horospherical_action`; a linear scan over the pairings is
-the reference for the transition table.
+the transversal matrices of a cover's Schreier elements; the actions of
+those Lorentz Schreier elements are the reference for a cover's cusp
+groups, which walk the base cusp group's affine maps instead; a copy of
+the five-solve `Fraction` elimination is the reference for the
+per-vertex cusp basis of `horospherical_action`; a linear scan over the
+pairings is the reference for the transition table.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -17,7 +20,12 @@ from hypothesis import strategies as st
 from hyper4 import cusp as cusp_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import _kernel_basis, _solve_fraction, horospherical_action
-from hyper4.filling import _cyclic_table, _word_permutation
+from hyper4.filling import (
+    _cusp_intersection_group,
+    _cyclic_table,
+    _word_permutation,
+    cover_record_from_table,
+)
 from hyper4.flatgroups import AffineMap, StructuralError
 from hyper4.grouppres import character_coset_table, orbit_edges, schreier_transversal
 from hyper4.lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
@@ -149,6 +157,40 @@ def test_horospherical_action_matches_reference_on_schreier_elements():
     assert distinct
     for matrix, vertex in distinct:
         _assert_same_action(matrix, vertex)
+
+
+def test_cover_cusp_groups_are_the_actions_of_the_lorentz_walk():
+    # per cover and cusp: the distinct non-identity Schreier matrices, in order
+    walks: dict = {}
+    for label, _, vclass, _, matrix in _schreier_cases():
+        if matrix != IDENTITY:
+            walks.setdefault((label, vclass.index), {})[matrix] = None
+    for label, analysis, table in _cover_tables():
+        for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
+            perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
+            group = _cusp_intersection_group(base, perms)
+            assert list(group.generators) == [
+                horospherical_action(matrix, vclass.representative)
+                for matrix in walks[label, vclass.index]
+            ], (label, vclass.index)
+
+
+def test_cover_record_does_no_lorentz_arithmetic(monkeypatch):
+    analysis, table = _cyclic_table("14FF28", 5, 10**6)
+    for name in ("classes", "cusps", "ridge_cycles", "edge_orbits", "signs"):
+        getattr(analysis, name)
+    calls = Counter()
+    for name in ("__matmul__", "inverse"):
+        original = getattr(LorentzMatrix, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(LorentzMatrix, name, counted)
+    record = cover_record_from_table(analysis, table, "spin")
+    assert record.cusp_types == "A" * 21
+    assert calls == {}
 
 
 def _scan_transition(pairing_set, side_label):

@@ -27,8 +27,6 @@ LIBRARY_ONLY = {
     "grouppres._parse_relator": "one relator line of parse_presentation",
     "grouppres.GroupPresentation.__str__": "the flat-group oracle test compares presentations by this form",
     "lorentz.LorentzVector.__str__": "formats vectors in guard messages that no decoded code trips",
-    "lorentz.LorentzMatrix.__str__": "readable 5x5 grid of a matrix for interactive use",
-    "cell24.Side.__str__": "a side prints as its label for interactive use",
 }
 
 SWEEP = r"""
