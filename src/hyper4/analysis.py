@@ -1,7 +1,15 @@
-"""One code's derived quantities, each computed on first use and kept.
+"""One manifold code's derived quantities, all computed on construction.
 
-The verbs and the cover builders read them from one `CodeAnalysis`,
-which lives only as long as the operation that built it.
+Building a `CodeAnalysis` is the manifold check.  It decodes the side
+pairings, then computes, in this order: the ridge cycles, which must
+close, and the presentation, which needs every ridge cycle matrix to be
+the identity; the edge orbits, which need trivial stabilizers; the
+vertex classes and the cusp groups, which must be torsion free; the
+orientation signs and the Euler characteristic.  The first condition
+that fails raises, so every analysis that exists is a manifold's, and
+each verb that builds one reports the same first failure.  The verbs
+and the cover builders read its plain attributes, and it lives only as
+long as the operation that built it.
 """
 
 from __future__ import annotations
@@ -10,68 +18,28 @@ from .cusp import VertexClass, cusp_flat_group, vertex_classes
 from .flatgroups import FlatGroup, classify_flat_group
 from .grouppres import GroupPresentation
 from .lorentz import orientation_sign
-from .pairing import FaceCycle, ValidationReport, build_side_pairings, face_cycles
-from .pairing import ridge_presentation, validate_pairings
+from .pairing import FaceCycle, build_side_pairings, face_cycles, ridge_presentation
 
 __all__ = ["CodeAnalysis"]
 
 
-class _kept:
-    """`functools.cached_property` without its lock, which before Python
-    3.12 every instance shares: census workers analysing different codes
-    waited on one another, and a census took as long as they interleaved."""
-
-    def __init__(self, func):
-        self.func = func
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value  # the instance attribute now hides this descriptor
-
-
 class CodeAnalysis:
-    """The invariants of one code's side pairings.  The order in which
-    attributes are first read decides which error a bad code reports."""
+    """The invariants of one manifold code's side pairings; raises on the
+    first manifold condition the code fails."""
 
     def __init__(self, code: str):
         self.code = code
-        self.pairing_set = build_side_pairings(code)
-
-    @_kept
-    def report(self) -> ValidationReport:
-        return validate_pairings(self.pairing_set)
-
-    @_kept
-    def ridge_cycles(self) -> list[FaceCycle]:
-        return face_cycles(self.pairing_set, 2)
-
-    @_kept
-    def edge_orbits(self) -> list[FaceCycle]:
-        return face_cycles(self.pairing_set, 1)
-
-    @_kept
-    def presentation(self) -> GroupPresentation:
-        return ridge_presentation(self.ridge_cycles)
-
-    @_kept
-    def chi(self) -> int:
-        return 1 - len(self.pairing_set.pairings) + len(self.ridge_cycles) - len(self.edge_orbits)
-
-    @_kept
-    def signs(self) -> dict[str, int]:
-        """Orientation sign of each letter, in letter order."""
-        return {p.letter: orientation_sign(p.matrix) for p in self.pairing_set.pairings}
-
-    @_kept
-    def classes(self) -> list[VertexClass]:
-        return vertex_classes(self.pairing_set)
-
-    @_kept
-    def cusps(self) -> list[tuple[FlatGroup, str]]:
-        """The flat group and flat type of each cusp, built class by class."""
-        return [(g, classify_flat_group(g)) for g in map(cusp_flat_group, self.classes)]
+        self.pairing_set = pairing_set = build_side_pairings(code)
+        self.ridge_cycles: list[FaceCycle] = face_cycles(pairing_set, 2)
+        self.presentation: GroupPresentation = ridge_presentation(self.ridge_cycles)
+        self.edge_orbits: list[FaceCycle] = face_cycles(pairing_set, 1)
+        self.classes: list[VertexClass] = vertex_classes(pairing_set)
+        # the flat group and flat type of each cusp, in class order
+        self.cusps: list[tuple[FlatGroup, str]] = [
+            (g, classify_flat_group(g)) for g in map(cusp_flat_group, self.classes)
+        ]
+        # the orientation sign of each letter, in letter order
+        self.signs = {p.letter: orientation_sign(p.matrix) for p in pairing_set.pairings}
+        self.chi = (
+            1 - len(pairing_set.pairings) + len(self.ridge_cycles) - len(self.edge_orbits)
+        )

@@ -29,8 +29,8 @@ from .filling import (
 )
 from .flatgroups import StructuralError
 from .grouppres import abelianization, todd_coxeter
-from .lorentz import IDENTITY
-from .pairing import CodeError, parse_census_lines
+from .lorentz import IDENTITY, orientation_sign
+from .pairing import CodeError, build_side_pairings, parse_census_lines, validate_pairings
 
 SCHEMA = "hyper4-census/1"
 DETERMINISM_NOTE = (
@@ -71,8 +71,7 @@ def _normalized_command(tokens) -> list[str]:
     return out
 
 
-def _orientation(analysis: CodeAnalysis) -> dict:
-    signs = analysis.signs
+def _orientation(signs: dict[str, int]) -> dict:
     return {
         "preserving": [letter for letter, s in signs.items() if s == 1],
         "reversing": [letter for letter, s in signs.items() if s == -1],
@@ -80,7 +79,8 @@ def _orientation(analysis: CodeAnalysis) -> dict:
 
 
 def _decode_record(code: str) -> dict:
-    analysis = CodeAnalysis(code)
+    pairing_set = build_side_pairings(code)
+    signs = {p.letter: orientation_sign(p.matrix) for p in pairing_set.pairings}
     arrows = [
         {
             "letter": p.letter,
@@ -91,9 +91,9 @@ def _decode_record(code: str) -> dict:
             "k": list(p.kpart),
             "matrix": [list(row) for row in p.matrix.rows],
         }
-        for p in analysis.pairing_set.pairings
+        for p in pairing_set.pairings
     ]
-    return {"code": code, "arrows": arrows, "orientation": _orientation(analysis)}
+    return {"code": code, "arrows": arrows, "orientation": _orientation(signs)}
 
 
 def _decode_text(record: dict) -> str:
@@ -136,14 +136,9 @@ def _cusp_fields(analysis: CodeAnalysis) -> dict:
 
 def _verify_record(code: str, double_cover: bool = False) -> dict:
     analysis = CodeAnalysis(code)
-    # read in the order the manifold conditions are reported: a failing
-    # ridge cycle (closing, then its matrix) comes before the edge orbits
-    report = analysis.report
+    report = validate_pairings(analysis.pairing_set)
     ridge = analysis.ridge_cycles
-    pres = analysis.presentation
-    edge = analysis.edge_orbits
-    cusp_fields = _cusp_fields(analysis)
-    orientation = _orientation(analysis)
+    orientation = _orientation(analysis.signs)
     record = {
         "code": code,
         "valid": report.ok,
@@ -163,15 +158,15 @@ def _verify_record(code: str, double_cover: bool = False) -> dict:
         "orientation": orientation,
         "side_classes": len(analysis.pairing_set.pairings),
         "ridge_classes": len(ridge),
-        "edge_classes": len(edge),
+        "edge_classes": len(analysis.edge_orbits),
         "ridge_cycles": {
             "count": len(ridge),
             "lengths": sorted({c.length for c in ridge}),
             "all_identity": all(c.cycle_matrix == IDENTITY for c in ridge),
         },
         "chi": analysis.chi,
-        "h1": str(abelianization(pres)),
-        **cusp_fields,
+        "h1": str(abelianization(analysis.presentation)),
+        **_cusp_fields(analysis),
         "notes": [TORSION_NOTE],
     }
     if double_cover and record["orientable"]:
@@ -315,6 +310,8 @@ def _census_line(lineno: int, code: str, annotation: str | None):
 
 
 def _cmd_census(args) -> tuple[list, list, None]:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be a positive integer")
     with open(args.path, encoding="utf-8") as handle:
         entries = parse_census_lines(handle)
     records = []

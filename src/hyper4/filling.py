@@ -134,25 +134,16 @@ def validate_meridians(
 
 
 def fill(analysis: CodeAnalysis, meridians: list[Meridian]) -> GroupPresentation:
-    """Quotient of the fundamental group by the meridian relators.
-
-    The presentation is built before the meridians are checked, so a code
-    that is not a manifold reports its failed ridge cycle first."""
-    presentation = analysis.presentation
+    """Quotient of the fundamental group by the meridian relators."""
     validate_meridians(analysis.pairing_set, analysis.classes, meridians)
-    return quotient(presentation, [m.relator for m in meridians])
+    return quotient(analysis.presentation, [m.relator for m in meridians])
 
 
 def default_fill(
     analysis: CodeAnalysis, n: int
 ) -> tuple[list[Meridian], GroupPresentation]:
     """`fill` along the default meridians, the distinguished one raised to
-    the n-th power: the meridians and the filled presentation.
-
-    The presentation is built before the meridians are looked up, so a
-    code that is not a manifold reports its failed ridge cycle, not that
-    no meridians are on record for it."""
-    analysis.presentation
+    the n-th power: the meridians and the filled presentation."""
     recorded = default_meridians(analysis.code)
     distinguished = DISTINGUISHED_CUSP[analysis.code]
     meridians = [
@@ -197,24 +188,18 @@ def _cusp_intersection_group(base: FlatGroup, perms) -> FlatGroup:
     return FlatGroup(dict.fromkeys(g for *_, new, g in walk if not new and g != one))
 
 
-def _cover_face_counts(analysis: CodeAnalysis, table: CosetTable) -> dict:
-    """Face class counts of the cover, by orbit counting over the cosets."""
-    d = table.index
-    ridges = sum(
-        len(_orbit_partition([_word_permutation(table, cycle.word)], d))
-        for cycle in analysis.ridge_cycles
-    )
-    # edge orbits have trivial stabilizers, so each lifts to d edge classes
-    edges = d * len(analysis.edge_orbits)
-    sides = len(analysis.pairing_set.pairings) * d
-    counts = {
+def _cover_face_counts(analysis: CodeAnalysis, d: int) -> dict:
+    """Face class counts of a degree-d cover: d times the base's.  A
+    ridge cycle word is a relator, so it fixes every coset of a complete
+    table, and every edge orbit has a trivial stabilizer; each ridge and
+    edge class therefore lifts to d classes."""
+    return {
         "cells": d,
-        "sides": sides,
-        "ridges": ridges,
-        "edges": edges,
+        "sides": d * len(analysis.pairing_set.pairings),
+        "ridges": d * len(analysis.ridge_cycles),
+        "edges": d * len(analysis.edge_orbits),
+        "chi": d * analysis.chi,
     }
-    counts["chi"] = d - sides + ridges - edges
-    return counts
 
 
 def _schreier_orientable(letter_det: dict[str, int], table: CosetTable) -> bool:
@@ -263,7 +248,7 @@ def cover_record_from_table(
     sigma = None
     if orientable and all(t in ETA_TABLE for t in tags):
         sigma = signature(all_cusps)
-    face = _cover_face_counts(analysis, table)
+    face = _cover_face_counts(analysis, d)
     base_orientable = all(s == 1 for s in analysis.signs.values())
     over_double = d // 2 if orientable and not base_orientable else None
     return CoverRecord(

@@ -87,15 +87,13 @@ def test_attributes_are_computed_once(monkeypatch):
         return original(pairing_set)
 
     monkeypatch.setattr(analysis_module, "vertex_classes", counted)
-    analysis = CodeAnalysis("14FF28")
-    assert analysis.classes is analysis.classes
-    analysis.cusps
+    CodeAnalysis("14FF28")
     assert calls == {"14FF28": 1}
 
 
 def test_analyses_of_different_codes_do_not_wait_on_each_other(monkeypatch):
     # census workers analyse codes side by side: one analysis stuck in
-    # an attribute must not hold up the same attribute of another
+    # its vertex classes must not hold up the construction of another
     entered, release = threading.Event(), threading.Event()
     original = analysis_module.vertex_classes
 

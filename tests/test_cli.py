@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import hyper4.analysis as analysis_module
 import hyper4.cli as cli_module
 from hyper4.cli import DETERMINISM_NOTE, ORIENTABLE_NOTE, SCHEMA, TORSION_NOTE, main
+from hyper4.flatgroups import StructuralError
 
 
 DATA = Path(__file__).parent / "data"
@@ -132,13 +134,34 @@ def test_cusps_record():
     assert rec["signature"] is None
 
 
-def test_cusps_torsion_is_error_envelope():
-    code, doc = run_json("cusps", "11CA8B")
+def test_cusps_torsion_is_error_envelope(monkeypatch):
+    def torsion(vclass):
+        raise StructuralError("group has torsion over holonomy element x1")
+
+    monkeypatch.setattr(analysis_module, "cusp_flat_group", torsion)
+    code, doc = run_json("cusps", "14FF28")
     assert code == 1
     assert doc["records"] == []
     assert doc["errors"] == [
         {"message": "group has torsion over holonomy element x1"}
     ]
+
+
+# 11CA8B, FF79DA and A6783B, then the first ten rejected pool codes for
+# which `cusps` used to print flat types
+GATE_CODES = (
+    "11CA8B", "FF79DA", "A6783B", "7D39AC", "97BB6F", "13DA84", "1EC364",
+    "147D8A", "512FEB", "FCBA64", "B5632F", "B56D3C", "64D87E",
+)
+
+
+@pytest.mark.parametrize("code", GATE_CODES)
+def test_cusps_reports_the_error_of_verify(code):
+    verify_status, verify_doc = run_json("verify", code)
+    cusps_status, cusps_doc = run_json("cusps", code)
+    assert verify_status == cusps_status == 1
+    assert verify_doc["records"] == cusps_doc["records"] == []
+    assert cusps_doc["errors"] == verify_doc["errors"]
 
 
 @pytest.mark.parametrize(
@@ -213,22 +236,31 @@ def test_cover_negative_tietze_effort_is_error(extra):
     assert doc["errors"] == [{"message": "tietze effort must be non-negative"}]
 
 
+# the first condition each code fails
+MANIFOLD_ERRORS = {
+    "FF79DA": "ridge cycle Ca has non-identity matrix: not a manifold code",
+    "A6783B": "edge orbit loop lIH is a nontrivial stabilizer",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("fill", "FF79DA", "--meridians", "default"),
         ("fill", "FF79DA", "--meridians", "FILE"),
         ("cover", "FF79DA", "--cyclic", "3"),
+        ("fill", "FF79DA", "--meridians", "MISSING"),
+        ("fill", "A6783B", "--meridians", "default"),
+        ("cover", "A6783B", "--cyclic", "3"),
     ],
 )
 def test_non_manifold_reported_before_missing_meridians(argv, tmp_path):
     path = tmp_path / "meridians.txt"
     path.write_text("0 : a\n")
-    code, doc = run_json(*(str(path) if a == "FILE" else a for a in argv))
+    paths = {"FILE": str(path), "MISSING": str(tmp_path / "missing.txt")}
+    code, doc = run_json(*(paths.get(a, a) for a in argv))
     assert code == 1
-    assert doc["errors"] == [
-        {"message": "ridge cycle Ca has non-identity matrix: not a manifold code"}
-    ]
+    assert doc["errors"] == [{"message": MANIFOLD_ERRORS[argv[1]]}]
 
 
 def test_fill_default_meridians():
@@ -320,6 +352,15 @@ def test_census_identical_across_jobs():
     _, out4 = run("census", str(DATA / "census_sample.txt"), "--jobs", "4")
     assert out1 == out4
     assert json.loads(out1)["command"] == ["census", str(DATA / "census_sample.txt")]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_census_rejects_nonpositive_jobs(jobs):
+    # rejected before the file is read: the path does not exist
+    code, doc = run_json("census", "no_such_file.txt", "--jobs", jobs)
+    assert code == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [{"message": "--jobs must be a positive integer"}]
 
 
 def test_census_bad_line_is_error_not_abort(tmp_path):

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyper4.analysis import CodeAnalysis
-from hyper4.cusp import horospherical_action
+from hyper4.cusp import horospherical_action, vertex_classes
 from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, reference_flat_groups
 from hyper4.grouppres import GroupPresentation, abelianization, orbit_edges
 from hyper4.intmat import hermite_row_basis, solve_integer
+from hyper4.pairing import build_side_pairings
 from hyper4.words import Word
 
 POOL = Path(__file__).parent.parent / "perfbench" / "data" / "pool.tsv"
@@ -266,7 +266,7 @@ def _assert_agree(generators) -> tuple:
 
 
 def _cusp_generators(code: str):
-    for vclass in CodeAnalysis(code).classes:
+    for vclass in vertex_classes(build_side_pairings(code)):
         yield [horospherical_action(m, vclass.representative) for _, m in vclass.stabilizer]
 
 

@@ -6,7 +6,9 @@ those Lorentz Schreier elements are the reference for a cover's cusp
 groups, which walk the base cusp group's affine maps instead; a copy of
 the five-solve `Fraction` elimination is the reference for the
 per-vertex cusp basis of `horospherical_action`; a linear scan over the
-pairings is the reference for the transition table.
+pairings is the reference for the transition table; orbit counting over
+the cosets is the reference for a cover's face counts, which are d times
+the base's.
 """
 
 from collections import Counter
@@ -19,10 +21,12 @@ from hypothesis import strategies as st
 
 from hyper4 import cusp as cusp_module
 from hyper4.analysis import CodeAnalysis
-from hyper4.cusp import _kernel_basis, _solve_fraction, horospherical_action
+from hyper4.cusp import _kernel_basis, _solve_fraction, horospherical_action, vertex_classes
 from hyper4.filling import (
+    _cover_face_counts,
     _cusp_intersection_group,
     _cyclic_table,
+    _orbit_partition,
     _word_permutation,
     cover_record_from_table,
 )
@@ -143,7 +147,7 @@ def _assert_same_action(matrix: LorentzMatrix, vertex: LorentzVector) -> None:
 
 def test_horospherical_action_matches_reference_on_stabilizers():
     for code in ACTION_CODES:
-        for vclass in CodeAnalysis(code).classes:
+        for vclass in vertex_classes(build_side_pairings(code)):
             for _, matrix in vclass.stabilizer:
                 _assert_same_action(matrix, vclass.representative)
 
@@ -177,8 +181,6 @@ def test_cover_cusp_groups_are_the_actions_of_the_lorentz_walk():
 
 def test_cover_record_does_no_lorentz_arithmetic(monkeypatch):
     analysis, table = _cyclic_table("14FF28", 5, 10**6)
-    for name in ("classes", "cusps", "ridge_cycles", "edge_orbits", "signs"):
-        getattr(analysis, name)
     calls = Counter()
     for name in ("__matmul__", "inverse"):
         original = getattr(LorentzMatrix, name)
@@ -191,6 +193,26 @@ def test_cover_record_does_no_lorentz_arithmetic(monkeypatch):
     record = cover_record_from_table(analysis, table, "spin")
     assert record.cusp_types == "A" * 21
     assert calls == {}
+
+
+def test_cover_face_counts_match_orbit_counting():
+    # a ridge class lifts to one class per orbit of its cycle word on the
+    # cosets; an edge class, with trivial stabilizer, to d classes
+    for label, analysis, table in _cover_tables():
+        d = table.index
+        ridges = sum(
+            len(_orbit_partition([_word_permutation(table, cycle.word)], d))
+            for cycle in analysis.ridge_cycles
+        )
+        sides = d * len(analysis.pairing_set.pairings)
+        edges = d * len(analysis.edge_orbits)
+        assert _cover_face_counts(analysis, d) == {
+            "cells": d,
+            "sides": sides,
+            "ridges": ridges,
+            "edges": edges,
+            "chi": d - sides + ridges - edges,
+        }, label
 
 
 def _scan_transition(pairing_set, side_label):
@@ -237,7 +259,7 @@ def test_cusp_basis_table_is_per_vertex():
     assert len(codes) == 183
     cusp_module._cusp_basis.cache_clear()
     for code in codes:
-        for vclass in CodeAnalysis(code).classes:
+        for vclass in vertex_classes(build_side_pairings(code)):
             for _, matrix in vclass.stabilizer:
                 horospherical_action(matrix, vclass.representative)
     info = cusp_module._cusp_basis.cache_info()

@@ -68,7 +68,7 @@ def _sweep_calls(tmp_path: Path) -> list[list[str]]:
         ["verify", "A6783B"],  # rejected: an edge orbit loop fails
         ["verify", "ZZZZZZ"],  # undecodable
         ["cusps", "14FF28"],
-        ["cusps", "11CA8B"],  # a torsion cusp
+        ["cusps", "7D39AC"],  # rejected: an edge orbit loop fails
         ["fill", "14FF28", "--meridians", "default"],
         ["fill", "14FF28", "--meridians", str(meridians)],
         ["cover", "14FF28", "--cyclic", "5"],
