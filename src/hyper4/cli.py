@@ -28,7 +28,7 @@ from .filling import (
     parse_meridian_lines,
 )
 from .flatgroups import StructuralError
-from .grouppres import abelianization, todd_coxeter
+from .grouppres import DEFAULT_COSET_LIMIT, DEFAULT_TIETZE_EFFORT, abelianization, todd_coxeter
 from .lorentz import IDENTITY, orientation_sign
 from .pairing import CodeError, build_side_pairings, parse_census_lines, validate_pairings
 
@@ -233,7 +233,7 @@ def _cmd_fill(args) -> tuple[list, list, None]:
         with open(args.meridians, encoding="utf-8") as handle:
             meridians = parse_meridian_lines(handle)
         filled = fill(analysis, meridians)
-    table = todd_coxeter(filled, (), limit=args.max_cosets)
+    table = todd_coxeter(filled, args.max_cosets)
     record = {
         "code": args.code,
         "meridians": [
@@ -356,14 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--cyclic", type=int, required=True, metavar="N")
     p.add_argument("--classify-filling", action="store_true")
-    p.add_argument("--max-cosets", type=int, default=10**6)
-    p.add_argument("--tietze-effort", type=int, default=1000)
+    p.add_argument("--max-cosets", type=int, default=DEFAULT_COSET_LIMIT)
+    p.add_argument("--tietze-effort", type=int, default=DEFAULT_TIETZE_EFFORT)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("fill", help="kill meridian words in the fundamental group")
     p.add_argument("code")
     p.add_argument("--meridians", required=True, metavar="default|FILE")
-    p.add_argument("--max-cosets", type=int, default=10**6)
+    p.add_argument("--max-cosets", type=int, default=DEFAULT_COSET_LIMIT)
     p.set_defaults(func=_cmd_fill)
 
     p = sub.add_parser("classify", help="homeomorphism type from invariants")

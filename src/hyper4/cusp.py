@@ -11,9 +11,9 @@ orientable cusp types into the signature.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cell24 import the_24_cell
 from .flatgroups import AffineMap, FlatGroup, StructuralError
@@ -122,96 +122,56 @@ def _kernel_basis(spatial: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
     return [tuple(v[i][j] for i in range(4)) + (0,) for j in (1, 2, 3)]
 
 
-def _solve_fraction(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals (unique solution expected)."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-@dataclass(frozen=True)
-class _CuspBasis:
-    """The cusp basis at one ideal vertex as integer matrices: the
-    columns of `basis` are a common multiple of (u, z, w1, w2, w3), and
-    `inverse` / `denominator` is the inverse of `basis`."""
-
-    basis: LorentzMatrix
-    inverse: LorentzMatrix
-    denominator: int
-    gram: tuple[tuple[int, ...], ...]  # Lorentz products of the w_j
-
-
 @functools.lru_cache(maxsize=24)
-def _cusp_basis(vertex: LorentzVector) -> _CuspBasis:
-    """The basis (u, z, w1, w2, w3) at a vertex, built on first use; the
-    24-cell has 24 ideal vertices, and no entry depends on the code.
+def _cusp_basis(vertex: LorentzVector) -> tuple:
+    """The integer frame (z', w, W, adj(W), det W) at a vertex, built on
+    first use; the 24-cell has 24 ideal vertices, and no entry depends
+    on the code.
 
-    u is the vertex light vector, z = (-u1, -u2, -u3, -u4, u5) / u5^2 the
-    opposite light vector, with u . z = -2, and the w_j an integer basis
-    of the space-like complement.  The columns are scaled by u5^2, which
-    leaves conjugation by the basis unchanged.
+    u is the vertex light vector and z' = (-u1, -u2, -u3, -u4, u5), with
+    <u, z'> = -2 u5^2; the w_j are an integer basis of the space-like
+    complement, Lorentz-orthogonal to u and z', with Gram matrix W.
     """
     u = vertex.coords
-    w = _kernel_basis(u[:4])
-    if len(w) != 3:
-        raise AssertionError("space-like complement must have rank 3")
-    scale = u[4] * u[4]
-    columns = [
-        tuple(scale * c for c in u),
-        tuple(-c for c in u[:4]) + (u[4],),
-        *(tuple(scale * c for c in vec) for vec in w),
-    ]
-    b_matrix = [[Fraction(columns[j][i]) for j in range(5)] for i in range(5)]
-    inverse_columns = [
-        _solve_fraction(b_matrix, [Fraction(int(i == j)) for i in range(5)])
-        for j in range(5)
-    ]
-    denominator = math.lcm(*(x.denominator for col in inverse_columns for x in col))
-    return _CuspBasis(
-        LorentzMatrix(tuple(zip(*columns))),
-        LorentzMatrix(
-            tuple(
-                tuple(int(col[i] * denominator) for col in inverse_columns)
-                for i in range(5)
-            )
-        ),
-        denominator,
-        tuple(tuple(lorentz_product(a, b) for b in w) for a in w),
+    w = tuple(_kernel_basis(u[:4]))
+    g = tuple(tuple(lorentz_product(a, b) for b in w) for a in w)
+    adjugate = tuple(
+        tuple(
+            g[(j + 1) % 3][(i + 1) % 3] * g[(j + 2) % 3][(i + 2) % 3]
+            - g[(j + 1) % 3][(i + 2) % 3] * g[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        )
+        for i in range(3)
     )
+    det = sum(g[0][k] * adjugate[k][0] for k in range(3))
+    return tuple(-c for c in u[:4]) + (u[4],), w, g, adjugate, det
 
 
 def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> AffineMap:
     """The exact affine action of a vertex stabilizer element on the
     horosphere at the vertex.
 
-    In the vertex's cusp basis (u, z, w1, w2, w3) the matrix is block
-    triangular, and the w-block with the z-column give the affine map.
-    The conjugation is one integer product, divided exactly by the
-    basis's denominator; an integral entry stays an int.
+    In the basis (u, z, w1, w2, w3), with z = z' / u5^2, the matrix is
+    block triangular, and the w-block with the z-column give the affine
+    map.  span(u, z) and span(w) are Lorentz-orthogonal, so the
+    w-coordinates of a vector v are W^-1 (<v, w_l>); every entry is an
+    integer over den = det W * u5^2, and an integral entry stays an int.
     """
     if matrix.apply(vertex) != vertex:
         raise ValueError("matrix does not fix the vertex")
-    basis = _cusp_basis(vertex)
-    den = basis.denominator
-    conj = (basis.inverse @ matrix @ basis.basis).rows
-    # column j of conj / den holds the basis coefficients of M . (basis vector j)
-    if (
-        any(conj[i][0] != (den if i == 0 else 0) for i in range(5))
-        or conj[1][1] != den
-        or any(conj[1][j] != 0 for j in (2, 3, 4))
-    ):
+    z, w, gram, adjugate, det = _cusp_basis(vertex)
+    images = [[sum(map(mul, row, v)) for row in matrix.rows] for v in (z, *w)]
+    # J u = -z' and J w_l = w_l, so the Lorentz products of an image with
+    # u and the w_l are its Euclidean products with -z' and the w_l
+    products = [[sum(map(mul, image, b)) for b in (z, *w)] for image in images]
+    scale = vertex.coords[4] ** 2
+    # <M z', u> = <z', u> = -2 u5^2 and <M w_j, u> = 0
+    if products[0][0] != 2 * scale or any(p[0] for p in products[1:]):
         raise StructuralError("the stabilizer matrix is not block triangular in the cusp basis")
-    linear = [[conj[i][j] for j in (2, 3, 4)] for i in (2, 3, 4)]
-    gram = basis.gram
+    # the w-coordinates of M z' and of the M w_j: adj(W) (<., w_l>)_l / det W
+    solved = [[sum(map(mul, row, p[1:])) for p in products] for row in adjugate]
+    linear = [[scale * x for x in r[1:]] for r in solved]
+    den = det * scale
     for i in range(3):
         for j in range(3):
             lhs = sum(
@@ -221,7 +181,7 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
             )
             if lhs != den * den * gram[i][j]:
                 raise StructuralError("affine part does not preserve the cusp metric")
-    return AffineMap.scaled(linear, [conj[i][1] for i in (2, 3, 4)], den)
+    return AffineMap.scaled(linear, [r[0] for r in solved], den)
 
 
 def cusp_flat_group(vclass: VertexClass) -> FlatGroup:

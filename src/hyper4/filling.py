@@ -18,6 +18,8 @@ from .analysis import CodeAnalysis
 from .cusp import ETA_TABLE, VertexClass, signature
 from .flatgroups import AffineMap, FlatGroup, classify_flat_group
 from .grouppres import (
+    DEFAULT_COSET_LIMIT,
+    DEFAULT_TIETZE_EFFORT,
     CosetTable,
     GroupPresentation,
     character_coset_table,
@@ -273,7 +275,7 @@ def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTab
         raise ValueError("the cyclic parameter must be a positive integer")
     analysis = CodeAnalysis(code)
     _, filled = default_fill(analysis, n)
-    return analysis, todd_coxeter(filled, (), limit)
+    return analysis, todd_coxeter(filled, limit)
 
 
 def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRecord:
@@ -283,7 +285,7 @@ def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRe
     return cover_record_from_table(analysis, table, "spin" if spin else "unknown")
 
 
-def cyclic_cover(code: str, n: int, limit: int = 10**6) -> CoverRecord:
+def cyclic_cover(code: str, n: int, limit: int = DEFAULT_COSET_LIMIT) -> CoverRecord:
     """The regular cover attached to killing the default meridians with
     the distinguished one raised to the n-th power."""
     analysis, table = _cyclic_table(code, n, limit)
@@ -415,7 +417,10 @@ def _lifted_meridians(
 
 
 def classify_filled_cover(
-    code: str, n: int, limit: int = 10**6, tietze_effort: int = 1000
+    code: str,
+    n: int,
+    limit: int = DEFAULT_COSET_LIMIT,
+    tietze_effort: int = DEFAULT_TIETZE_EFFORT,
 ) -> dict:
     """Fill every cusp of the cyclic cover along the lifted meridians,
     certify simple connectivity by coset enumeration, and classify.
@@ -437,7 +442,7 @@ def classify_filled_cover(
     lifted = _lifted_meridians(analysis, table, default_meridians(code))
     filled = quotient(subgroup_pres, lifted)
     simplified = tietze_simplify(filled, tietze_effort)
-    cert = todd_coxeter(simplified, (), limit)
+    cert = todd_coxeter(simplified, limit)
     out = {
         "cover": record,
         "filled_cusps": len(lifted),

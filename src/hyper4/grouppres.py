@@ -30,6 +30,11 @@ __all__ = [
     "parse_presentation",
 ]
 
+# the coset limit of `todd_coxeter` and the elimination effort of
+# `tietze_simplify` when the caller gives none
+DEFAULT_COSET_LIMIT = 10**6
+DEFAULT_TIETZE_EFFORT = 1000
+
 
 @dataclass(frozen=True)
 class GroupPresentation:
@@ -173,12 +178,8 @@ class CosetTable:
         return coset
 
 
-def todd_coxeter(
-    pres: GroupPresentation,
-    subgroup_gens: Sequence[Word] = (),
-    limit: int = 10**6,
-) -> CosetTable:
-    """Coset enumeration of the subgroup generated by subgroup_gens.
+def todd_coxeter(pres: GroupPresentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
+    """Coset enumeration of the trivial subgroup.
 
     Relator-driven strategy with row filling in first-in order.  When
     more than `limit` cosets would be defined, returns an incomplete
@@ -275,8 +276,6 @@ def todd_coxeter(
     relator_cols = [[col(l) for l in r.letters] for r in pres.relators if r.letters]
     try:
         define()
-        for w in subgroup_gens:
-            scan_and_fill(0, [col(l) for l in w.letters])
         alpha = 0
         while alpha < len(table):
             if find(alpha) != alpha:
@@ -403,7 +402,9 @@ def _cyclic_canonical(word: Word) -> tuple[Letter, ...]:
     return best
 
 
-def tietze_simplify(pres: GroupPresentation, effort: int = 1000) -> GroupPresentation:
+def tietze_simplify(
+    pres: GroupPresentation, effort: int = DEFAULT_TIETZE_EFFORT
+) -> GroupPresentation:
     """Simplify a presentation without changing the group.
 
     Rounds of: duplicate-relator removal, then elimination of a generator

@@ -76,12 +76,6 @@ def test_todd_coxeter_orders():
     assert todd_coxeter(parse_presentation("gens: r s\nr^4\ns^2\nsrsr\n")).index == 8
 
 
-def test_todd_coxeter_subgroup_index():
-    z6 = parse_presentation("gens: a\na^6\n")
-    table = todd_coxeter(z6, [parse_word("aa")])
-    assert table.index == 2
-
-
 def test_todd_coxeter_limit():
     # Z has no finite coset table over the trivial subgroup
     table = todd_coxeter(parse_presentation("gens: a\n"), limit=50)

@@ -3,9 +3,11 @@
 `SidePairingSet.evaluate` (one product per letter) is the reference for
 the transversal matrices of a cover's Schreier elements; the actions of
 those Lorentz Schreier elements are the reference for a cover's cusp
-groups, which walk the base cusp group's affine maps instead; a copy of
-the five-solve `Fraction` elimination is the reference for the
-per-vertex cusp basis of `horospherical_action`; a linear scan over the
+groups, which walk the base cusp group's affine maps instead; five
+`Fraction` solves over the basis (u, z, w1, w2, w3), by a Gaussian
+elimination held in this file, are the reference for
+`horospherical_action`, which reads the action off Lorentz products with
+a per-vertex orthogonal frame and inverts no basis; a linear scan over the
 pairings is the reference for the transition table; orbit counting over
 the cosets is the reference for a cover's face counts, which are d times
 the base's.
@@ -16,12 +18,13 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyper4 import cusp as cusp_module
 from hyper4.analysis import CodeAnalysis
-from hyper4.cusp import _kernel_basis, _solve_fraction, horospherical_action, vertex_classes
+from hyper4.cusp import _kernel_basis, cusp_flat_group, horospherical_action, vertex_classes
 from hyper4.filling import (
     _cover_face_counts,
     _cusp_intersection_group,
@@ -30,7 +33,7 @@ from hyper4.filling import (
     _word_permutation,
     cover_record_from_table,
 )
-from hyper4.flatgroups import AffineMap, StructuralError
+from hyper4.flatgroups import AffineMap, StructuralError, classify_flat_group
 from hyper4.grouppres import character_coset_table, orbit_edges, schreier_transversal
 from hyper4.lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
 from hyper4.pairing import GENERATOR_LETTERS, build_side_pairings
@@ -46,6 +49,22 @@ POOL_REJECTED = ("FF79DA", "39AB8C", "194FE5", "E4FDDD", "DC4BE8", "25DEFF")
 CYCLIC_N = (1, 2, 3, 5, 13)
 DOUBLE_COVER_CODES = ("14FF28",) + POOL_MANIFOLDS[:3]
 ACTION_CODES = ("14FF28", "1428BD") + POOL_MANIFOLDS
+
+
+def _solve_fraction(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gaussian elimination over the rationals (unique solution expected)."""
+    n = len(matrix)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
 
 
 def _reference_action(matrix: LorentzMatrix, vertex: LorentzVector) -> AffineMap:
@@ -163,6 +182,63 @@ def test_horospherical_action_matches_reference_on_schreier_elements():
         _assert_same_action(matrix, vertex)
 
 
+# both fix u = (1, 0, 0, 0, 1): the identity with z' = (-1, 0, 0, 0, 1)
+# added to column 2 moves w off the horosphere directions, and
+# diag(1, 2, 1, 1, 1) stretches one of them
+_GUARD_VERTEX = LorentzVector((1, 0, 0, 0, 1))
+_GUARD_CASES = (
+    (
+        LorentzMatrix(
+            tuple(
+                tuple(int(i == j) + (z if j == 2 else 0) for j in range(5))
+                for i, z in enumerate((-1, 0, 0, 0, 1))
+            )
+        ),
+        "the stabilizer matrix is not block triangular in the cusp basis",
+    ),
+    (
+        LorentzMatrix(
+            tuple(
+                tuple(d if i == j else 0 for j in range(5))
+                for i, d in enumerate((1, 2, 1, 1, 1))
+            )
+        ),
+        "affine part does not preserve the cusp metric",
+    ),
+)
+
+
+@pytest.mark.parametrize("matrix, message", _GUARD_CASES, ids=("triangular", "metric"))
+def test_horospherical_action_guards_match_reference(matrix, message):
+    assert matrix.apply(_GUARD_VERTEX) == _GUARD_VERTEX
+    for action in (horospherical_action, _reference_action):
+        with pytest.raises(StructuralError) as excinfo:
+            action(matrix, _GUARD_VERTEX)
+        assert str(excinfo.value) == message, action.__name__
+
+
+def _count_lorentz_arithmetic(monkeypatch) -> Counter:
+    """Counts of the LorentzMatrix products and inverses made from now on."""
+    calls = Counter()
+    for name in ("__matmul__", "inverse"):
+        original = getattr(LorentzMatrix, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(LorentzMatrix, name, counted)
+    return calls
+
+
+def test_cusp_flat_groups_do_no_lorentz_arithmetic(monkeypatch):
+    classes = vertex_classes(build_side_pairings("14FF28"))
+    cusp_module._cusp_basis.cache_clear()
+    calls = _count_lorentz_arithmetic(monkeypatch)
+    assert [classify_flat_group(cusp_flat_group(vclass)) for vclass in classes] == ["G"] * 5
+    assert calls == {}
+
+
 def test_cover_cusp_groups_are_the_actions_of_the_lorentz_walk():
     # per cover and cusp: the distinct non-identity Schreier matrices, in order
     walks: dict = {}
@@ -181,15 +257,7 @@ def test_cover_cusp_groups_are_the_actions_of_the_lorentz_walk():
 
 def test_cover_record_does_no_lorentz_arithmetic(monkeypatch):
     analysis, table = _cyclic_table("14FF28", 5, 10**6)
-    calls = Counter()
-    for name in ("__matmul__", "inverse"):
-        original = getattr(LorentzMatrix, name)
-
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(LorentzMatrix, name, counted)
+    calls = _count_lorentz_arithmetic(monkeypatch)
     record = cover_record_from_table(analysis, table, "spin")
     assert record.cusp_types == "A" * 21
     assert calls == {}
