@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import __version__
@@ -22,7 +21,7 @@ from .filling import (
     classify_homeo,
     conditional_verdicts,
     cyclic_cover,
-    default_fill,
+    default_meridians,
     double_cover_record,
     fill,
     parse_meridian_lines,
@@ -130,7 +129,7 @@ def _cusp_fields(analysis: CodeAnalysis) -> dict:
     return {
         "cusps": cusps,
         "cusp_types": types,
-        "signature": signature(types) if all(t in ETA_TABLE for t in types) else None,
+        "signature": signature(types),
     }
 
 
@@ -228,11 +227,11 @@ def _cmd_cover(args) -> tuple[list, list, None]:
 def _cmd_fill(args) -> tuple[list, list, None]:
     analysis = CodeAnalysis(args.code)
     if args.meridians == "default":
-        meridians, filled = default_fill(analysis, 1)
+        meridians = default_meridians(args.code)
     else:
         with open(args.meridians, encoding="utf-8") as handle:
             meridians = parse_meridian_lines(handle)
-        filled = fill(analysis, meridians)
+    filled = fill(analysis, meridians)
     table = todd_coxeter(filled, args.max_cosets)
     record = {
         "code": args.code,
@@ -316,14 +315,10 @@ def _cmd_census(args) -> tuple[list, list, None]:
         entries = parse_census_lines(handle)
     records = []
     errors = []
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(lambda e: _census_line(*e), entries)
-            )
-    else:
-        results = [_census_line(*e) for e in entries]
-    for record, error in results:
+    # --jobs is checked but changes nothing: the codes run one after
+    # another in this process, since threads under the GIL gain no time
+    for entry in entries:
+        record, error = _census_line(*entry)
         if record is not None:
             records.append(record)
         if error is not None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from .cell24 import the_24_cell
-from .flatgroups import AffineMap, FlatGroup, StructuralError
+from .flatgroups import AffineMap, FlatGroup, StructuralError, _adjugate3, _det3, _mat_mul
 from .grouppres import schreier_transversal
 from .intmat import smith_normal_form
 from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
@@ -135,16 +135,7 @@ def _cusp_basis(vertex: LorentzVector) -> tuple:
     u = vertex.coords
     w = tuple(_kernel_basis(u[:4]))
     g = tuple(tuple(lorentz_product(a, b) for b in w) for a in w)
-    adjugate = tuple(
-        tuple(
-            g[(j + 1) % 3][(i + 1) % 3] * g[(j + 2) % 3][(i + 2) % 3]
-            - g[(j + 1) % 3][(i + 2) % 3] * g[(j + 2) % 3][(i + 1) % 3]
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-    det = sum(g[0][k] * adjugate[k][0] for k in range(3))
-    return tuple(-c for c in u[:4]) + (u[4],), w, g, adjugate, det
+    return tuple(-c for c in u[:4]) + (u[4],), w, g, _adjugate3(g), _det3(g)
 
 
 def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> AffineMap:
@@ -172,15 +163,10 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
     solved = [[sum(map(mul, row, p[1:])) for p in products] for row in adjugate]
     linear = [[scale * x for x in r[1:]] for r in solved]
     den = det * scale
-    for i in range(3):
-        for j in range(3):
-            lhs = sum(
-                linear[k][i] * gram[k][l] * linear[l][j]
-                for k in range(3)
-                for l in range(3)
-            )
-            if lhs != den * den * gram[i][j]:
-                raise StructuralError("affine part does not preserve the cusp metric")
+    # L^T W L = den^2 W, with W L formed once
+    metric = _mat_mul(tuple(zip(*linear)), _mat_mul(gram, linear))
+    if metric != tuple(tuple(den * den * x for x in row) for row in gram):
+        raise StructuralError("affine part does not preserve the cusp metric")
     return AffineMap.scaled(linear, [r[0] for r in solved], den)
 
 
@@ -215,10 +201,14 @@ def eta(flat_type: str) -> Fraction:
         ) from None
 
 
-def signature(cusp_types) -> int:
+def signature(cusp_types) -> int | None:
     """Signature of the bounding 4-manifold: the sum of the cusp eta
-    invariants.  The sum must come out an integer."""
-    total = sum((eta(t) for t in cusp_types), Fraction(0))
+    invariants, or None when a cusp type has no eta invariant.  The sum
+    must come out an integer."""
+    try:
+        total = sum((eta(t) for t in cusp_types), Fraction(0))
+    except ValueError:
+        return None
     if total.denominator != 1:
         raise ValueError(f"eta sum {total} is not an integer: impossible cusp list")
     return int(total)

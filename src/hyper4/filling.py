@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 
 from .analysis import CodeAnalysis
-from .cusp import ETA_TABLE, VertexClass, signature
+from .cusp import VertexClass, signature
 from .flatgroups import AffineMap, FlatGroup, classify_flat_group
 from .grouppres import (
     DEFAULT_COSET_LIMIT,
@@ -43,7 +43,6 @@ __all__ = [
     "parse_meridian_lines",
     "validate_meridians",
     "fill",
-    "default_fill",
     "CoverRecord",
     "cover_record_from_table",
     "cyclic_cover",
@@ -141,20 +140,6 @@ def fill(analysis: CodeAnalysis, meridians: list[Meridian]) -> GroupPresentation
     return quotient(analysis.presentation, [m.relator for m in meridians])
 
 
-def default_fill(
-    analysis: CodeAnalysis, n: int
-) -> tuple[list[Meridian], GroupPresentation]:
-    """`fill` along the default meridians, the distinguished one raised to
-    the n-th power: the meridians and the filled presentation."""
-    recorded = default_meridians(analysis.code)
-    distinguished = DISTINGUISHED_CUSP[analysis.code]
-    meridians = [
-        Meridian(m.cusp_index, m.word, n if m.cusp_index == distinguished else 1)
-        for m in recorded
-    ]
-    return meridians, fill(analysis, meridians)
-
-
 def _word_permutation(table: CosetTable, word: Word) -> tuple[int, ...]:
     return tuple(table.follow(c, word) for c in range(table.index))
 
@@ -247,9 +232,7 @@ def cover_record_from_table(
         tags.append(classify_flat_group(group))
     all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
     orientable = _schreier_orientable(analysis.signs, table)
-    sigma = None
-    if orientable and all(t in ETA_TABLE for t in tags):
-        sigma = signature(all_cusps)
+    sigma = signature(all_cusps) if orientable else None
     face = _cover_face_counts(analysis, d)
     base_orientable = all(s == 1 for s in analysis.signs.values())
     over_double = d // 2 if orientable and not base_orientable else None
@@ -274,8 +257,11 @@ def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTab
     if n < 1:
         raise ValueError("the cyclic parameter must be a positive integer")
     analysis = CodeAnalysis(code)
-    _, filled = default_fill(analysis, n)
-    return analysis, todd_coxeter(filled, limit)
+    meridians = [
+        Meridian(m.cusp_index, m.word, n if m.cusp_index == DISTINGUISHED_CUSP[code] else 1)
+        for m in default_meridians(code)
+    ]
+    return analysis, todd_coxeter(fill(analysis, meridians), limit)
 
 
 def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRecord:

@@ -101,21 +101,25 @@ def _det3(a: Mat3) -> Rational:
     )
 
 
+def _adjugate3(a: Mat3) -> Mat3:
+    """The transpose of the cofactor matrix: a adj(a) = det(a) I."""
+    return tuple(
+        tuple(
+            a[(j + 1) % 3][(i + 1) % 3] * a[(j + 2) % 3][(i + 2) % 3]
+            - a[(j + 1) % 3][(i + 2) % 3] * a[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        )
+        for i in range(3)
+    )  # type: ignore[return-value]
+
+
 def _inv3(a: Mat3) -> Mat3:
     d = _det3(a)
     if d == 0:
         raise ZeroDivisionError("singular 3x3 matrix")
-    cof = [
-        [
-            (a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-             - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3])
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    # inverse = adjugate / det, divided exactly; adjugate = transpose of cofactors
+    # inverse = adjugate / det, divided exactly
     return tuple(
-        tuple(_div(cof[j][i], d) for j in range(3)) for i in range(3)
+        tuple(_div(x, d) for x in row) for row in _adjugate3(a)
     )  # type: ignore[return-value]
 
 

@@ -92,8 +92,8 @@ def test_attributes_are_computed_once(monkeypatch):
 
 
 def test_analyses_of_different_codes_do_not_wait_on_each_other(monkeypatch):
-    # census workers analyse codes side by side: one analysis stuck in
-    # its vertex classes must not hold up the construction of another
+    # a library caller may analyse codes on threads of its own: one
+    # analysis stuck in its vertex classes must not hold up another
     entered, release = threading.Event(), threading.Event()
     original = analysis_module.vertex_classes
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -352,6 +355,24 @@ def test_census_identical_across_jobs():
     _, out4 = run("census", str(DATA / "census_sample.txt"), "--jobs", "4")
     assert out1 == out4
     assert json.loads(out1)["command"] == ["census", str(DATA / "census_sample.txt")]
+
+
+def test_census_runs_in_process_without_threads():
+    # --jobs 2 is accepted, but the codes run one after another in the
+    # calling process: no executor module is loaded, no thread started
+    script = (
+        "import contextlib, io, sys, threading\n"
+        "from hyper4.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['census', {str(DATA / 'census_sample.txt')!r}, '--jobs', '2']) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

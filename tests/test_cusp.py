@@ -140,7 +140,6 @@ def test_signature_sums():
     assert signature(["A"] * 5) == 0
     assert signature(["C", "C", "C"]) == -2
     assert signature(["D", "D"]) == -2
-    with pytest.raises(ValueError):
-        signature(["G"])
+    assert signature(["G"]) is None  # no eta invariant: no signature
     with pytest.raises(ValueError):
         signature(["C"])  # -2/3 alone is not an integer
