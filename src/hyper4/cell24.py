@@ -118,12 +118,10 @@ class Cell24Complex:
 
     def __init__(self) -> None:
         self.sides: tuple[Side, ...] = tuple(Side(lbl, c) for lbl, c in _LABEL_CENTERS)
-        self.by_label: dict[str, Side] = {s.label: s for s in self.sides}
         self.by_center: dict[tuple[int, int, int, int], Side] = {
             s.center: s for s in self.sides
         }
         self.vertices: tuple[LorentzVector, ...] = _all_lights()
-        self._vertex_set = set(self.vertices)
 
         if len(self.sides) != 24 or len(self.vertices) != 24:
             raise AssertionError("24-cell must have 24 sides and 24 ideal vertices")
@@ -162,11 +160,11 @@ class Cell24Complex:
         )
         if len(self.ridges) != 96:
             raise AssertionError("24-cell must have 96 ridges")
-        if len({frozenset(r.vertices) for r in self.ridges}) != 96:
-            raise AssertionError("ridge vertex triples must be distinct")
-        self.ridge_by_sides: dict[frozenset[str], Ridge] = {
-            frozenset(r.sides): r for r in self.ridges
+        self.ridge_by_vertices: dict[frozenset[LorentzVector], Ridge] = {
+            frozenset(r.vertices): r for r in self.ridges
         }
+        if len(self.ridge_by_vertices) != 96:
+            raise AssertionError("ridge vertex triples must be distinct")
 
         edges = []
         for v1, v2 in combinations(self.vertices, 2):
@@ -188,30 +186,11 @@ class Cell24Complex:
             frozenset(e.vertices): e for e in self.edges
         }
 
-    def side(self, label: str) -> Side:
-        try:
-            return self.by_label[label]
-        except KeyError:
-            raise KeyError(f"no side labeled {label!r}") from None
-
     def vertices_of_side(self, label: str) -> tuple[LorentzVector, ...]:
         return self._incidence[label]
 
     def sides_of_vertex(self, vertex: LorentzVector) -> tuple[str, ...]:
         return self._sides_of_vertex[vertex]
-
-    def is_vertex(self, vector: LorentzVector) -> bool:
-        return vector in self._vertex_set
-
-    def side_for_plane(self, normal: LorentzVector) -> Side:
-        """The side whose hyperplane has the given (+-) normal vector."""
-        coords = normal.coords
-        if coords[4] < 0:
-            coords = tuple(-c for c in coords)
-        side = self.by_center.get(coords[:4])
-        if side is None or coords[4] != 1:
-            raise ValueError(f"{normal} is not a side normal of the 24-cell")
-        return side
 
     def sides_with_support(self, p: int, q: int) -> tuple[Side, Side, Side, Side]:
         """The four sides with nonzero center entries at 1-based p < q.

@@ -326,8 +326,16 @@ def _cmd_census(args) -> tuple[list, list, None]:
     return records, errors, None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad argv raises, for `main` to report, where argparse exits 2;
+    the verb subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyper4",
         description="exact side-pairing codes on the hyperbolic 24-cell",
     )
@@ -381,10 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(tokens)
     command = _normalized_command(tokens)
     try:
+        args = build_parser().parse_args(tokens)
         records, errors, text = args.func(args)
     except (CodeError, ValueError, OSError, StructuralError) as exc:
         records, errors, text = [], [{"message": str(exc)}], None

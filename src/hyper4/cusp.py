@@ -1,7 +1,9 @@
 """Ideal vertex classes, parabolic stabilizers, and flat cusp types.
 
 A cusp of the quotient manifold corresponds to an orbit of the 24 ideal
-vertices under the side pairings.  The stabilizer of a class
+vertices under the side pairings; the walk moves a vertex by the vertex
+map each letter's transition carries, and multiplies matrices only for
+the words it records.  The stabilizer of a class
 representative acts on a horosphere as a group of exact rational affine
 isometries of Euclidean 3-space; classifying that action among the ten
 closed flat 3-manifolds gives the cusp type, and the eta table turns
@@ -64,13 +66,8 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
 
     def steps(current):
         for side_label in cell.sides_of_vertex(current):
-            letter, exp, g, _ = pairing_set.transition(side_label)
-            image = g.apply(current)
-            if not cell.is_vertex(image):
-                raise ValueError(
-                    f"pairing does not act on the ideal vertices at {current}"
-                )
-            yield (letter, exp), (Word.make(((letter, exp),)), g), image
+            letter, exp, g, _, vmap = pairing_set.transition(side_label)
+            yield (letter, exp), (Word.make(((letter, exp),)), g), vmap[current]
 
     # (word, matrix) pairs under the left action: b after a
     def product(a, b):

@@ -9,6 +9,12 @@ ordered by sign pattern (+,+) < (+,-) < (-,+) < (-,-); the first letter
 pairs the (+,+) side with the side at k times its center, the second
 letter pairs the next unused side with the remaining one.  Each pairing
 matrix is the reflection in the target side composed with k.
+
+A pairing is an isometry carrying its source side onto its target side,
+so its whole action on the faces of the cell is its vertex map: the
+bijection of the source side's 6 ideal vertices onto the target side's.
+Decoding builds each map once, at 6 matrix-vector products per letter;
+the ridge and edge walks move faces by the maps and apply no matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .cell24 import Cell24Complex, Side, the_24_cell
 from .grouppres import GroupPresentation, orbit_edges
-from .lorentz import IDENTITY, LorentzMatrix, diagonal_k, membership_checks
+from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, diagonal_k, membership_checks
 from .words import Word
 
 __all__ = [
@@ -74,6 +80,10 @@ def parse_code(text: str) -> list[tuple[int, int, int, int]]:
     return kparts
 
 
+# (letter, exponent, matrix, partner side label, vertex map)
+Transition = tuple[str, int, LorentzMatrix, str, dict[LorentzVector, LorentzVector]]
+
+
 @dataclass(frozen=True)
 class SidePairing:
     """One generator: an isometry carrying the source side onto the target."""
@@ -89,9 +99,9 @@ class SidePairing:
 class SidePairingSet:
     """The 12 generators of one code.
 
-    Each letter's inverse is computed once, by the checked
-    `LorentzMatrix.inverse`, and each side's transition is looked up in a
-    table; neither table takes part in equality.
+    Each letter's inverse, by the checked `LorentzMatrix.inverse`, and
+    its vertex map are computed once, and each side's transition is
+    looked up in a table; neither table takes part in equality.
     """
 
     code: str
@@ -100,14 +110,24 @@ class SidePairingSet:
     _transitions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        cell = self.cell
         letters: dict[tuple[str, int], LorentzMatrix] = {}
-        transitions: dict[str, tuple[str, int, LorentzMatrix, str]] = {}
+        transitions: dict[str, Transition] = {}
         for p in self.pairings:
+            source, target = p.source.label, p.target.label
+            vmap = {v: p.matrix.apply(v) for v in cell.vertices_of_side(source)}
+            if set(vmap.values()) != set(cell.vertices_of_side(target)):
+                raise ValueError(
+                    f"pairing {p.letter} does not carry the vertices of side "
+                    f"{source} onto those of side {target}"
+                )
             inverse = p.matrix.inverse()
             letters[p.letter, 1] = p.matrix
             letters[p.letter, -1] = inverse
-            transitions[p.source.label] = (p.letter, 1, p.matrix, p.target.label)
-            transitions[p.target.label] = (p.letter, -1, inverse, p.source.label)
+            transitions[source] = (p.letter, 1, p.matrix, target, vmap)
+            transitions[target] = (
+                p.letter, -1, inverse, source, {w: v for v, w in vmap.items()}
+            )
         object.__setattr__(self, "_letters", letters)
         object.__setattr__(self, "_transitions", transitions)
 
@@ -125,11 +145,13 @@ class SidePairingSet:
                 raise ValueError(f"word uses unknown generator {letter[0]!r}") from None
         return out
 
-    def transition(self, side_label: str) -> tuple[str, int, LorentzMatrix, str]:
-        """(letter, exponent, matrix, partner label) for leaving through a side.
+    def transition(self, side_label: str) -> Transition:
+        """(letter, exponent, matrix, partner label, vertex map) for leaving
+        through a side.
 
         The matrix is the generator itself when the side is a source,
-        its inverse when the side is a target.
+        its inverse when the side is a target; the vertex map carries the
+        side's 6 ideal vertices onto the partner's.
         """
         try:
             return self._transitions[side_label]
@@ -190,20 +212,14 @@ class ValidationReport:
 
 
 def validate_pairings(pairing_set: SidePairingSet) -> ValidationReport:
-    cell = pairing_set.cell
     checks = []
     for p in pairing_set.pairings:
         report = membership_checks(p.matrix)
         maps_normal = p.matrix.apply(p.source.normal) == -p.target.normal
-        image = {p.matrix.apply(v) for v in cell.vertices_of_side(p.source.label)}
-        maps_vertices = image == set(cell.vertices_of_side(p.target.label))
+        # a pairing set exists only once every letter's vertex map is onto
+        # its target side's vertices, so that check passed when it was built
         checks.append(
-            PairingCheck(
-                p.letter,
-                report.in_congruence_two_group,
-                maps_normal,
-                maps_vertices,
-            )
+            PairingCheck(p.letter, report.in_congruence_two_group, maps_normal, True)
         )
     partner: dict[str, str] = {}
     for p in pairing_set.pairings:
@@ -245,25 +261,21 @@ def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
             continue
         # traverse states (ridge, active side), starting through the
         # smaller-labeled side
-        start = (ridge.sides, ridge.sides[0])
+        start = (ridge, ridge.sides[0])
         state = start
         letters: list[tuple[str, int]] = []
         matrix = IDENTITY
         members: list[tuple[str, str]] = []
         for _ in range(8 * len(cell.ridges)):
-            (sides, active) = state
-            members.append(sides)
-            other = sides[0] if sides[1] == active else sides[1]
-            letter, exp, g, arrival = pairing_set.transition(active)
+            (current, active) = state
+            members.append(current.sides)
+            letter, exp, g, arrival, vmap = pairing_set.transition(active)
             letters.append((letter, exp))
             matrix = g @ matrix
-            image_other = cell.side_for_plane(g.apply(cell.side(other).normal))
-            new_sides = tuple(sorted((arrival, image_other.label)))
-            if frozenset(new_sides) not in cell.ridge_by_sides:
-                raise ValueError(
-                    f"pairing does not induce a ridge bijection at {sides}"
-                )
-            state = (new_sides, image_other.label)
+            image = cell.ridge_by_vertices[frozenset(vmap[v] for v in current.vertices)]
+            # the image ridge's side other than the arrival side is active next
+            first, second = image.sides
+            state = (image, second if first == arrival else first)
             if state == start:
                 break
         else:
@@ -288,13 +300,8 @@ def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
     def steps(key):
         current = cell.edge_by_vertices[key]
         for side_label in current.sides:
-            letter, exp, g, _ = pairing_set.transition(side_label)
-            image_key = frozenset(g.apply(v) for v in current.vertices)
-            if image_key not in cell.edge_by_vertices:
-                raise ValueError(
-                    f"pairing does not induce an edge bijection at {current.vertices}"
-                )
-            yield ((letter, exp), g), image_key
+            letter, exp, g, _, vmap = pairing_set.transition(side_label)
+            yield ((letter, exp), g), frozenset(vmap[v] for v in current.vertices)
 
     seen: set[frozenset] = set()
     orbits = []

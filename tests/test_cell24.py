@@ -1,10 +1,11 @@
 """Combinatorics of the ideal 24-cell."""
 
 from hyper4.cell24 import SIDE_LABELS, the_24_cell
-from hyper4.lorentz import LorentzVector, lorentz_product
+from hyper4.lorentz import lorentz_product
 
 
 CELL = the_24_cell()
+CENTERS = {s.label: s.center for s in CELL.sides}
 
 
 def test_counts():
@@ -45,8 +46,8 @@ def test_incidence_degrees():
 def test_ridges_pair_adjacent_sides():
     for ridge in CELL.ridges:
         a, b = ridge.sides
-        ca = CELL.side(a).center
-        cb = CELL.side(b).center
+        ca = CENTERS[a]
+        cb = CENTERS[b]
         # adjacent side centers meet at inner product 1
         assert sum(x * y for x, y in zip(ca, cb)) == 1
         assert len(ridge.vertices) == 3
@@ -64,13 +65,6 @@ def test_edges_join_three_sides():
                 assert label in CELL.sides_of_vertex(v)
 
 
-def test_vertex_membership():
-    assert CELL.is_vertex(LorentzVector((1, 0, 0, 0, 1)))
-    assert CELL.is_vertex(LorentzVector((1, 1, 1, 1, 2)))
-    assert not CELL.is_vertex(LorentzVector((1, 1, 0, 0, 1)))
-
-
 def test_side_lookup_by_center():
     side = CELL.by_center[(1, 0, 0, 1)]
     assert side.label == "G"
-    assert CELL.side("G") is side

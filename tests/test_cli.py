@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import hyper4.analysis as analysis_module
 import hyper4.cli as cli_module
 from hyper4.cli import DETERMINISM_NOTE, ORIENTABLE_NOTE, SCHEMA, TORSION_NOTE, main
 from hyper4.flatgroups import StructuralError
+from hyper4.pairing import SidePairingSet, build_side_pairings
 
 
 DATA = Path(__file__).parent / "data"
@@ -180,6 +182,49 @@ def test_verify_reports_first_failing_condition(code, message):
     assert status == 1
     assert doc["records"] == []
     assert doc["errors"] == [{"message": message}]
+
+
+def test_wrong_target_side_is_error_envelope(monkeypatch):
+    def tampered(code):
+        ps = build_side_pairings(code)
+        a, b = ps.pairings[:2]
+        return SidePairingSet(code, (replace(a, target=b.target),) + ps.pairings[1:])
+
+    monkeypatch.setattr(analysis_module, "build_side_pairings", tampered)
+    status, doc = run_json("verify", "14FF28")
+    assert status == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [
+        {"message": "pairing a does not carry the vertices of side A onto those of side B'"}
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["cover", "14FF28", "--cyclic", "x"],
+        ["frobnicate", "14FF28"],
+        ["classify", "--spin", "--nonspin"],
+    ],
+)
+def test_bad_argv_is_error_envelope(argv, capsys):
+    status = main(argv)
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert status == 1
+    assert err == ""
+    assert doc["command"] == argv
+    assert doc["records"] == []
+    assert len(doc["errors"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hyper4")
 
 
 def test_cover_record():

@@ -8,7 +8,8 @@ groups, which walk the base cusp group's affine maps instead; five
 elimination held in this file, are the reference for
 `horospherical_action`, which reads the action off Lorentz products with
 a per-vertex orthogonal frame and inverts no basis; a linear scan over the
-pairings is the reference for the transition table; orbit counting over
+pairings, applying each matrix to the side's vertices, is the reference
+for the transition table and its vertex maps; orbit counting over
 the cosets is the reference for a cover's face counts, which are d times
 the base's.
 """
@@ -284,11 +285,16 @@ def test_cover_face_counts_match_orbit_counting():
 
 
 def _scan_transition(pairing_set, side_label):
+    """The transition found by a scan over the pairings, with its vertex
+    map formed by applying the matrix to the side's vertices."""
+    cell = pairing_set.cell
     for p in pairing_set.pairings:
-        if p.source.label == side_label:
-            return p.letter, 1, p.matrix, p.target.label
-        if p.target.label == side_label:
-            return p.letter, -1, p.matrix.inverse(), p.source.label
+        if side_label in (p.source.label, p.target.label):
+            exp = 1 if p.source.label == side_label else -1
+            g = p.matrix if exp == 1 else p.matrix.inverse()
+            partner = p.target.label if exp == 1 else p.source.label
+            vmap = {v: g.apply(v) for v in cell.vertices_of_side(side_label)}
+            return p.letter, exp, g, partner, vmap
     raise KeyError(side_label)
 
 

@@ -1,12 +1,17 @@
 """Decoding census codes into side pairings and their face combinatorics."""
 
+from dataclasses import replace
+
 import pytest
 
 from hyper4.analysis import CodeAnalysis
+from hyper4.cell24 import the_24_cell
 from hyper4.grouppres import orbit_edges
 from hyper4.lorentz import IDENTITY, LorentzMatrix
 from hyper4.pairing import (
+    CODE_ALPHABET,
     CodeError,
+    SidePairingSet,
     build_side_pairings,
     face_cycles,
     fundamental_group,
@@ -94,6 +99,68 @@ def test_partner_involution():
     assert ps.transition("K'")[3] == "K"
 
 
+@pytest.mark.parametrize("position", range(1, 7))
+def test_every_decode_entry_maps_faces_onto_faces(position):
+    """All 15 characters at one position, with F (decodable everywhere)
+    at the other five.  A letter's pairing depends only on the character
+    at its own position, so over the six positions this covers every
+    letter of all 12^6 decodable codes: each letter's vertex map and its
+    inverse carry a side's ridges onto ridges and its edges onto edges,
+    which is all the ridge, edge and vertex walks ask of them."""
+    cell = the_24_cell()
+    fixing, letters = [], 0
+    for ch in CODE_ALPHABET:
+        code = "F" * (position - 1) + ch + "F" * (6 - position)
+        try:
+            ps = build_side_pairings(code)
+        except CodeError as exc:
+            assert exc.position == position
+            fixing.append(ch)
+            continue
+        assert validate_pairings(ps).ok
+        for p in ps.pairings[2 * position - 2 : 2 * position]:
+            letters += 1
+            for side, partner in ((p.source, p.target), (p.target, p.source)):
+                vmap = ps.transition(side.label)[4]
+                assert set(vmap) == set(cell.vertices_of_side(side.label))
+                assert set(vmap.values()) == set(cell.vertices_of_side(partner.label))
+                for face in cell.ridges + cell.edges:
+                    if side.label not in face.sides:
+                        continue
+                    image = frozenset(vmap[v] for v in face.vertices)
+                    table = cell.ridge_by_vertices if len(image) == 3 else cell.edge_by_vertices
+                    assert partner.label in table[image].sides, (code, p.letter, face)
+    # the three characters leaving both signs of the support at +1
+    assert len(fixing) == 3 and letters == 24
+
+
+def test_wrong_target_side_raises_when_built():
+    ps = build_side_pairings("14FF28")
+    a, b = ps.pairings[:2]
+    wrong = replace(a, target=b.target)
+    with pytest.raises(ValueError) as info:
+        SidePairingSet(ps.code, (wrong,) + ps.pairings[1:])
+    assert str(info.value) == (
+        "pairing a does not carry the vertices of side A onto those of side B'"
+    )
+
+
+def test_vertex_maps_take_the_only_matrix_vector_products(monkeypatch):
+    calls = []
+    apply = LorentzMatrix.apply
+
+    def counted_apply(self, v):
+        calls.append(v)
+        return apply(self, v)
+
+    monkeypatch.setattr(LorentzMatrix, "apply", counted_apply)
+    ps = build_side_pairings("14FF28")
+    assert len(calls) == 72
+    face_cycles(ps, 1)
+    face_cycles(ps, 2)
+    assert len(calls) == 72
+
+
 def test_ridge_cycles():
     ps = build_side_pairings("14FF28")
     ridge = face_cycles(ps, 2)
@@ -128,7 +195,7 @@ def _edge_loop_words(pairing_set):
     def steps(key):
         current = cell.edge_by_vertices[key]
         for side_label in current.sides:
-            letter, exp, g, _ = pairing_set.transition(side_label)
+            letter, exp, g, *_ = pairing_set.transition(side_label)
             yield (letter, exp), frozenset(g.apply(v) for v in current.vertices)
 
     paths: dict = {}
