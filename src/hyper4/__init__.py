@@ -62,8 +62,6 @@ from .lorentz import (
     LorentzMatrix,
     LorentzVector,
     lorentz_product,
-    membership_checks,
-    orientation_sign,
     reflection_matrix,
 )
 from .pairing import (

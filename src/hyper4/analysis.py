@@ -17,7 +17,6 @@ from __future__ import annotations
 from .cusp import VertexClass, cusp_flat_group, vertex_classes
 from .flatgroups import FlatGroup, classify_flat_group
 from .grouppres import GroupPresentation
-from .lorentz import orientation_sign
 from .pairing import FaceCycle, build_side_pairings, face_cycles, ridge_presentation
 
 __all__ = ["CodeAnalysis"]
@@ -39,7 +38,7 @@ class CodeAnalysis:
             (g, classify_flat_group(g)) for g in map(cusp_flat_group, self.classes)
         ]
         # the orientation sign of each letter, in letter order
-        self.signs = {p.letter: orientation_sign(p.matrix) for p in pairing_set.pairings}
+        self.signs = {p.letter: p.sign for p in pairing_set.pairings}
         self.chi = (
             1 - len(pairing_set.pairings) + len(self.ridge_cycles) - len(self.edge_orbits)
         )

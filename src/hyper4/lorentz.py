@@ -1,7 +1,7 @@
 """Exact integer linear algebra for the Lorentzian form of signature (4, 1).
 
-All vectors and matrices carry plain Python integers, so products,
-reflections and congruence tests are exact.  The bilinear form is
+All vectors and matrices carry plain Python integers, so products and
+reflections are exact.  The bilinear form is
 
     <x, y> = x1*y1 + x2*y2 + x3*y3 + x4*y4 - x5*y5,
 
@@ -27,12 +27,9 @@ __all__ = [
     "LorentzVector",
     "LorentzMatrix",
     "IDENTITY",
-    "MembershipReport",
     "lorentz_product",
     "reflection_matrix",
     "diagonal_k",
-    "orientation_sign",
-    "membership_checks",
 ]
 
 DIMENSION = 5
@@ -66,9 +63,6 @@ class LorentzVector:
 
     def is_unit_spacelike(self) -> bool:
         return self.norm() == 1
-
-    def __neg__(self) -> "LorentzVector":
-        return LorentzVector(tuple(-c for c in self.coords))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -114,27 +108,6 @@ class LorentzMatrix:
             )
         )
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(DIMENSION - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, DIMENSION):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, DIMENSION):
-                for j in range(k + 1, DIMENSION):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[-1][-1]
-
     def is_lorentzian(self) -> bool:
         """Check M^T J M = J."""
         for i in range(DIMENSION):
@@ -142,19 +115,6 @@ class LorentzMatrix:
                 s = sum(J_SIGNS[k] * self.rows[k][i] * self.rows[k][j] for k in range(DIMENSION))
                 expected = J_SIGNS[i] if i == j else 0
                 if s != expected:
-                    return False
-        return True
-
-    def is_positive(self) -> bool:
-        """True when the upper light cone is preserved (entry (5,5) > 0)."""
-        return self.rows[4][4] > 0
-
-    def is_congruence_two(self) -> bool:
-        """True when M = I mod 2."""
-        for i in range(DIMENSION):
-            for j in range(DIMENSION):
-                expected = 1 if i == j else 0
-                if (self.rows[i][j] - expected) % 2 != 0:
                     return False
         return True
 
@@ -192,44 +152,4 @@ def diagonal_k(signs: Sequence[int]) -> LorentzMatrix:
             tuple(entries[i] if i == j else 0 for j in range(DIMENSION))
             for i in range(DIMENSION)
         )
-    )
-
-
-def orientation_sign(matrix: LorentzMatrix) -> int:
-    """Determinant of a positive Lorentzian matrix: +1 preserving, -1 reversing."""
-    if not matrix.is_lorentzian():
-        raise ValueError("orientation sign is defined for Lorentzian matrices")
-    if not matrix.is_positive():
-        raise ValueError("orientation sign is defined for positive matrices")
-    d = matrix.det()
-    if d not in (1, -1):
-        raise ValueError(f"Lorentzian matrix must have determinant +-1, got {d}")
-    return d
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    """Outcome of the group membership checks for one matrix."""
-
-    lorentzian: bool
-    positive: bool
-    congruence_two: bool
-    determinant: int
-
-    @property
-    def in_positive_lorentz_group(self) -> bool:
-        return self.lorentzian and self.positive
-
-    @property
-    def in_congruence_two_group(self) -> bool:
-        return self.in_positive_lorentz_group and self.congruence_two
-
-
-def membership_checks(matrix: LorentzMatrix) -> MembershipReport:
-    """Report Lorentzian, positivity and congruence-two membership for a matrix."""
-    return MembershipReport(
-        lorentzian=matrix.is_lorentzian(),
-        positive=matrix.is_positive(),
-        congruence_two=matrix.is_congruence_two(),
-        determinant=matrix.det(),
     )

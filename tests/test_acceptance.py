@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import hyper4.filling as filling_module
 from hyper4.analysis import CodeAnalysis
@@ -40,7 +41,7 @@ from hyper4.grouppres import (
     tietze_simplify,
     todd_coxeter,
 )
-from hyper4.lorentz import IDENTITY, LorentzVector, membership_checks, orientation_sign
+from hyper4.lorentz import IDENTITY, LorentzVector
 from hyper4.pairing import build_side_pairings, face_cycles, fundamental_group
 from hyper4.words import parse_word
 
@@ -87,13 +88,16 @@ def test_accept_decode_fidelity():
 
 @criterion(2, "group membership and orientation split")
 def test_accept_group_membership():
+    # the group facts by sympy, sharing no code with the package
+    j = sympy.diag(1, 1, 1, 1, -1)
     preserving, reversing = [], []
     for p in PAIRINGS.pairings:
-        report = membership_checks(p.matrix)
-        assert report.lorentzian
-        assert report.positive
-        assert report.in_congruence_two_group
-        (preserving if orientation_sign(p.matrix) == 1 else reversing).append(p.letter)
+        m = sympy.Matrix(p.matrix.rows)
+        assert m.T * j * m == j
+        assert m[4, 4] > 0
+        assert all(x % 2 == 0 for x in m - sympy.eye(5))
+        assert p.sign == m.det()
+        (preserving if p.sign == 1 else reversing).append(p.letter)
     assert preserving == list("abcdijkl")
     assert reversing == list("efgh")
 
@@ -134,7 +138,7 @@ def test_accept_cusp_structure():
 @criterion(5, "orientation double cover")
 def test_accept_double_cover():
     pres = fundamental_group(PAIRINGS)
-    signs = {p.letter: orientation_sign(p.matrix) for p in PAIRINGS.pairings}
+    signs = {p.letter: p.sign for p in PAIRINGS.pairings}
     table = character_coset_table(pres, signs)
     sub = reidemeister_schreier(pres, table)
     assert len(sub.generators) == 24

@@ -6,6 +6,7 @@ import threading
 from collections import Counter
 
 import pytest
+import sympy
 
 import hyper4.analysis as analysis_module
 import hyper4.pairing as pairing_module
@@ -13,7 +14,6 @@ from hyper4.analysis import CodeAnalysis
 from hyper4.cli import main
 from hyper4.cusp import cusp_flat_group, vertex_classes
 from hyper4.flatgroups import classify_flat_group
-from hyper4.lorentz import orientation_sign
 from hyper4.pairing import build_side_pairings, fundamental_group
 
 
@@ -74,7 +74,7 @@ def test_analysis_matches_free_functions(code):
         classify_flat_group(cusp_flat_group(vc)) for vc in classes
     ]
     assert analysis.signs == {
-        p.letter: orientation_sign(p.matrix) for p in pairing_set.pairings
+        p.letter: sympy.Matrix(p.matrix.rows).det() for p in pairing_set.pairings
     }
 
 

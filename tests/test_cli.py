@@ -10,12 +10,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyper4.analysis as analysis_module
 import hyper4.cli as cli_module
 from hyper4.cli import DETERMINISM_NOTE, ORIENTABLE_NOTE, SCHEMA, TORSION_NOTE, main
 from hyper4.flatgroups import StructuralError
-from hyper4.pairing import SidePairingSet, build_side_pairings
+from hyper4.pairing import CODE_ALPHABET, SidePairingSet, build_side_pairings
 
 
 DATA = Path(__file__).parent / "data"
@@ -76,30 +77,25 @@ def test_decode_invalid_code_exits_nonzero():
 def test_verify_record_values():
     _, doc = run_json("verify", "14FF28")
     rec = doc["records"][0]
-    assert rec["valid"] is True
+    # what decoding settles for every code is proven by the test over all
+    # 72 decode entries, and is not printed
+    assert "valid" not in rec and "checks" not in rec
+    assert rec["ridge_cycles"] == {"count": 24, "lengths": [4]}
     assert rec["chi"] == 1
     assert rec["orientable"] is False
+    assert rec["orientation"]["reversing"] == list("efgh")
     assert rec["side_classes"] == 12
     assert rec["ridge_classes"] == 24
     assert rec["edge_classes"] == 12
-    assert rec["ridge_cycles"]["all_identity"] is True
-    assert rec["ridge_cycles"]["lengths"] == [4]
     assert rec["h1"] == "Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2"
     assert rec["cusp_types"] == "GGGGG"
     assert rec["signature"] is None
-    pairs = rec["checks"]["pairings"]
-    assert [p["letter"] for p in pairs] == list("abcdefghijkl")
-    assert all(
-        p["congruence_two"] and p["maps_side_plane"] and p["maps_vertex_set"]
-        for p in pairs
-    )
-    assert rec["checks"]["involution"] is True
 
 
 def test_verify_orientable_cusps():
     _, doc = run_json("verify", "1428BD")
     rec = doc["records"][0]
-    assert rec["valid"] is True
+    assert rec["orientable"] is True
     assert rec["cusp_types"] == "FABAA"
     assert rec["signature"] == 0
 
@@ -225,6 +221,44 @@ def test_help_exits_zero(argv, capsys):
         main(argv)
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: hyper4")
+
+
+def _assert_one_envelope(argv):
+    """`main` returns 0 or 1 and prints one envelope, or the text form of
+    a decoded code, and raises nothing."""
+    status, out = run(*argv)
+    assert status in (0, 1), argv
+    if status == 0 and argv[:1] == ["decode"] and "text" in argv:
+        assert out.startswith("code "), argv
+        return
+    doc = json.loads(out)
+    assert doc["schema"] == SCHEMA, argv
+    assert argv[:1] == ["census"] or doc["command"] == argv
+    assert bool(doc["errors"]) == (status == 1), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    verb=st.sampled_from(["decode", "verify", "cusps"]),
+    code=st.text(alphabet=CODE_ALPHABET + "Zz0 -", max_size=8),
+)
+def test_any_code_string_gives_one_envelope(verb, code):
+    _assert_one_envelope([verb, code])
+
+
+# verbs, codes and flags; --cyclic takes at most 7, as a cover of degree
+# 2n is built in full, and --help, which exits, is left out
+ARGV_TOKENS = (
+    "decode", "verify", "cusps", "cover", "fill", "classify", "census",
+    "14FF28", "FF79DA", "--cyclic", *map(str, range(8)), "-1", "x",
+    "--jobs", "--max-cosets", "--format", "text", "--spin",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.lists(st.sampled_from(ARGV_TOKENS), max_size=5))
+def test_any_token_list_gives_one_envelope(argv):
+    _assert_one_envelope(argv)
 
 
 def test_cover_record():
@@ -418,6 +452,26 @@ def test_census_runs_in_process_without_threads():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, status, command",
+    [
+        (["census", "SAMPLE", "--jobs", "2"], 0, ["census", "SAMPLE"]),
+        (["census", "SAMPLE", "--jobs=2"], 0, ["census", "SAMPLE"]),
+        (["verify", "14FF28", "--jobs", "2"], 1, ["verify", "14FF28", "--jobs", "2"]),
+    ],
+    ids=["census", "census-equals", "verify"],
+)
+def test_only_census_leaves_jobs_out_of_command(argv, status, command):
+    # census accepts --jobs, which changes no record; any other verb
+    # rejects it, and its command shows the argv it rejected
+    sample = str(DATA / "census_sample.txt")
+    code, doc = run_json(*(sample if a == "SAMPLE" else a for a in argv))
+    assert code == status
+    assert doc["command"] == [sample if a == "SAMPLE" else a for a in command]
+    if status == 1:
+        assert doc["errors"] == [{"message": "hyper4: unrecognized arguments: --jobs 2"}]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -22,7 +22,7 @@ from hyper4.words import Word, parse_word
 
 
 def _orientation_signs(pairing_set):
-    return {p.letter: (1 if p.matrix.det() == 1 else -1) for p in pairing_set.pairings}
+    return {p.letter: p.sign for p in pairing_set.pairings}
 
 
 def test_orbit_edges_breadth_first():

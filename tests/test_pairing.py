@@ -1,13 +1,18 @@
 """Decoding census codes into side pairings and their face combinatorics."""
 
+import contextlib
+import io
 from dataclasses import replace
 
 import pytest
+import sympy
 
 from hyper4.analysis import CodeAnalysis
 from hyper4.cell24 import the_24_cell
+from hyper4.cli import main
+from hyper4.cusp import vertex_classes
 from hyper4.grouppres import orbit_edges
-from hyper4.lorentz import IDENTITY, LorentzMatrix
+from hyper4.lorentz import IDENTITY, LorentzMatrix, diagonal_k
 from hyper4.pairing import (
     CODE_ALPHABET,
     CodeError,
@@ -82,14 +87,46 @@ def test_golden_arrows():
 
 
 def test_pairings_validate():
-    report = validate_pairings(build_side_pairings("14FF28"))
-    assert report.ok
-    assert report.involution_ok
-    assert len(report.checks) == 12
-    for check in report.checks:
-        assert check.in_congruence_two
-        assert check.maps_normal
-        assert check.maps_vertex_set
+    assert validate_pairings(build_side_pairings("14FF28")) is None
+
+
+# swapping coordinates 3 and 4 fixes side A, its normal and its vertex set
+SWAP_34 = LorentzMatrix(
+    (
+        (1, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0),
+        (0, 0, 0, 1, 0),
+        (0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 1),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        # a still carries A onto A', but is not the identity mod 2
+        (
+            lambda a, b: (replace(a, matrix=a.matrix @ SWAP_34), b),
+            "pairing a is not congruent to the identity mod 2",
+        ),
+        # k alone carries A onto A', and its normal onto the normal of A'
+        (
+            lambda a, b: (replace(a, matrix=diagonal_k(a.kpart)), b),
+            "pairing a does not carry the normal of side A to minus that of side A'",
+        ),
+        # b pairs A with A' again, and B with nothing
+        (lambda a, b: (a, replace(a, letter="b")), "side A is paired twice"),
+    ],
+    ids=["congruence", "normal", "involution"],
+)
+def test_validate_pairings_names_the_bad_letter_or_side(tamper, message):
+    ps = build_side_pairings("14FF28")
+    # each tampered set passes the vertex-map check of its construction
+    tampered = SidePairingSet(ps.code, tamper(*ps.pairings[:2]) + ps.pairings[2:])
+    with pytest.raises(ValueError) as info:
+        validate_pairings(tampered)
+    assert str(info.value) == message
 
 
 def test_partner_involution():
@@ -106,7 +143,9 @@ def test_every_decode_entry_maps_faces_onto_faces(position):
     at its own position, so over the six positions this covers every
     letter of all 12^6 decodable codes: each letter's vertex map and its
     inverse carry a side's ridges onto ridges and its edges onto edges,
-    which is all the ridge, edge and vertex walks ask of them."""
+    which is all the ridge, edge and vertex walks ask of them.  Every
+    set passes `validate_pairings`, and each letter's sign -prod(k) is
+    its determinant by sympy, so no code needs either check again."""
     cell = the_24_cell()
     fixing, letters = [], 0
     for ch in CODE_ALPHABET:
@@ -117,9 +156,10 @@ def test_every_decode_entry_maps_faces_onto_faces(position):
             assert exc.position == position
             fixing.append(ch)
             continue
-        assert validate_pairings(ps).ok
+        validate_pairings(ps)
         for p in ps.pairings[2 * position - 2 : 2 * position]:
             letters += 1
+            assert p.sign == sympy.Matrix(p.matrix.rows).det(), (code, p.letter)
             for side, partner in ((p.source, p.target), (p.target, p.source)):
                 vmap = ps.transition(side.label)[4]
                 assert set(vmap) == set(cell.vertices_of_side(side.label))
@@ -158,7 +198,16 @@ def test_vertex_maps_take_the_only_matrix_vector_products(monkeypatch):
     assert len(calls) == 72
     face_cycles(ps, 1)
     face_cycles(ps, 2)
+    vertex_classes(ps)
     assert len(calls) == 72
+    # the rest are `horospherical_action`'s checks, one per kept
+    # stabilizer matrix of the five cusps
+    del calls[:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "14FF28"]) == 0
+    stabilizers = sum(len(vc.stabilizer) for vc in vertex_classes(ps))
+    assert stabilizers == 46
+    assert len(calls) == 72 + stabilizers
 
 
 def test_ridge_cycles():

@@ -23,6 +23,7 @@ DATA = Path(__file__).parent / "data"
 # qualified name (module.Class.function) -> why it is kept
 LIBRARY_ONLY = {
     "pairing.fundamental_group": "presentation from a pairing set alone; a traced layer of the benchmark",
+    "pairing.validate_pairings": "the group, normal and involution checks, which every decodable code passes, as the test over all 72 decode entries shows; a traced layer of the benchmark, whose smoke run fails on an absent target",
     "grouppres.parse_presentation": "reads the text form of a presentation; many group tests build inputs with it",
     "grouppres._parse_relator": "one relator line of parse_presentation",
     "grouppres.GroupPresentation.__str__": "the flat-group oracle test compares presentations by this form",
