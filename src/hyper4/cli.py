@@ -304,7 +304,12 @@ def _cmd_census(args) -> tuple[list, list, None]:
 
 class _Parser(argparse.ArgumentParser):
     """Bad argv raises, for `main` to report, where argparse exits 2;
-    the verb subparsers are built from the same class."""
+    the verb subparsers are built from the same class.  An option must
+    be spelled out in full, so the normalized command drops `--jobs`
+    however it was given."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

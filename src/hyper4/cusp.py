@@ -119,9 +119,9 @@ def _kernel_basis(spatial: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=24)
 def _cusp_basis(vertex: LorentzVector) -> tuple:
-    """The integer frame (z', w, W, adj(W), det W) at a vertex, built on
-    first use; the 24-cell has 24 ideal vertices, and no entry depends
-    on the code.
+    """The integer frame ((z', w), W, adj(W), det W) at a vertex, built
+    on first use; the 24-cell has 24 ideal vertices, and no entry
+    depends on the code.
 
     u is the vertex light vector and z' = (-u1, -u2, -u3, -u4, u5), with
     <u, z'> = -2 u5^2; the w_j are an integer basis of the space-like
@@ -130,7 +130,8 @@ def _cusp_basis(vertex: LorentzVector) -> tuple:
     u = vertex.coords
     w = tuple(_kernel_basis(u[:4]))
     g = tuple(tuple(lorentz_product(a, b) for b in w) for a in w)
-    return tuple(-c for c in u[:4]) + (u[4],), w, g, _adjugate3(g), _det3(g)
+    z = tuple(-c for c in u[:4]) + (u[4],)
+    return tuple(map(LorentzVector, (z, *w))), g, _adjugate3(g), _det3(g)
 
 
 def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> AffineMap:
@@ -145,11 +146,11 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
     """
     if matrix.apply(vertex) != vertex:
         raise ValueError("matrix does not fix the vertex")
-    z, w, gram, adjugate, det = _cusp_basis(vertex)
-    images = [[sum(map(mul, row, v)) for row in matrix.rows] for v in (z, *w)]
+    frame, gram, adjugate, det = _cusp_basis(vertex)
+    images = [matrix.apply(b).coords for b in frame]
     # J u = -z' and J w_l = w_l, so the Lorentz products of an image with
     # u and the w_l are its Euclidean products with -z' and the w_l
-    products = [[sum(map(mul, image, b)) for b in (z, *w)] for image in images]
+    products = [[sum(map(mul, image, b.coords)) for b in frame] for image in images]
     scale = vertex.coords[4] ** 2
     # <M z', u> = <z', u> = -2 u5^2 and <M w_j, u> = 0
     if products[0][0] != 2 * scale or any(p[0] for p in products[1:]):

@@ -202,6 +202,8 @@ def test_wrong_target_side_is_error_envelope(monkeypatch):
         ["cover", "14FF28", "--cyclic", "x"],
         ["frobnicate", "14FF28"],
         ["classify", "--spin", "--nonspin"],
+        # options are spelled out in full: --cyc is not --cyclic
+        ["cover", "14FF28", "--cyc", "3"],
     ],
 )
 def test_bad_argv_is_error_envelope(argv, capsys):
@@ -460,18 +462,21 @@ def test_census_runs_in_process_without_threads():
         (["census", "SAMPLE", "--jobs", "2"], 0, ["census", "SAMPLE"]),
         (["census", "SAMPLE", "--jobs=2"], 0, ["census", "SAMPLE"]),
         (["verify", "14FF28", "--jobs", "2"], 1, ["verify", "14FF28", "--jobs", "2"]),
+        (["census", "SAMPLE", "--jo", "2"], 1, ["census", "SAMPLE", "--jo", "2"]),
     ],
-    ids=["census", "census-equals", "verify"],
+    ids=["census", "census-equals", "verify", "census-abbreviated"],
 )
 def test_only_census_leaves_jobs_out_of_command(argv, status, command):
     # census accepts --jobs, which changes no record; any other verb
-    # rejects it, and its command shows the argv it rejected
+    # rejects it, as census rejects an abbreviation of it, and its
+    # command shows the argv it rejected
     sample = str(DATA / "census_sample.txt")
     code, doc = run_json(*(sample if a == "SAMPLE" else a for a in argv))
     assert code == status
     assert doc["command"] == [sample if a == "SAMPLE" else a for a in command]
     if status == 1:
-        assert doc["errors"] == [{"message": "hyper4: unrecognized arguments: --jobs 2"}]
+        message = "hyper4: unrecognized arguments: " + " ".join(argv[2:])
+        assert doc["errors"] == [{"message": message}]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

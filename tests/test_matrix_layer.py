@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyper4 import analysis as analysis_module
 from hyper4 import cusp as cusp_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import _kernel_basis, cusp_flat_group, horospherical_action, vertex_classes
@@ -230,6 +231,40 @@ def _count_lorentz_arithmetic(monkeypatch) -> Counter:
 
         monkeypatch.setattr(LorentzMatrix, name, counted)
     return calls
+
+
+def test_values_are_checked_only_where_they_enter(monkeypatch):
+    # each vertex's cusp frame is checked when it is first built, once
+    # per process, like the 24-cell's vertices and normals
+    CodeAnalysis("14FF28")
+    checks = Counter()
+    for cls in (LorentzMatrix, LorentzVector):
+
+        def counted(self, original=cls.__post_init__):
+            checks[type(self).__name__] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    at_decoding = Counter()
+    arithmetic = []
+    decode = analysis_module.build_side_pairings
+
+    def decode_then_count(code):
+        pairing_set = decode(code)
+        at_decoding.update(checks)
+        checks.clear()
+        arithmetic.append(_count_lorentz_arithmetic(monkeypatch))
+        return pairing_set
+
+    monkeypatch.setattr(analysis_module, "build_side_pairings", decode_then_count)
+    CodeAnalysis("14FF28")
+    # decoding checks each letter's reflection, the target normal it is
+    # built from, and its k-part
+    assert at_decoding == {"LorentzMatrix": 24, "LorentzVector": 12}
+    # the walks after it multiply, apply and invert, and check nothing
+    (calls,) = arithmetic
+    assert calls["__matmul__"] > 0 and calls["inverse"] > 0
+    assert checks == {}
 
 
 def test_cusp_flat_groups_do_no_lorentz_arithmetic(monkeypatch):

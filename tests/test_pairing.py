@@ -200,14 +200,15 @@ def test_vertex_maps_take_the_only_matrix_vector_products(monkeypatch):
     face_cycles(ps, 2)
     vertex_classes(ps)
     assert len(calls) == 72
-    # the rest are `horospherical_action`'s checks, one per kept
-    # stabilizer matrix of the five cusps
+    # the rest are `horospherical_action`'s: for each kept stabilizer
+    # matrix of the five cusps, the check that it fixes the vertex and
+    # the images of the four vectors of the cusp frame
     del calls[:]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "14FF28"]) == 0
     stabilizers = sum(len(vc.stabilizer) for vc in vertex_classes(ps))
     assert stabilizers == 46
-    assert len(calls) == 72 + stabilizers
+    assert len(calls) == 72 + 5 * stabilizers
 
 
 def test_ridge_cycles():
