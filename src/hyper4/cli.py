@@ -214,7 +214,7 @@ def _cmd_fill(args) -> tuple[list, list, None]:
     else:
         with open(args.meridians, encoding="utf-8") as handle:
             meridians = parse_meridian_lines(handle)
-    filled = fill(analysis, meridians)
+    filled = fill(analysis, meridians, args.max_cosets)
     table = todd_coxeter(filled, args.max_cosets)
     record = {
         "code": args.code,

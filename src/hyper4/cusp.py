@@ -21,7 +21,7 @@ from .cell24 import the_24_cell
 from .flatgroups import AffineMap, FlatGroup, StructuralError, _adjugate3, _det3, _mat_mul
 from .grouppres import schreier_transversal
 from .intmat import smith_normal_form
-from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
+from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, _unchecked_inverse, lorentz_product
 from .pairing import SidePairingSet
 from .words import Word
 
@@ -73,8 +73,10 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     def product(a, b):
         return b[0] * a[0], b[1] @ a[1]
 
+    # a transversal matrix is a product of letters checked at decoding,
+    # so it is Lorentzian and J M^T J needs no second check
     def inverse(a):
-        return a[0].inverse(), a[1].inverse()
+        return a[0].inverse(), _unchecked_inverse(a[1])
 
     seen: set[LorentzVector] = set()
     classes = []

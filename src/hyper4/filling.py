@@ -134,9 +134,22 @@ def validate_meridians(
         _rebased_meridian(pairing_set, classes[m.cusp_index], m)
 
 
-def fill(analysis: CodeAnalysis, meridians: list[Meridian]) -> GroupPresentation:
-    """Quotient of the fundamental group by the meridian relators."""
+def fill(
+    analysis: CodeAnalysis, meridians: list[Meridian], limit: int = DEFAULT_COSET_LIMIT
+) -> GroupPresentation:
+    """Quotient of the fundamental group by the meridian relators.
+
+    The presentation is built for coset enumeration within `limit`
+    cosets, so a meridian power beyond the limit is refused before its
+    relator is expanded."""
     validate_meridians(analysis.pairing_set, analysis.classes, meridians)
+    if limit <= 0:
+        raise ValueError("coset limit must be positive")
+    for m in meridians:
+        if abs(m.exponent) > limit:
+            raise ValueError(
+                f"meridian {m.word} ^ {m.exponent}: the exponent exceeds the coset limit {limit}"
+            )
     return quotient(analysis.presentation, [m.relator for m in meridians])
 
 
@@ -261,7 +274,7 @@ def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTab
         Meridian(m.cusp_index, m.word, n if m.cusp_index == DISTINGUISHED_CUSP[code] else 1)
         for m in default_meridians(code)
     ]
-    return analysis, todd_coxeter(fill(analysis, meridians), limit)
+    return analysis, todd_coxeter(fill(analysis, meridians, limit), limit)
 
 
 def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRecord:
@@ -306,11 +319,12 @@ def classify_homeo(
         raise ValueError(
             "impossible invariants: classification requires a certified trivial fundamental group"
         )
-    if chi < 2 or chi % 2 != 0:
+    # chi = 2 + b2 and sigma = b2 mod 2
+    if chi < 2:
         raise ValueError(
-            f"impossible invariants: Euler characteristic must be even and at least 2, got {chi}"
+            f"impossible invariants: Euler characteristic must be at least 2, got {chi}"
         )
-    if sigma % 2 != 0:
+    if (sigma - chi) % 2 != 0:
         raise ValueError(
             f"impossible invariants: signature must share the parity of chi, got sigma = {sigma}"
         )

@@ -62,6 +62,17 @@ def _div(x: Rational, d: Rational) -> Rational:
     return _exact(x / d)
 
 
+def _quotients(values, d: int) -> list[int] | None:
+    """The quotients x / d when each is an integer, otherwise None."""
+    out = []
+    for x in values:
+        q, r = divmod(x, d)
+        if r:
+            return None
+        out.append(q)
+    return out
+
+
 def _exact_rows(rows) -> Mat3:
     return tuple(tuple(_exact(x) for x in row) for row in rows)  # type: ignore[return-value]
 
@@ -219,29 +230,34 @@ class FlatGroup:
             raise StructuralError(
                 f"translation lattice has rank {len(basis)}, expected 3"
             )
-        # lattice basis as columns of a rational matrix
+        # lattice basis as columns of a rational matrix B / denom, B the
+        # integer matrix whose columns are the Hermite basis
+        b_mat: Mat3 = tuple(zip(*basis))  # type: ignore[assignment]
         self.lattice: Mat3 = tuple(
-            tuple(_div(basis[j][i], denom) for j in range(3)) for i in range(3)
+            tuple(_div(x, denom) for x in row) for row in b_mat
         )  # type: ignore[assignment]
-        lattice_inv = _inv3(self.lattice)
-
-        def to_lattice(m: AffineMap) -> AffineMap:
-            return AffineMap(
-                _exact_rows(_mat_mul(lattice_inv, _mat_mul(m.linear, self.lattice))),
-                _exact_vec(_mat_vec(lattice_inv, m.shift)),
-            )
+        # lattice coordinates are (B / denom)^-1 = denom adj(B) / det B,
+        # applied and then divided exactly by det B
+        b_adj = _adjugate3(b_mat)
+        self._det = _det3(b_mat)
+        self._coords_mat = tuple(tuple(denom * x for x in row) for row in b_adj)
 
         # non-identity holonomy elements in a deterministic order
         self._sigmas: list[Mat3] = [s for s in self.holonomy if s != _ID3]
         self._names = {s: f"x{i + 1}" for i, s in enumerate(self._sigmas)}
-        self._reduced = {s: to_lattice(hol[s]) for s in hol}
-
+        self._hol = hol
+        # each holonomy element's linear part in lattice coordinates
+        self._linear: dict[Mat3, Mat3] = {}
         for s in self._sigmas:
-            lin = self._reduced[s].linear
-            if any(f.denominator != 1 for row in lin for f in row):
+            rows = [
+                _quotients(row, self._det)
+                for row in _mat_mul(b_adj, _mat_mul(s, b_mat))
+            ]
+            if None in rows:
                 raise StructuralError(
                     "holonomy does not preserve the translation lattice"
                 )
+            self._linear[s] = tuple(map(tuple, rows))  # type: ignore[arg-type]
 
         self.presentation = self._extension_presentation()
         self.h1: AbelianInvariants = abelianization(self.presentation)
@@ -251,10 +267,10 @@ class FlatGroup:
 
     # -- presentation of the lattice extension ------------------------------
 
-    def _lattice_coords(self, vec: Vec3) -> list[int]:
-        if any(f.denominator != 1 for f in vec):
-            raise StructuralError("translation outside the lattice")
-        return [int(f) for f in vec]
+    def _lattice_coords(self, vec: Vec3) -> list[int] | None:
+        """The coordinates of vec in the lattice basis, or None when vec
+        is not a lattice vector."""
+        return _quotients(_mat_vec(self._coords_mat, vec), self._det)
 
     @staticmethod
     def _e_power(coeffs) -> list[Letter]:
@@ -280,31 +296,35 @@ class FlatGroup:
                 )
         for s in self._sigmas:
             x = self._names[s]
-            lin = self._reduced[s].linear
+            lin = self._linear[s]
             for j in range(3):
-                column = [int(lin[i][j]) for i in range(3)]
+                column = [lin[i][j] for i in range(3)]
                 letters = [(x, 1), (f"e{j + 1}", 1), (x, -1)]
                 letters += self._e_power([-c for c in column])
                 relators.append(Word.make(letters))
+        hol = self._hol
         for s in self._sigmas:
             for t in self._sigmas:
                 product = _mat_mul(s, t)
-                combined = self._reduced[s] @ self._reduced[t]
+                # the translation part of hol[s] hol[t], in input coordinates
+                shift = _vec_add(_mat_vec(s, hol[t].shift), hol[s].shift)
                 if product == _ID3:
-                    shift = combined.shift
                     letters = [(self._names[s], 1), (self._names[t], 1)]
                 else:
-                    # combined shares its linear part with the product's
-                    # map, so the residue combined @ reduced[product]^-1
-                    # is the translation by the difference of the shifts
-                    base = self._reduced[product].shift
-                    shift = tuple(c - b for c, b in zip(combined.shift, base))
+                    # hol[s] hol[t] shares its linear part with
+                    # hol[product], so the residue hol[s] hol[t]
+                    # hol[product]^-1 is the translation by the difference
+                    # of the shifts
+                    base = hol[product].shift
+                    shift = tuple(c - b for c, b in zip(shift, base))
                     letters = [
                         (self._names[s], 1),
                         (self._names[t], 1),
                         (self._names[product], -1),
                     ]
                 coeffs = self._lattice_coords(shift)
+                if coeffs is None:
+                    raise StructuralError("translation outside the lattice")
                 letters += self._e_power([-c for c in coeffs])
                 relators.append(Word.make(letters))
         return GroupPresentation(tuple(names), tuple(relators))
@@ -316,23 +336,24 @@ class FlatGroup:
         N(b + l) = 0 is solvable with l integral, N = I + A + ... + A^(m-1).
         Checking every holonomy element is a complete torsion test."""
         for s in self._sigmas:
-            reduced = self._reduced[s]
-            order = _matrix_order(reduced.linear)
-            n_mat = _ID3
-            power = reduced.linear
+            lin = self._linear[s]
+            order = _matrix_order(lin)
+            # N in lattice coordinates, and N b in input coordinates as
+            # the translation b + s(b + s(b + ...)) of hol[s]^order
+            shift = self._hol[s].shift
+            n_mat, power, n_shift = _ID3, lin, shift
             for _ in range(order - 1):
                 n_mat = tuple(
                     tuple(n_mat[i][j] + power[i][j] for j in range(3)) for i in range(3)
                 )  # type: ignore[assignment]
-                power = _mat_mul(power, reduced.linear)
-            rhs = [-x for x in _mat_vec(n_mat, reduced.shift)]
-            scale = lcm(*(f.denominator for f in rhs))
-            if scale != 1:
+                power = _mat_mul(power, lin)
+                n_shift = _vec_add(_mat_vec(s, n_shift), shift)
+            rhs = self._lattice_coords(tuple(-x for x in n_shift))  # type: ignore[arg-type]
+            if rhs is None:
                 # N l is integral for integral l, so a fractional rhs
                 # already rules out a solution
                 continue
-            n_int = [[int(f) for f in row] for row in n_mat]
-            if solve_integer(n_int, [int(f) for f in rhs]) is not None:
+            if solve_integer([list(row) for row in n_mat], rhs) is not None:
                 raise StructuralError(
                     f"group has torsion over holonomy element {self._names[s]}"
                 )

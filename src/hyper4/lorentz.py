@@ -86,6 +86,29 @@ def _unchecked(cls, field: str, value):
     return obj
 
 
+def _unchecked_inverse(m: "LorentzMatrix") -> "LorentzMatrix":
+    """J M^T J, the inverse of M when M is Lorentzian, built unchecked.
+
+    `LorentzMatrix.inverse` calls it after its check; a product of
+    checked Lorentzian matrices is Lorentzian, so its inverse can come
+    from here directly.
+    """
+    (
+        (a00, a01, a02, a03, a04),
+        (a10, a11, a12, a13, a14),
+        (a20, a21, a22, a23, a24),
+        (a30, a31, a32, a33, a34),
+        (a40, a41, a42, a43, a44),
+    ) = m.rows
+    return _unchecked(LorentzMatrix, "rows", (
+        (a00, a10, a20, a30, -a40),
+        (a01, a11, a21, a31, -a41),
+        (a02, a12, a22, a32, -a42),
+        (a03, a13, a23, a33, -a43),
+        (-a04, -a14, -a24, -a34, a44),
+    ))
+
+
 def lorentz_product(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(s * a * b for s, a, b in zip(J_SIGNS, x, y))
 
@@ -174,11 +197,7 @@ class LorentzMatrix:
         """Inverse of a Lorentzian matrix, computed as J M^T J."""
         if not self.is_lorentzian():
             raise ValueError("inverse via J M^T J requires a Lorentzian matrix")
-        t = self.rows
-        return _unchecked(LorentzMatrix, "rows", tuple(
-            tuple(J_SIGNS[i] * t[j][i] * J_SIGNS[j] for j in range(DIMENSION))
-            for i in range(DIMENSION)
-        ))
+        return _unchecked_inverse(self)
 
     def is_lorentzian(self) -> bool:
         """Check M^T J M = J."""

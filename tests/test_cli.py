@@ -17,6 +17,7 @@ import hyper4.cli as cli_module
 from hyper4.cli import DETERMINISM_NOTE, ORIENTABLE_NOTE, SCHEMA, TORSION_NOTE, main
 from hyper4.flatgroups import StructuralError
 from hyper4.pairing import CODE_ALPHABET, SidePairingSet, build_side_pairings
+from hyper4.words import Word
 
 
 DATA = Path(__file__).parent / "data"
@@ -380,6 +381,35 @@ def test_classify_flags():
     code, doc = run_json("classify", "--chi", "6", "--sigma", "3", "--spin")
     assert code == 1
     assert "impossible invariants" in doc["errors"][0]["message"]
+
+    # CP^2: an odd Euler characteristic
+    code, doc = run_json("classify", "--chi", "3", "--sigma", "1", "--nonspin")
+    assert code == 0
+    assert doc["records"][0]["verdict"]["verdict"] == "#_1CP^2#_0CP^2bar"
+
+
+@pytest.mark.parametrize("verb", ["cover", "fill"])
+def test_meridian_power_beyond_the_coset_limit_is_refused(verb, monkeypatch, tmp_path):
+    # a regression would expand the power; make that fail before it allocates
+    power = Word.__pow__
+
+    def bounded(self, n):
+        assert abs(n) <= 10**6, "meridian power expanded"
+        return power(self, n)
+
+    monkeypatch.setattr(Word, "__pow__", bounded)
+    path = tmp_path / "meridians.txt"
+    path.write_text("0: Eg\n1: c ^ 100000000\n2: a\n3: k\n4: j\n")
+    argv = {
+        "cover": ("cover", "14FF28", "--cyclic", "100000000"),
+        "fill": ("fill", "14FF28", "--meridians", str(path)),
+    }[verb]
+    code, doc = run_json(*argv)
+    assert code == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [
+        {"message": "meridian c ^ 100000000: the exponent exceeds the coset limit 1000000"}
+    ]
 
 
 def test_classify_unknown_spin_reports_both():

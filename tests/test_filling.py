@@ -188,11 +188,19 @@ def test_classify_homeo_nonspin():
     assert classify_homeo(6, 2, False, True).verdict == "#_3CP^2#_1CP^2bar"
 
 
+def test_classify_homeo_odd_euler_characteristic():
+    # chi = 2 + b2 and sigma = b2 mod 2: CP^2 has (chi, sigma) = (3, 1)
+    assert classify_homeo(3, 1, False, True).verdict == "#_1CP^2#_0CP^2bar"
+    assert classify_homeo(5, -1, False, True).verdict == "#_1CP^2#_2CP^2bar"
+    with pytest.raises(ValueError, match="divisible by 16"):
+        classify_homeo(3, 1, True, True)
+
+
 def test_classify_homeo_impossible_invariants():
     with pytest.raises(ValueError, match="trivial fundamental group"):
         classify_homeo(6, 0, True, False)
     with pytest.raises(ValueError):
-        classify_homeo(5, 0, True, True)  # odd characteristic
+        classify_homeo(5, 0, True, True)  # sigma and chi of opposite parity
     with pytest.raises(ValueError):
         classify_homeo(6, 3, True, True)  # odd signature
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyper4.cusp import horospherical_action, vertex_classes
+from hyper4.cusp import cusp_flat_group, horospherical_action, vertex_classes
 from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, reference_flat_groups
 from hyper4.grouppres import GroupPresentation, abelianization, orbit_edges
 from hyper4.intmat import hermite_row_basis, solve_integer
@@ -291,6 +291,29 @@ def test_reference_groups_agree():
 def test_cusp_groups_agree(code):
     for generators in _cusp_generators(code):
         assert _assert_agree(generators)[0] == "group", code
+
+
+def test_pool_cusp_groups_make_no_fraction(monkeypatch):
+    # every horospherical action on the pool is integral, and FlatGroup
+    # keeps each group in its integer lattice coordinates
+    classes = [
+        vclass
+        for code in _pool_manifolds(10)
+        for vclass in vertex_classes(build_side_pairings(code))
+    ]
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    assert Fraction(1, 2) * 3 == Fraction(3, 2) and len(made) >= 2
+    made.clear()
+    groups = [cusp_flat_group(vclass) for vclass in classes]
+    assert made == []
+    assert len(groups) == len(classes) > 10
 
 
 def test_torsion_message_agrees():

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from hyper4 import analysis as analysis_module
 from hyper4 import cusp as cusp_module
+from hyper4 import lorentz as lorentz_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import _kernel_basis, cusp_flat_group, horospherical_action, vertex_classes
 from hyper4.filling import (
@@ -220,7 +221,9 @@ def test_horospherical_action_guards_match_reference(matrix, message):
 
 
 def _count_lorentz_arithmetic(monkeypatch) -> Counter:
-    """Counts of the LorentzMatrix products and inverses made from now on."""
+    """Counts of the LorentzMatrix products and inverses made from now on:
+    the checked `inverse`, and the unchecked J M^T J kernel wherever a
+    module calls it (a checked inverse counts under both)."""
     calls = Counter()
     for name in ("__matmul__", "inverse"):
         original = getattr(LorentzMatrix, name)
@@ -230,6 +233,14 @@ def _count_lorentz_arithmetic(monkeypatch) -> Counter:
             return original(*args)
 
         monkeypatch.setattr(LorentzMatrix, name, counted)
+    kernel = lorentz_module._unchecked_inverse
+
+    def counted_kernel(m):
+        calls["_unchecked_inverse"] += 1
+        return kernel(m)
+
+    for module in (lorentz_module, cusp_module):
+        monkeypatch.setattr(module, "_unchecked_inverse", counted_kernel)
     return calls
 
 
@@ -261,9 +272,12 @@ def test_values_are_checked_only_where_they_enter(monkeypatch):
     # decoding checks each letter's reflection, the target normal it is
     # built from, and its k-part
     assert at_decoding == {"LorentzMatrix": 24, "LorentzVector": 12}
-    # the walks after it multiply, apply and invert, and check nothing
+    # the walks after it multiply, apply and invert, and check nothing:
+    # the vertex walk's transversal inverses are products of checked
+    # letters, so they take the unchecked kernel, not `inverse`
     (calls,) = arithmetic
-    assert calls["__matmul__"] > 0 and calls["inverse"] > 0
+    assert calls["__matmul__"] > 0 and calls["_unchecked_inverse"] > 0
+    assert calls["inverse"] == 0
     assert checks == {}
 
 
