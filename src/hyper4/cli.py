@@ -189,6 +189,8 @@ def _plain_verdicts(verdicts: dict) -> dict:
 
 
 def _cmd_cover(args) -> tuple[list, list, None]:
+    if args.tietze_effort < 0:
+        raise ValueError("tietze effort must be non-negative")
     if not args.classify_filling:
         return [asdict(cyclic_cover(args.code, args.cyclic, limit=args.max_cosets))], [], None
     result = classify_filled_cover(

@@ -393,8 +393,10 @@ def _cyclic_canonical(word: Word) -> tuple[Letter, ...]:
     letters = word.cyclic_reduce().letters
     if not letters:
         return ()
+    # the inverse of a cyclically reduced word is cyclically reduced
+    inverse = tuple((name, -exp) for name, exp in reversed(letters))
     best = None
-    for candidate in (letters, word.inverse().cyclic_reduce().letters):
+    for candidate in (letters, inverse):
         for shift in range(len(candidate)):
             rotated = candidate[shift:] + candidate[:shift]
             if best is None or rotated < best:
@@ -420,7 +422,9 @@ def tietze_simplify(
     name -> slots index and a canonical form -> slot map sit beside them.
     Only the relators that contain the eliminated generator are rewritten
     and re-canonicalized, and the next round drops identities and
-    duplicates among those alone (on a collision the lower slot wins), so
+    duplicates among those alone (on a collision the lower slot wins).
+    Each relator's best candidate is kept, and recomputed only when that
+    relator is rewritten or the total of one of its generators changes, so
     the result equals a full rescan of every relator in every round (Holt,
     Eick & O'Brien, Handbook of Computational Group Theory, on Tietze
     transformations).  When `effort` runs out, the last round's relators
@@ -436,6 +440,9 @@ def tietze_simplify(
     totals: Counter = Counter()
     occurs: dict[str, set[int]] = {name: set() for name in gens}
     holder: dict[tuple[Letter, ...], int] = {}  # canonical form -> its slot
+    best_of: dict[int, tuple] = {}  # slot -> its least candidate key
+    stale: set[int] = set()  # slots whose candidate may have changed
+    moved: set[str] = set()  # names whose totals changed since the last selection
 
     def place(slot: int, word: Word) -> None:
         words[slot] = word
@@ -443,11 +450,15 @@ def tietze_simplify(
         totals.update(counts[slot])
         for name in counts[slot]:
             occurs[name].add(slot)
+        moved.update(counts[slot])
+        stale.add(slot)
 
     def clear(slot: int) -> None:
         totals.subtract(counts[slot])
         for name in counts[slot]:
             occurs[name].discard(slot)
+        moved.update(counts[slot])
+        stale.add(slot)
         if keys[slot] is not None:
             del holder[keys[slot]]
             keys[slot] = None
@@ -473,11 +484,17 @@ def tietze_simplify(
             keys[slot] = key
             holder[key] = slot
 
-        best = None  # (delta, relator length, relator slot, generator)
-        for slot, word in enumerate(words):
+        # a slot's candidate reads its own word and the totals of its names
+        for name in moved:
+            stale.update(occurs[name])
+        moved.clear()
+        for slot in stale:
+            best_of.pop(slot, None)
+            word = words[slot]
             if word is None:
                 continue
             length = len(word)
+            best = None  # (delta, relator length, relator slot, generator)
             for name, cnt in counts[slot].items():
                 if cnt != 1:
                     continue
@@ -489,9 +506,12 @@ def tietze_simplify(
                 candidate = (delta, length, slot, name)
                 if best is None or candidate < best:
                     best = candidate
-        if best is None:
+            if best is not None:
+                best_of[slot] = best
+        stale.clear()
+        if not best_of:
             break
-        _, _, i, name = best
+        _, _, i, name = min(best_of.values())
         r = words[i]
         j = next(idx for idx, (n, _) in enumerate(r.letters) if n == name)
         rotated = r.letters[j:] + r.letters[:j]
@@ -511,7 +531,6 @@ def tietze_simplify(
                 else:
                     letters.append((n, e))
             place(slot, Word.make(letters).cyclic_reduce())
-        del occurs[name]
         gens.remove(name)
     return GroupPresentation(tuple(gens), tuple(w for w in words if w is not None))
 

@@ -61,10 +61,12 @@ class Word:
         return not self.letters
 
     def cyclic_reduce(self) -> "Word":
-        letters = list(self.letters)
-        while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-            letters = letters[1:-1]
-        return Word(tuple(letters))
+        letters = self.letters
+        i, j = 0, len(letters) - 1
+        while i < j and letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
+            i += 1
+            j -= 1
+        return Word(letters[i : j + 1]) if i else self
 
     def names(self) -> set[str]:
         return {name for name, _ in self.letters}

@@ -309,13 +309,15 @@ def test_cover_classify_filling_incomplete_enumeration():
     }
 
 
-@pytest.mark.parametrize("extra", [(), ("--max-cosets", "5")], ids=["full", "max-cosets-5"])
+@pytest.mark.parametrize(
+    "extra",
+    [("--classify-filling",), ("--classify-filling", "--max-cosets", "5"), ()],
+    ids=["full", "max-cosets-5", "no-filling"],
+)
 def test_cover_negative_tietze_effort_is_error(extra):
-    # rejected even when the enumeration stops before Tietze would run
-    code, doc = run_json(
-        "cover", "14FF28", "--cyclic", "3", "--classify-filling", "--tietze-effort", "-3",
-        *extra,
-    )
+    # rejected even when the enumeration stops before Tietze would run, or
+    # when no filling is asked for
+    code, doc = run_json("cover", "14FF28", "--cyclic", "3", "--tietze-effort", "-3", *extra)
     assert code == 1
     assert doc["records"] == []
     assert doc["errors"] == [{"message": "tietze effort must be non-negative"}]

@@ -47,6 +47,32 @@ def test_cyclic_reduce():
     assert str(v.cyclic_reduce()) == "b"
 
 
+def _trim_pairs(letters):
+    """Cyclic reduction one cancelling pair of end letters at a time."""
+    letters = list(letters)
+    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
+        letters = letters[1:-1]
+    return tuple(letters)
+
+
+_raw_letters = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), max_size=6)
+
+
+@given(_raw_letters, _raw_letters, st.booleans())
+def test_cyclic_reduce_trims_cancelling_ends(outer, inner, reduce_first):
+    # outer * inner * outer^-1, freely reduced or not
+    letters = outer + inner + [(name, -exp) for name, exp in reversed(outer)]
+    word = Word.make(letters) if reduce_first else Word(tuple(letters))
+    reduced = word.cyclic_reduce()
+    assert reduced.letters == _trim_pairs(word.letters)
+    assert reduced.cyclic_reduce() == reduced
+    if len(reduced) >= 2:
+        (first, e), (last, f) = reduced.letters[0], reduced.letters[-1]
+        assert (first, e) != (last, -f)
+    if reduced == word:
+        assert reduced is word
+
+
 def test_exponent_sum():
     w = parse_word("aabA")
     assert w.exponent_sum("a") == 1
