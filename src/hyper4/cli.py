@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -379,10 +380,14 @@ def main(argv=None) -> int:
     except (CodeError, ValueError, OSError, StructuralError) as exc:
         records, errors, text = [], [{"message": str(exc)}], None
     envelope = _envelope(command, records, errors)
-    if text is not None:
-        print(text)
-    else:
-        print(json.dumps(envelope, indent=2))
+    try:
+        print(text if text is not None else json.dumps(envelope, indent=2))
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): send the rest, and the
+        # interpreter's flush at exit, to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 1 if errors else 0
 
 

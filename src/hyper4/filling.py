@@ -153,10 +153,6 @@ def fill(
     return quotient(analysis.presentation, [m.relator for m in meridians])
 
 
-def _word_permutation(table: CosetTable, word: Word) -> tuple[int, ...]:
-    return tuple(table.follow(c, word) for c in range(table.index))
-
-
 def _orbit_partition(perms, size: int) -> list[list[int]]:
     """Orbits of {0..size-1} under the group the permutations generate."""
 
@@ -239,7 +235,7 @@ def cover_record_from_table(
     lift_counts = []
     tags = []
     for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
-        perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
+        perms = [table.permutation(w) for w, _ in vclass.stabilizer]
         lift_counts.append(len(_orbit_partition(perms, d)))
         group = _cusp_intersection_group(base, perms)
         tags.append(classify_flat_group(group))
@@ -402,9 +398,9 @@ def _lifted_meridians(
     out = []
     for m in meridians:
         vclass = analysis.classes[m.cusp_index]
-        perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
+        perms = [table.permutation(w) for w, _ in vclass.stabilizer]
         base = _rebased_meridian(analysis.pairing_set, vclass, m) ** m.exponent
-        perm = _word_permutation(table, base)
+        perm = table.permutation(base)
         for orbit in _orbit_partition(perms, table.index):
             q = orbit[0]
             k = 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .intmat import smith_normal_form
@@ -177,16 +178,74 @@ class CosetTable:
             coset = self.step(coset, name, exp)
         return coset
 
+    def permutation(self, word: Word) -> tuple[int, ...]:
+        """The permutation c -> follow(c, word) of a complete table's
+        cosets, composed from whole columns."""
+        size = self.index  # raises on an incomplete table
+        return _compose(self._columns, word, size)
+
+    @cached_property
+    def _columns(self) -> dict[Letter, tuple[int, ...]]:
+        g = len(self.generators)
+        columns = list(zip(*self.rows))
+        return {
+            (name, exp): columns[j if exp == 1 else j + g]
+            for j, name in enumerate(self.generators)
+            for exp in (1, -1)
+        }
+
+
+def _compose(
+    columns: Mapping[Letter, Sequence[int]], word: Word, size: int
+) -> tuple[int, ...]:
+    """The permutation c -> c.word of range(size), one column per letter."""
+    perm: Sequence[int] = range(size)
+    for letter in word.letters:
+        column = columns[letter]
+        perm = [column[c] for c in perm]
+    return tuple(perm)
+
 
 def todd_coxeter(pres: GroupPresentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
     """Coset enumeration of the trivial subgroup.
 
-    Relator-driven strategy with row filling in first-in order.  When
-    more than `limit` cosets would be defined, returns an incomplete
-    table that makes no claim about the index.
+    The cosets are enumerated on the presentation that Tietze
+    simplification at the default effort leaves, and the table is lifted
+    back: the eliminated generators, last first, get the permutation of
+    their substitution words, and each inverse column is the inverse
+    permutation.  A standardized table is unique for the group and its
+    base coset, so the result is the table an enumeration over `pres`
+    itself would give (Holt, Eick & O'Brien, Handbook of Computational
+    Group Theory, on coset enumeration and Tietze transformations).
+
+    `limit` bounds the cosets the simplified enumeration defines.  When
+    more would be defined, returns an incomplete table that makes no
+    claim about the index.
     """
     if limit <= 0:
         raise ValueError("coset limit must be positive")
+    simplified, eliminated = _tietze(pres, DEFAULT_TIETZE_EFFORT)
+    table = _enumerate(simplified, limit)
+    if not table.complete:
+        return CosetTable(pres.generators, (), False)
+    size = len(table.rows)
+    columns = dict(table._columns)
+    for name, word in reversed(eliminated):
+        perm = _compose(columns, word, size)
+        inverse = [0] * size
+        for c, image in enumerate(perm):
+            inverse[image] = c
+        columns[name, 1] = perm
+        columns[name, -1] = tuple(inverse)
+    gens = pres.generators
+    order = [columns[x, 1] for x in gens] + [columns[x, -1] for x in gens]
+    rows = [tuple(column[c] for column in order) for c in range(size)]
+    return CosetTable(gens, _standardize(rows, len(gens)), True)
+
+
+def _enumerate(pres: GroupPresentation, limit: int) -> CosetTable:
+    """Relator-driven (HLT) enumeration of the trivial subgroup, with row
+    filling in first-in order; incomplete past `limit` cosets."""
     gens = pres.generators
     g = len(gens)
     ncols = 2 * g
@@ -389,19 +448,38 @@ def quotient(pres: GroupPresentation, extra_relators: Iterable[Word]) -> GroupPr
     return GroupPresentation(pres.generators, pres.relators + extra)
 
 
+def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The lexicographically least rotation, in time linear in the length.
+
+    Two candidate starts i < j are compared k letters deep.  On a mismatch
+    the loser is dropped with the k starts after it, none of which begins
+    a smaller rotation than the winner's, so i + j grows by at least k + 1
+    and stays below 3n.  When k reaches n the word is periodic, and i is
+    the least start of its least rotation.
+    """
+    n = len(letters)
+    doubled = letters + letters
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(i + k + 1, j + 1)
+        else:
+            j += k + 1
+        k = 0
+    return doubled[i : i + n]
+
+
 def _cyclic_canonical(word: Word) -> tuple[Letter, ...]:
     letters = word.cyclic_reduce().letters
     if not letters:
         return ()
     # the inverse of a cyclically reduced word is cyclically reduced
     inverse = tuple((name, -exp) for name, exp in reversed(letters))
-    best = None
-    for candidate in (letters, inverse):
-        for shift in range(len(candidate)):
-            rotated = candidate[shift:] + candidate[:shift]
-            if best is None or rotated < best:
-                best = rotated
-    return best
+    return min(_least_rotation(letters), _least_rotation(inverse))
 
 
 def tietze_simplify(
@@ -430,9 +508,19 @@ def tietze_simplify(
     transformations).  When `effort` runs out, the last round's relators
     are returned as they stand, without that pass.
     """
+    return _tietze(pres, effort)[0]
+
+
+def _tietze(
+    pres: GroupPresentation, effort: int
+) -> tuple[GroupPresentation, list[tuple[str, Word]]]:
+    """`tietze_simplify`, and its eliminations in order as (generator,
+    substitution word) pairs; each substitution is written in the
+    generators still present when it was made."""
     if effort < 0:
         raise ValueError("tietze effort must be non-negative")
     gens = list(pres.generators)
+    eliminated: list[tuple[str, Word]] = []
     size = len(pres.relators)
     words: list[Word | None] = [None] * size  # slot -> relator, None once dropped
     counts: list[Counter | None] = [None] * size
@@ -518,6 +606,7 @@ def tietze_simplify(
         rest = Word(rotated[1:])
         # relator is name^exp * rest = 1, so name = rest^(-exp)
         substitution = rest.inverse() if rotated[0][1] == 1 else rest
+        eliminated.append((name, substitution))
         image = {1: substitution.letters, -1: substitution.inverse().letters}
         clear(i)
         touched = sorted(occurs[name])
@@ -532,7 +621,8 @@ def tietze_simplify(
                     letters.append((n, e))
             place(slot, Word.make(letters).cyclic_reduce())
         gens.remove(name)
-    return GroupPresentation(tuple(gens), tuple(w for w in words if w is not None))
+    simplified = GroupPresentation(tuple(gens), tuple(w for w in words if w is not None))
+    return simplified, eliminated
 
 
 def parse_presentation(text: str) -> GroupPresentation:

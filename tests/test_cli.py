@@ -309,6 +309,31 @@ def test_cover_classify_filling_incomplete_enumeration():
     }
 
 
+@pytest.mark.parametrize("limit, degree", [("102", 102), ("101", None)])
+def test_max_cosets_bounds_the_simplified_enumeration(limit, degree):
+    # the filled group of n = 51 is dihedral of order 102 once simplified,
+    # and its enumeration there defines exactly the index
+    code, doc = run_json("cover", "14FF28", "--cyclic", "51", "--max-cosets", limit)
+    assert code == 0
+    rec = doc["records"][0]
+    assert (rec["complete"], rec["degree"]) == (degree is not None, degree)
+
+
+def test_closed_stdout_gives_no_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyper4.cli", "verify", "14FF28"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the envelope is written
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
+
+
 @pytest.mark.parametrize(
     "extra",
     [("--classify-filling",), ("--classify-filling", "--max-cosets", "5"), ()],

@@ -3,10 +3,20 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyper4.filling import _cyclic_table, _lifted_meridians, default_meridians
+from hyper4.analysis import CodeAnalysis
+from hyper4.filling import (
+    DISTINGUISHED_CUSP,
+    Meridian,
+    _cyclic_table,
+    _lifted_meridians,
+    default_meridians,
+    fill,
+)
 from hyper4.grouppres import (
     GroupPresentation,
     _cyclic_canonical,
+    _enumerate,
+    _least_rotation,
     abelianization,
     character_coset_table,
     orbit_edges,
@@ -88,6 +98,88 @@ def test_coset_table_follow():
     for relator in d3.relators:
         for coset in range(table.index):
             assert table.follow(coset, relator) == coset
+
+
+def test_coset_table_permutation_follows_each_coset():
+    table = todd_coxeter(parse_presentation("gens: r s\nr^4\ns^2\nsrsr\n"))
+    for text in ("1", "r", "S", "rrS", "sRsrr"):
+        word = parse_word(text)
+        assert table.permutation(word) == tuple(
+            table.follow(c, word) for c in range(table.index)
+        )
+    with pytest.raises(ValueError):
+        todd_coxeter(parse_presentation("gens: a\n"), limit=5).permutation(parse_word("a"))
+
+
+# every presentation this file builds by text; the infinite ones stop at the limit
+PRESENTATION_TEXTS = (
+    "gens: a\na\n",
+    "gens: a\na^6\n",
+    "gens: c e\nc^3\ne^2\nEcec\n",
+    "gens: r s\nr^4\ns^2\nsrsr\n",
+    "gens: a\n",
+    "gens: a b c\n",
+    "gens: a b c\nabAB\nacAC\nbcBC\n",
+    "gens: a\na^3\n",
+    "gens: a b\nb\nabA\n",
+    "gens: a b\nABA\naa\nb\n",
+    "gens: a b c d\ndBA\ncBA\n",
+    "gens: a b\na^2 b^-3\n",
+)
+
+
+def _assert_lifted_table_is_direct(pres, limit=2000):
+    # the enumeration over pres itself, without Tietze, is the oracle
+    lifted, direct = todd_coxeter(pres, limit), _enumerate(pres, limit)
+    assert (lifted.complete, lifted.rows) == (direct.complete, direct.rows), pres
+    assert lifted.generators == pres.generators
+    return lifted
+
+
+@pytest.mark.parametrize("text", PRESENTATION_TEXTS)
+def test_lifted_table_matches_direct_enumeration(text):
+    _assert_lifted_table_is_direct(parse_presentation(text))
+
+
+def test_lifted_table_matches_direct_enumeration_on_the_cyclic_fills():
+    analysis = CodeAnalysis("14FF28")
+    for n in range(1, 16):
+        meridians = [
+            Meridian(m.cusp_index, m.word, n if m.cusp_index == DISTINGUISHED_CUSP["14FF28"] else 1)
+            for m in default_meridians("14FF28")
+        ]
+        table = _assert_lifted_table_is_direct(fill(analysis, meridians), 10**6)
+        assert table.index == 2 * n
+
+
+@st.composite
+def _padded_finite_groups(draw):
+    """Z/m or the dihedral group of order 2m, with redundant generators
+    x = w for words w in the generators before x, relators rotated or
+    inverted at random, and the generator list shuffled."""
+    m = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        gens, relators = ["r"], [parse_word("r") ** m]
+    else:
+        gens = ["r", "s"]
+        relators = [parse_word("r") ** m, parse_word("ss"), parse_word("srsr")]
+    for name in "tuvw"[: draw(st.integers(0, 4))]:
+        letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+        word = Word.make(draw(st.lists(letter, max_size=5)))
+        relator = (Word.generator(name) * word.inverse()).letters
+        shift = draw(st.integers(0, len(relator) - 1))
+        relator = Word.make(relator[shift:] + relator[:shift])
+        relators.append(relator.inverse() if draw(st.booleans()) else relator)
+        gens.append(name)
+    gens = draw(st.permutations(gens))
+    relators = draw(st.permutations(relators))
+    return GroupPresentation(tuple(gens), tuple(relators))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_padded_finite_groups())
+def test_lifted_table_matches_direct_enumeration_on_padded_groups(pres):
+    assert _assert_lifted_table_is_direct(pres, 10**5).complete
 
 
 def test_character_table_orientation():
@@ -234,16 +326,32 @@ def test_tietze_matches_rescan(pres, effort):
 _cyclic_words = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), max_size=10)
 
 
+def _brute_least_rotation(letters):
+    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=())
+
+
 @given(_cyclic_words.map(Word.make))
 def test_cyclic_canonical_is_shared_by_rotations_and_inverse(word):
     key = _cyclic_canonical(word)
     core = word.cyclic_reduce().letters
     inverse = word.inverse().cyclic_reduce().letters
-    assert key in {w[i:] + w[:i] for w in (core, inverse) for i in range(len(w))} | {()}
+    assert key == min(_brute_least_rotation(core), _brute_least_rotation(inverse))
     for i in range(len(word)):
         rotated = Word.make(word.letters[i:] + word.letters[:i])
         assert _cyclic_canonical(rotated) == key
         assert _cyclic_canonical(rotated.inverse()) == key
+
+
+# two letters and their inverses, unreduced, make repeated and periodic words likely
+_short_letters = st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))), max_size=14)
+
+
+@settings(max_examples=500)
+@given(_short_letters.map(tuple))
+@example(parse_word("abab").letters)
+@example((("a", 1),) * 6)
+def test_least_rotation_is_the_rotation_minimum(letters):
+    assert _least_rotation(letters) == _brute_least_rotation(letters)
 
 
 def test_presentation_text_round_trip():

@@ -33,7 +33,6 @@ from hyper4.filling import (
     _cusp_intersection_group,
     _cyclic_table,
     _orbit_partition,
-    _word_permutation,
     cover_record_from_table,
 )
 from hyper4.flatgroups import AffineMap, StructuralError, classify_flat_group
@@ -128,7 +127,7 @@ def _schreier_cases() -> tuple:
     cases = []
     for label, analysis, table in _cover_tables():
         for vclass in analysis.classes:
-            perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
+            perms = [table.permutation(w) for w, _ in vclass.stabilizer]
             trans = {0: Word(())}
 
             def steps(c, perms=perms):
@@ -297,7 +296,7 @@ def test_cover_cusp_groups_are_the_actions_of_the_lorentz_walk():
             walks.setdefault((label, vclass.index), {})[matrix] = None
     for label, analysis, table in _cover_tables():
         for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
-            perms = [_word_permutation(table, w) for w, _ in vclass.stabilizer]
+            perms = [table.permutation(w) for w, _ in vclass.stabilizer]
             group = _cusp_intersection_group(base, perms)
             assert list(group.generators) == [
                 horospherical_action(matrix, vclass.representative)
@@ -319,7 +318,7 @@ def test_cover_face_counts_match_orbit_counting():
     for label, analysis, table in _cover_tables():
         d = table.index
         ridges = sum(
-            len(_orbit_partition([_word_permutation(table, cycle.word)], d))
+            len(_orbit_partition([table.permutation(cycle.word)], d))
             for cycle in analysis.ridge_cycles
         )
         sides = d * len(analysis.pairing_set.pairings)

@@ -58,6 +58,10 @@ print(json.dumps(sorted(entered)))
 def _sweep_calls(tmp_path: Path) -> list[list[str]]:
     meridians = tmp_path / "meridians.txt"
     meridians.write_text("0: Eg\n1: c ^ 3\n2: a\n3: k\n4: j\n")
+    # two meridians only: the enumeration of this fill does not close, but
+    # it merges cosets before it meets the limit
+    partial = tmp_path / "partial.txt"
+    partial.write_text("1 : c\n2 : a\n")
     record = tmp_path / "record.json"
     record.write_text(json.dumps({"chi": 4, "sigma": 0, "spin_status": "unknown"}))
     return [
@@ -72,6 +76,7 @@ def _sweep_calls(tmp_path: Path) -> list[list[str]]:
         ["cusps", "7D39AC"],  # rejected: an edge orbit loop fails
         ["fill", "14FF28", "--meridians", "default"],
         ["fill", "14FF28", "--meridians", str(meridians)],
+        ["fill", "14FF28", "--meridians", str(partial), "--max-cosets", "1000"],
         ["cover", "14FF28", "--cyclic", "5"],
         ["cover", "14FF28", "--cyclic", "3", "--classify-filling"],
         ["cover", "14FF28", "--cyclic", "2", "--classify-filling"],
