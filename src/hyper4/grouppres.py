@@ -7,9 +7,10 @@ columns are ordered all generators first, then all inverses.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .intmat import smith_normal_form
@@ -448,7 +449,7 @@ def quotient(pres: GroupPresentation, extra_relators: Iterable[Word]) -> GroupPr
     return GroupPresentation(pres.generators, pres.relators + extra)
 
 
-def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     """The lexicographically least rotation, in time linear in the length.
 
     Two candidate starts i < j are compared k letters deep.  On a mismatch
@@ -473,13 +474,37 @@ def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return doubled[i : i + n]
 
 
-def _cyclic_canonical(word: Word) -> tuple[Letter, ...]:
-    letters = word.cyclic_reduce().letters
+def _cyclic_canonical(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of a cyclically reduced word of signed ranks or
+    of its inverse: two relators share it exactly when one is a rotation
+    of the other or of its inverse."""
     if not letters:
         return ()
-    # the inverse of a cyclically reduced word is cyclically reduced
-    inverse = tuple((name, -exp) for name, exp in reversed(letters))
+    # the inverse of a cyclically reduced word is cyclically reduced; its
+    # least letter is minus the word's greatest, and the rotation that
+    # starts with the smaller least letter is the smaller one
+    lo, hi = min(letters), max(letters)
+    if lo + hi < 0:
+        return _least_rotation(letters)
+    inverse = tuple(-x for x in reversed(letters))
+    if lo + hi > 0:
+        return _least_rotation(inverse)
     return min(_least_rotation(letters), _least_rotation(inverse))
+
+
+def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
+    """Free and then cyclic reduction of a word of signed ranks."""
+    stack: list[int] = []
+    for x in letters:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    i, j = 0, len(stack) - 1
+    while i < j and stack[i] == -stack[j]:
+        i += 1
+        j -= 1
+    return tuple(stack[i : j + 1])
 
 
 def tietze_simplify(
@@ -495,18 +520,22 @@ def tietze_simplify(
     non-negative, caps the number of eliminations.  Deterministic; never
     increases generator count or total length.
 
-    The relators keep their order, each in a slot with its name counts
-    and, once deduplicated, its cyclic canonical form; running totals, a
-    name -> slots index and a canonical form -> slot map sit beside them.
-    Only the relators that contain the eliminated generator are rewritten
-    and re-canonicalized, and the next round drops identities and
-    duplicates among those alone (on a collision the lower slot wins).
-    Each relator's best candidate is kept, and recomputed only when that
-    relator is rewritten or the total of one of its generators changes, so
-    the result equals a full rescan of every relator in every round (Holt,
-    Eick & O'Brien, Handbook of Computational Group Theory, on Tietze
-    transformations).  When `effort` runs out, the last round's relators
-    are returned as they stand, without that pass.
+    The pass works on integer letters: each generator gets its rank in the
+    string order of the names, each letter is +-rank, and each relator is
+    a tuple of them, so ranks break ties as names do.  Words are decoded
+    only for the result.  The relators keep their order, each in a slot
+    with its rank counts and, once deduplicated, its cyclic canonical
+    form; running totals, a rank -> slots index and a canonical form ->
+    slot map sit beside them.  Only the relators that contain the
+    eliminated generator are rewritten and re-canonicalized, and the next
+    round drops identities and duplicates among those alone (on a
+    collision the lower slot wins).  Each relator's best candidate is
+    kept, and recomputed only when that relator is rewritten or the total
+    of one of its generators changes; the least is taken from a heap of
+    them, so the result equals a full rescan of every relator in every
+    round (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+    on Tietze transformations).  When `effort` runs out, the last round's
+    relators are returned as they stand, without that pass.
     """
     return _tietze(pres, effort)[0]
 
@@ -519,47 +548,58 @@ def _tietze(
     generators still present when it was made."""
     if effort < 0:
         raise ValueError("tietze effort must be non-negative")
-    gens = list(pres.generators)
-    eliminated: list[tuple[str, Word]] = []
+    names = sorted(pres.generators)
+    rank = {name: r for r, name in enumerate(names, 1)}
+    eliminated: list[tuple[int, tuple[int, ...]]] = []
     size = len(pres.relators)
-    words: list[Word | None] = [None] * size  # slot -> relator, None once dropped
-    counts: list[Counter | None] = [None] * size
-    keys: list[tuple[Letter, ...] | None] = [None] * size
-    totals: Counter = Counter()
-    occurs: dict[str, set[int]] = {name: set() for name in gens}
-    holder: dict[tuple[Letter, ...], int] = {}  # canonical form -> its slot
+    words: list[tuple[int, ...] | None] = [None] * size  # None once dropped
+    counts: list[dict[int, int] | None] = [None] * size  # slot -> rank -> count
+    keys: list[tuple[int, ...] | None] = [None] * size
+    totals = [0] * (len(names) + 1)  # indexed by rank
+    read = [0] * (len(names) + 1)  # the totals the kept candidates read
+    occurs: list[set[int]] = [set() for _ in range(len(names) + 1)]
+    holder: dict[tuple[int, ...], int] = {}  # canonical form -> its slot
     best_of: dict[int, tuple] = {}  # slot -> its least candidate key
+    queue: list[tuple] = []  # a heap of candidate keys, some outdated
     stale: set[int] = set()  # slots whose candidate may have changed
-    moved: set[str] = set()  # names whose totals changed since the last selection
+    moved: set[int] = set()  # ranks whose totals changed since the last selection
 
-    def place(slot: int, word: Word) -> None:
+    def place(slot: int, word: tuple[int, ...]) -> None:
         words[slot] = word
-        counts[slot] = Counter(name for name, _ in word.letters)
-        totals.update(counts[slot])
-        for name in counts[slot]:
-            occurs[name].add(slot)
-        moved.update(counts[slot])
+        count: dict[int, int] = {}
+        for x in word:
+            r = x if x > 0 else -x
+            count[r] = count.get(r, 0) + 1
+        counts[slot] = count
+        for r, c in count.items():
+            totals[r] += c
+            occurs[r].add(slot)
+        moved.update(count)
         stale.add(slot)
 
     def clear(slot: int) -> None:
-        totals.subtract(counts[slot])
-        for name in counts[slot]:
-            occurs[name].discard(slot)
-        moved.update(counts[slot])
+        count = counts[slot]
+        for r, c in count.items():
+            totals[r] -= c
+            occurs[r].discard(slot)
+        moved.update(count)
         stale.add(slot)
         if keys[slot] is not None:
             del holder[keys[slot]]
             keys[slot] = None
         words[slot] = None
 
-    for slot, r in enumerate(pres.relators):
-        place(slot, r.cyclic_reduce())
+    code: dict[Letter, int] = {}  # letter -> signed rank
+    for name, r in rank.items():
+        code[name, 1], code[name, -1] = r, -r
+    for slot, relator in enumerate(pres.relators):
+        place(slot, _reduce(map(code.__getitem__, relator.letters)))
 
     touched: Iterable[int] = range(size)  # slots rewritten since the last dedup
     for _ in range(effort):
         for slot in touched:
             word = words[slot]
-            if word.is_identity:
+            if not word:
                 clear(slot)
                 continue
             key = _cyclic_canonical(word)
@@ -572,57 +612,73 @@ def _tietze(
             keys[slot] = key
             holder[key] = slot
 
-        # a slot's candidate reads its own word and the totals of its names
-        for name in moved:
-            stale.update(occurs[name])
+        # a slot's candidate reads its own word and the totals of its ranks
+        for r in moved:
+            if totals[r] != read[r]:
+                read[r] = totals[r]
+                stale.update(occurs[r])
         moved.clear()
         for slot in stale:
-            best_of.pop(slot, None)
             word = words[slot]
-            if word is None:
+            best = None  # (delta, rank) of the least (delta, length, slot, rank)
+            if word is not None:
+                length = len(word)
+                for r, c in counts[slot].items():
+                    if c != 1:
+                        continue
+                    # occurs once in this relator, so k counts the other relators
+                    delta = (totals[r] - 1) * (length - 2) - length
+                    if delta <= 0 and (best is None or (delta, r) < best):
+                        best = (delta, r)
+            if best is None:
+                best_of.pop(slot, None)
                 continue
-            length = len(word)
-            best = None  # (delta, relator length, relator slot, generator)
-            for name, cnt in counts[slot].items():
-                if cnt != 1:
-                    continue
-                # occurs once in this relator, so k counts the other relators
-                k = totals[name] - 1
-                delta = k * (length - 2) - length
-                if delta > 0:
-                    continue
-                candidate = (delta, length, slot, name)
-                if best is None or candidate < best:
-                    best = candidate
-            if best is not None:
-                best_of[slot] = best
+            key = (best[0], length, slot, best[1])
+            if best_of.get(slot) != key:
+                best_of[slot] = key
+                heappush(queue, key)
         stale.clear()
-        if not best_of:
+        # queue entries a slot no longer holds are dropped as they surface
+        while queue and best_of.get(queue[0][2]) != queue[0]:
+            heappop(queue)
+        if not queue:
             break
-        _, _, i, name = min(best_of.values())
-        r = words[i]
-        j = next(idx for idx, (n, _) in enumerate(r.letters) if n == name)
-        rotated = r.letters[j:] + r.letters[:j]
-        rest = Word(rotated[1:])
-        # relator is name^exp * rest = 1, so name = rest^(-exp)
-        substitution = rest.inverse() if rotated[0][1] == 1 else rest
-        eliminated.append((name, substitution))
-        image = {1: substitution.letters, -1: substitution.inverse().letters}
+        _, _, i, r = heappop(queue)
+        word = words[i]
+        j = word.index(r) if r in word else word.index(-r)
+        rotated = word[j:] + word[:j]
+        rest = rotated[1:]
+        inverse = tuple(-x for x in reversed(rest))
+        # relator is r^exp * rest = 1, so r = rest^(-exp)
+        image, image_inverse = (inverse, rest) if rotated[0] > 0 else (rest, inverse)
+        eliminated.append((r, image))
         clear(i)
-        touched = sorted(occurs[name])
+        touched = sorted(occurs[r])
         for slot in touched:
             other = words[slot]
             clear(slot)
-            letters: list[Letter] = []
-            for n, e in other.letters:
-                if n == name:
-                    letters.extend(image[e])
+            letters: list[int] = []
+            for x in other:
+                if x == r:
+                    letters.extend(image)
+                elif x == -r:
+                    letters.extend(image_inverse)
                 else:
-                    letters.append((n, e))
-            place(slot, Word.make(letters).cyclic_reduce())
-        gens.remove(name)
-    simplified = GroupPresentation(tuple(gens), tuple(w for w in words if w is not None))
-    return simplified, eliminated
+                    letters.append(x)
+            place(slot, _reduce(letters))
+
+    letter = {r: x for x, r in code.items()}
+
+    def decode(word: tuple[int, ...]) -> Word:
+        return Word(tuple(map(letter.__getitem__, word)))
+
+    gone = {r for r, _ in eliminated}
+    survivors = tuple(name for name in pres.generators if rank[name] not in gone)
+    relators = tuple(decode(w) for w in words if w is not None)
+    return (
+        GroupPresentation(survivors, relators),
+        [(names[r - 1], decode(image)) for r, image in eliminated],
+    )
 
 
 def parse_presentation(text: str) -> GroupPresentation:

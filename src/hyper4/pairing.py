@@ -344,11 +344,18 @@ def face_cycles(pairing_set: SidePairingSet, dimension: int) -> list[FaceCycle]:
 
 def ridge_presentation(ridge_cycles: list[FaceCycle]) -> GroupPresentation:
     """Presentation with the 12 letters as generators and one relator
-    per ridge class.  Requires every cycle matrix to be the identity."""
+    per ridge class.  Requires every cycle matrix to be the identity, and
+    then every cycle to have length 4 (angle sum 4 * pi/2 = 2pi)."""
     for cycle in ridge_cycles:
         if cycle.cycle_matrix != IDENTITY:
             raise ValueError(
                 f"ridge cycle {cycle.word} has non-identity matrix: not a manifold code"
+            )
+    for cycle in ridge_cycles:
+        if cycle.length != 4:
+            raise ValueError(
+                f"ridge cycle {cycle.word} has length {cycle.length}, not 4: "
+                "not a manifold code"
             )
     return GroupPresentation(GENERATOR_LETTERS, tuple(c.word for c in ridge_cycles))
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hyper4.analysis as analysis_module
 import hyper4.cli as cli_module
@@ -255,11 +255,15 @@ ARGV_TOKENS = (
     "decode", "verify", "cusps", "cover", "fill", "classify", "census",
     "14FF28", "FF79DA", "--cyclic", *map(str, range(8)), "-1", "x",
     "--jobs", "--max-cosets", "--format", "text", "--spin",
+    "--classify-filling", "--tietze-effort",
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(argv=st.lists(st.sampled_from(ARGV_TOKENS), max_size=5))
+# a fill, through Tietze and the lifted enumeration, at a capped effort
+@example(argv=["cover", "14FF28", "--cyclic", "7", "--classify-filling", "--tietze-effort", "3"])
+@example(argv=["cover", "14FF28", "--cyclic", "5", "--tietze-effort", "-1", "--classify-filling"])
 def test_any_token_list_gives_one_envelope(argv):
     _assert_one_envelope(argv)
 

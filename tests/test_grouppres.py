@@ -1,5 +1,7 @@
 """Coset enumeration, rewriting, and presentation surgery."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,6 +19,8 @@ from hyper4.grouppres import (
     _cyclic_canonical,
     _enumerate,
     _least_rotation,
+    _reduce,
+    _tietze,
     abelianization,
     character_coset_table,
     orbit_edges,
@@ -243,13 +247,19 @@ def test_tietze_preserves_abelianization():
     assert len(simp.generators) <= len(pres.generators)
 
 
+def _word_canonical(word):
+    """The least rotation of a cyclically reduced word or of its inverse,
+    over (name, exponent) letters, by brute force."""
+    return min(_brute_least_rotation(word.letters), _brute_least_rotation(word.inverse().letters))
+
+
 def _reference_tietze(pres, effort):
     """Tietze simplification that rescans every relator for each candidate."""
     gens, rels = list(pres.generators), [r.cyclic_reduce() for r in pres.relators]
     for _ in range(max(effort, 0)):
         seen, cleaned = set(), []
         for r in (r.cyclic_reduce() for r in rels):
-            key = _cyclic_canonical(r)
+            key = _word_canonical(r)
             if not r.is_identity and key not in seen:
                 seen.add(key)
                 cleaned.append(r)
@@ -282,21 +292,129 @@ def _reference_tietze(pres, effort):
     return GroupPresentation(tuple(gens), tuple(rels))
 
 
+def _word_tietze(pres, effort):
+    """The incremental pass of `_tietze` on (name, exponent) letters, with
+    Counter name counts, a name -> slots index and the brute-force
+    canonical form: the same selections and rewrites, written on Words."""
+    gens = list(pres.generators)
+    eliminated = []
+    size = len(pres.relators)
+    words, counts, keys = [None] * size, [None] * size, [None] * size
+    totals = Counter()
+    occurs = {name: set() for name in gens}
+    holder, best_of, stale, moved = {}, {}, set(), set()
+
+    def place(slot, word):
+        words[slot] = word
+        counts[slot] = Counter(name for name, _ in word.letters)
+        totals.update(counts[slot])
+        for name in counts[slot]:
+            occurs[name].add(slot)
+        moved.update(counts[slot])
+        stale.add(slot)
+
+    def clear(slot):
+        totals.subtract(counts[slot])
+        for name in counts[slot]:
+            occurs[name].discard(slot)
+        moved.update(counts[slot])
+        stale.add(slot)
+        if keys[slot] is not None:
+            del holder[keys[slot]]
+            keys[slot] = None
+        words[slot] = None
+
+    for slot, r in enumerate(pres.relators):
+        place(slot, r.cyclic_reduce())
+    touched = range(size)
+    for _ in range(effort):
+        for slot in touched:
+            word = words[slot]
+            if word.is_identity:
+                clear(slot)
+                continue
+            key = _word_canonical(word)
+            other = holder.get(key)
+            if other is not None:
+                if other < slot:
+                    clear(slot)
+                    continue
+                clear(other)
+            keys[slot] = key
+            holder[key] = slot
+        for name in moved:
+            stale.update(occurs[name])
+        moved.clear()
+        for slot in stale:
+            best_of.pop(slot, None)
+            word = words[slot]
+            if word is None:
+                continue
+            length = len(word)
+            candidates = [
+                ((totals[name] - 1) * (length - 2) - length, length, slot, name)
+                for name, cnt in counts[slot].items()
+                if cnt == 1
+            ]
+            candidates = [c for c in candidates if c[0] <= 0]
+            if candidates:
+                best_of[slot] = min(candidates)
+        stale.clear()
+        if not best_of:
+            break
+        _, _, i, name = min(best_of.values())
+        r = words[i]
+        j = next(idx for idx, (n, _) in enumerate(r.letters) if n == name)
+        rotated = r.letters[j:] + r.letters[:j]
+        rest = Word(rotated[1:])
+        substitution = rest.inverse() if rotated[0][1] == 1 else rest
+        eliminated.append((name, substitution))
+        image = {1: substitution.letters, -1: substitution.inverse().letters}
+        clear(i)
+        touched = sorted(occurs[name])
+        for slot in touched:
+            other = words[slot]
+            clear(slot)
+            letters = [x for n, e in other.letters for x in (image[e] if n == name else [(n, e)])]
+            place(slot, Word.make(letters).cyclic_reduce())
+        gens.remove(name)
+    simplified = GroupPresentation(tuple(gens), tuple(w for w in words if w is not None))
+    return simplified, eliminated
+
+
+def _filled_cover(n):
+    """The filled presentation of `cover 14FF28 --cyclic n --classify-filling`."""
+    analysis, table = _cyclic_table("14FF28", n, 10**6)
+    lifted = _lifted_meridians(analysis, table, default_meridians("14FF28"))
+    return quotient(reidemeister_schreier(analysis.presentation, table), lifted)
+
+
 def test_tietze_matches_rescan_on_filled_cover():
     for n, efforts in ((3, (1000,)), (5, (10, 50, 1000)), (7, (10, 50, 1000))):
-        # the filled presentation of `cover 14FF28 --cyclic n --classify-filling`
-        analysis, table = _cyclic_table("14FF28", n, 10**6)
-        lifted = _lifted_meridians(analysis, table, default_meridians("14FF28"))
-        filled = quotient(reidemeister_schreier(analysis.presentation, table), lifted)
+        filled = _filled_cover(n)
         for effort in efforts:
             simplified = tietze_simplify(filled, effort)
             assert simplified == _reference_tietze(filled, effort), (n, effort)
             assert len(simplified.generators) < len(filled.generators)
 
 
+def test_tietze_matches_the_word_pass_on_the_fills():
+    # the eliminations feed the lift of `todd_coxeter`, so they are compared too
+    for n in range(1, 16):
+        filled = _filled_cover(n)
+        for effort in (0, 1, 7, 50, 1000):
+            assert _tietze(filled, effort) == _word_tietze(filled, effort), (n, effort)
+
+
 @st.composite
 def _presentations(draw):
-    names = "abcdefgh"[: draw(st.integers(1, 8))]
+    count = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        names = tuple("abcdefgh"[:count])
+    else:
+        # shuffled names whose string order (x10 < x9) is neither their
+        # numeric order nor their position
+        names = tuple(draw(st.permutations([f"x{i}" for i in range(1, 12)]))[:count])
     letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
     relators: list[Word] = []
     for _ in range(draw(st.integers(0, 12))):
@@ -309,7 +427,7 @@ def _presentations(draw):
             relators.append(Word.make(word.letters[shift:] + word.letters[:shift]))
         else:
             relators.append(Word.make(draw(st.lists(letter, max_size=10))))
-    return GroupPresentation(tuple(names), tuple(relators))
+    return GroupPresentation(names, tuple(relators))
 
 
 @settings(max_examples=300, deadline=None)
@@ -321,35 +439,43 @@ def _presentations(draw):
 @example(parse_presentation("gens: a b c d\ndBA\ncBA\n"), 1000)
 def test_tietze_matches_rescan(pres, effort):
     assert tietze_simplify(pres, effort) == _reference_tietze(pres, effort)
+    assert _tietze(pres, effort) == _word_tietze(pres, effort)
 
 
-_cyclic_words = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), max_size=10)
+# words of signed ranks, as `_tietze` encodes them
+_cyclic_words = st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=10).map(_reduce)
 
 
 def _brute_least_rotation(letters):
     return min((letters[i:] + letters[:i] for i in range(len(letters))), default=())
 
 
-@given(_cyclic_words.map(Word.make))
+@given(_cyclic_words)
 def test_cyclic_canonical_is_shared_by_rotations_and_inverse(word):
     key = _cyclic_canonical(word)
-    core = word.cyclic_reduce().letters
-    inverse = word.inverse().cyclic_reduce().letters
-    assert key == min(_brute_least_rotation(core), _brute_least_rotation(inverse))
+    inverse = tuple(-x for x in reversed(word))
+    assert key == min(_brute_least_rotation(word), _brute_least_rotation(inverse))
     for i in range(len(word)):
-        rotated = Word.make(word.letters[i:] + word.letters[:i])
+        rotated = word[i:] + word[:i]
         assert _cyclic_canonical(rotated) == key
-        assert _cyclic_canonical(rotated.inverse()) == key
+        assert _cyclic_canonical(tuple(-x for x in reversed(rotated))) == key
+
+
+def test_reduce_is_free_then_cyclic_reduction():
+    assert _reduce((1, 2, -2, 3, -1)) == (3,)
+    assert _reduce((2, 1, -1, -2)) == ()
+    assert _reduce((-3, 1, 2, 3)) == (1, 2)
+    assert _reduce((1, 2, -1, -3)) == (1, 2, -1, -3)
 
 
 # two letters and their inverses, unreduced, make repeated and periodic words likely
-_short_letters = st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))), max_size=14)
+_short_letters = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=14)
 
 
 @settings(max_examples=500)
 @given(_short_letters.map(tuple))
-@example(parse_word("abab").letters)
-@example((("a", 1),) * 6)
+@example((1, 2, 1, 2))
+@example((1,) * 6)
 def test_least_rotation_is_the_rotation_minimum(letters):
     assert _least_rotation(letters) == _brute_least_rotation(letters)
 

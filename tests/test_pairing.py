@@ -16,12 +16,14 @@ from hyper4.lorentz import IDENTITY, LorentzMatrix, diagonal_k
 from hyper4.pairing import (
     CODE_ALPHABET,
     CodeError,
+    FaceCycle,
     SidePairingSet,
     build_side_pairings,
     face_cycles,
     fundamental_group,
     parse_census_lines,
     parse_code,
+    ridge_presentation,
     validate_pairings,
 )
 from hyper4.words import Word
@@ -220,6 +222,21 @@ def test_ridge_cycles():
         assert cyc.cycle_matrix == IDENTITY
     by_start = {c.members[0]: c for c in ridge}
     assert str(by_start[("A", "C")].word) == "CAda"
+
+
+def test_ridge_presentation_requires_length_4():
+    ps = build_side_pairings("14FF28")
+    ridge = face_cycles(ps, 2)
+    assert ridge_presentation(ridge).relators == tuple(c.word for c in ridge)
+    # a cycle walked twice has the identity matrix but angle sum 4pi
+    first = ridge[0]
+    doubled = FaceCycle(2, first.members * 2, first.word * first.word, IDENTITY)
+    with pytest.raises(ValueError, match=r"length 8, not 4: not a manifold code$"):
+        ridge_presentation([doubled, *ridge[1:]])
+    # the matrix check runs over every cycle before the length check
+    skewed = replace(ridge[-1], cycle_matrix=ps.evaluate(Word.generator("a")))
+    with pytest.raises(ValueError, match="non-identity matrix"):
+        ridge_presentation([doubled, *ridge[1:-1], skewed])
 
 
 def test_edge_classes():

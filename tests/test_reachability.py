@@ -27,6 +27,9 @@ LIBRARY_ONLY = {
     "grouppres.parse_presentation": "reads the text form of a presentation; many group tests build inputs with it",
     "grouppres._parse_relator": "one relator line of parse_presentation",
     "grouppres.GroupPresentation.__str__": "the flat-group oracle test compares presentations by this form",
+    "words.Word.__len__": "word length for library users; the Tietze pass counts integer letters, and the Word-based Tietze oracles of the group tests read it",
+    "words.Word.is_identity": "the identity test for library users; the Tietze pass tests integer words, and the Word-based Tietze oracles of the group tests read it",
+    "words.Word.cyclic_reduce": "cyclic reduction for library users; the Tietze pass reduces integer words, and the Word-based Tietze oracles of the group tests read it",
     "lorentz.LorentzVector.__str__": "the coordinate form of a vector for library users; the walks read vertex maps, so no message prints one",
 }
 
