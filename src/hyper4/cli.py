@@ -12,10 +12,12 @@ import argparse
 import json
 import os
 import sys
+import threading
 from dataclasses import asdict
 
 from . import __version__
 from .analysis import CodeAnalysis
+from .cell24 import the_24_cell
 from .cusp import ETA_TABLE, signature
 from .filling import (
     classify_filled_cover,
@@ -27,14 +29,14 @@ from .filling import (
     fill,
     parse_meridian_lines,
 )
-from .flatgroups import StructuralError
+from .flatgroups import StructuralError, reference_flat_groups
 from .grouppres import DEFAULT_COSET_LIMIT, DEFAULT_TIETZE_EFFORT, abelianization, todd_coxeter
 from .pairing import CodeError, build_side_pairings, parse_census_lines
 
 SCHEMA = "hyper4-census/1"
 DETERMINISM_NOTE = (
     "exact integer and rational arithmetic; no floating point and no "
-    "randomness; records are independent of thread count"
+    "randomness; records are independent of --jobs"
 )
 TORSION_NOTE = "torsion freeness of the side-pairing group is assumed per census"
 ORIENTABLE_NOTE = (
@@ -287,17 +289,104 @@ def _census_line(lineno: int, code: str, annotation: str | None):
     return record, None
 
 
+def _census_share(share):
+    """The (record, error) of each entry of `share`, in order, up to the
+    first exception that escapes `_census_line`, and that exception."""
+    results = []
+    try:
+        for entry in share:
+            results.append(_census_line(*entry))
+    except Exception as exc:  # re-raised when the merge reaches this entry
+        return results, exc
+    return results, None
+
+
+def _collect(pid: int, read: int):
+    """A worker's pickled outcome, read to the end, with the worker
+    reaped; one that did not report gives an error naming its wait
+    status."""
+    import pickle
+
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status or not data:
+        return [], ChildProcessError(f"a census worker ended without reporting: wait status {status}")
+    return pickle.loads(data)
+
+
+def _forked_shares(entries, jobs: int) -> list:
+    """The outcome of each share `entries[i::jobs]`: share 0 runs in
+    this process and each other share in a forked child, which is
+    reaped before this returns or raises."""
+    # imported here: only a forked census needs them, and every verb
+    # would pay their import time at the top of the module
+    import pickle
+    import signal
+
+    # process-wide tables, built once here rather than in every child
+    the_24_cell()
+    reference_flat_groups()
+    workers = []  # (pid, read end) of each child not yet collected
+    try:
+        for share in range(1, jobs):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                # the child pickles its outcome into the pipe and leaves
+                # by os._exit: it never returns into the caller's stack,
+                # runs no atexit handler and flushes no inherited stdout
+                status = 1
+                try:
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(_census_share(entries[share::jobs]), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            workers.append((pid, read))
+        outcomes = [_census_share(entries[::jobs])]
+        while workers:
+            outcomes.append(_collect(*workers.pop(0)))
+        return outcomes
+    finally:
+        # left only by a failed fork or an interrupt: the outcome is
+        # lost, so the children are stopped rather than waited for
+        for pid, read in workers:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _cmd_census(args) -> tuple[list, list, None]:
     if args.jobs < 1:
         raise ValueError("--jobs must be a positive integer")
     with open(args.path, encoding="utf-8") as handle:
         entries = parse_census_lines(handle)
+    # The codes are independent, so up to --jobs processes, and no more
+    # than the codes or the cores, each verify every jobs-th entry.  A
+    # process with threads never forks: another thread may hold a lock.
+    jobs = min(args.jobs, len(entries), os.cpu_count() or 1)
+    if jobs > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        shares = _forked_shares(entries, jobs)
+    else:
+        jobs, shares = 1, [_census_share(entries)]
     records = []
     errors = []
-    # --jobs is checked but changes nothing: the codes run one after
-    # another in this process, since threads under the GIL gain no time
-    for entry in entries:
-        record, error = _census_line(*entry)
+    # merged in file order: the first exception in file order is raised,
+    # as the in-process loop raises it
+    for index in range(len(entries)):
+        results, exc = shares[index % jobs]
+        if index // jobs == len(results):
+            raise exc
+        record, error = results[index // jobs]
         if record is not None:
             records.append(record)
         if error is not None:

@@ -423,7 +423,14 @@ def classify_filled_cover(
 
     Returns the cover's record under "cover" (the same record as
     `cyclic_cover`) and a status of "certified", "conditional" (spin
-    undetermined), or "unverified" (an enumeration exceeded the limit)."""
+    undetermined), or "unverified" (an enumeration exceeded the limit).
+
+    `tietze_effort` bounds this function's own Tietze pass over the
+    filled presentation, and the "presentation" counts describe that
+    pass's result.  The certificate's `todd_coxeter` simplifies that
+    result again at `DEFAULT_TIETZE_EFFORT` before it enumerates, so the
+    counts are not those of the presentation enumerated, and the effort
+    does not bound the work spent before the certificate."""
     if tietze_effort < 0:
         raise ValueError("tietze effort must be non-negative")
     analysis, table = _cyclic_table(code, n, limit)

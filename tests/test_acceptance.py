@@ -225,7 +225,7 @@ def test_accept_property_suites(tmp_path):
     pres = fundamental_group(PAIRINGS)
     for rel in pres.relators:
         assert PAIRINGS.evaluate(rel) == IDENTITY
-    # reports are byte identical whatever the thread count
+    # reports are byte identical whatever --jobs says
     sample = tmp_path / "census.txt"
     sample.write_text("14FF28\n1428BD\n")
     outputs = []

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -492,29 +494,134 @@ def test_census_runs_sample():
     assert doc["records"][1]["cusp_types"] == "FABAA"
 
 
-def test_census_identical_across_jobs():
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """`census --jobs 2` forks one worker on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry for each `os.fork` call."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+def test_census_identical_across_jobs(two_cores):
     _, out1 = run("census", str(DATA / "census_sample.txt"), "--jobs", "1")
     _, out4 = run("census", str(DATA / "census_sample.txt"), "--jobs", "4")
+    _assert_no_child_left()
     assert out1 == out4
     assert json.loads(out1)["command"] == ["census", str(DATA / "census_sample.txt")]
 
 
-def test_census_runs_in_process_without_threads():
-    # --jobs 2 is accepted, but the codes run one after another in the
-    # calling process: no executor module is loaded, no thread started
+def test_census_workers_are_processes_and_none_is_left():
+    # --jobs 2 forks one worker process: no executor module is loaded, no
+    # thread started, and the worker is reaped before main returns
     script = (
-        "import contextlib, io, sys, threading\n"
+        "import contextlib, io, os, sys, threading\n"
         "from hyper4.cli import main\n"
+        "os.cpu_count = lambda: 2\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['census', {str(DATA / 'census_sample.txt')!r}, '--jobs', '2']) == 0\n"
+        "assert forks == [1], forks\n"
         "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a child process is left')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_census_workers_are_capped_by_the_cores(tmp_path, two_cores, forks):
+    # --jobs 64 on 4 codes and 2 cores forks one worker, not 63
+    path = tmp_path / "census.txt"
+    path.write_text("14FF28\n1428BD\n14FF28\n1428BD\n")
+    code, doc = run_json("census", str(path), "--jobs", "64")
+    _assert_no_child_left()
+    assert code == 0 and len(doc["records"]) == 4
+    assert forks == [1]
+
+
+def test_census_failed_fork_stops_the_workers(tmp_path, monkeypatch):
+    # three cores, three codes: the second fork fails, so the first
+    # worker is stopped and reaped and the failure is the run's error
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    path = tmp_path / "census.txt"
+    path.write_text("14FF28\n1428BD\n14FF28\n")
+    forks = []
+    fork = os.fork
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    fds = len(os.listdir("/dev/fd"))
+    code, doc = run_json("census", str(path), "--jobs", "3")
+    _assert_no_child_left()
+    assert len(os.listdir("/dev/fd")) == fds
+    assert code == 1 and doc["records"] == [] and len(forks) == 2
+    assert doc["errors"] == [{"message": "[Errno 11] Resource temporarily unavailable"}]
+
+
+def test_census_with_threads_runs_in_process(two_cores, forks):
+    # another thread may hold a lock that a forked child could never
+    # take, so a process with threads verifies its codes itself
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        threaded = run("census", str(DATA / "census_sample.txt"), "--jobs", "2")
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    assert forks == []
+    assert threaded == run("census", str(DATA / "census_sample.txt"), "--jobs", "1")
+
+
+# lines of a census file: manifolds, rejected and undecodable codes,
+# comments, blank lines and annotations
+CENSUS_LINES = (
+    "14FF28", "1428BD", "157CB4", "2EBB84", "A6783B", "FF79DA", "ZZZZZZ",
+    "14FF2", "# a comment", "", "14FF28  an annotation", "A6783B rejected",
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lines=st.lists(st.sampled_from(CENSUS_LINES), max_size=5))
+@example(lines=["ZZZZZZ", "14FF28", "A6783B", "1428BD"])
+def test_census_is_the_same_for_one_and_two_jobs(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("census") / "census.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "cpu_count", lambda: 2)
+        one = run("census", str(path), "--jobs", "1")
+        two = run("census", str(path), "--jobs", "2")
+    _assert_no_child_left()
+    assert one == two
 
 
 @pytest.mark.parametrize(
@@ -560,15 +667,69 @@ def test_census_bad_line_is_error_not_abort(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_census_propagates_internal_assertion(monkeypatch, jobs):
+def test_census_propagates_internal_assertion(tmp_path, monkeypatch, two_cores, jobs):
     # an AssertionError is an internal invariant, not a verdict on the code:
-    # census lets it out, as verify does
+    # census lets it out, as verify does, whichever process met it; with
+    # --jobs 2, 14FF28 and 157CB4 fall to this process and 1428BD to the
+    # worker, and the first failure in file order is the one raised
+    path = tmp_path / "census.txt"
+    path.write_text("14FF28\n1428BD\n157CB4\n")
+    parent = os.getpid()
+    failing = ()
+
     def broken(code):
-        raise AssertionError("internal invariant")
+        if code in failing:
+            where = "here" if os.getpid() == parent else "in a worker"
+            raise AssertionError(f"internal invariant of {code} {where}")
+        return {"code": code}
 
     monkeypatch.setattr(cli_module, "_verify_record", broken)
-    with pytest.raises(AssertionError, match="internal invariant"):
-        run("census", str(DATA / "census_sample.txt"), "--jobs", jobs)
+    for failing in [("14FF28",), ("1428BD",), ("1428BD", "157CB4")]:
+        where = "in a worker" if jobs == "2" and failing[0] == "1428BD" else "here"
+        with pytest.raises(AssertionError, match=f"^internal invariant of {failing[0]} {where}$"):
+            run("census", str(path), "--jobs", jobs)
+        _assert_no_child_left()
+
+
+def test_census_worker_that_dies_is_an_error(monkeypatch, two_cores):
+    # a worker that ends without reporting gives an error naming its wait
+    # status, never a hang or a record left out
+    parent = os.getpid()
+    verify = cli_module._verify_record
+
+    def dying(code):
+        if os.getpid() != parent:
+            os._exit(3)
+        return verify(code)
+
+    monkeypatch.setattr(cli_module, "_verify_record", dying)
+    code, doc = run_json("census", str(DATA / "census_sample.txt"), "--jobs", "2")
+    _assert_no_child_left()
+    assert code == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [
+        {"message": "a census worker ended without reporting: wait status 768"}
+    ]
+
+
+def test_census_interrupt_stops_the_workers(tmp_path, monkeypatch, two_cores):
+    # an interrupt in this process's share stops and reaps the worker
+    # rather than waiting for its share
+    path = tmp_path / "census.txt"
+    path.write_text("14FF28\n1428BD\n")
+    parent = os.getpid()
+
+    def interrupted(code):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "_verify_record", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run("census", str(path), "--jobs", "2")
+    _assert_no_child_left()
+    assert time.monotonic() - start < 30
 
 
 def test_missing_file_is_clean_error():

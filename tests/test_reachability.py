@@ -34,9 +34,12 @@ LIBRARY_ONLY = {
 }
 
 SWEEP = r"""
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 
 entered = set()
+# census --jobs 2 forks a worker on a one-core host too; the worker's
+# calls are not recorded, so this process runs the path's own functions
+os.cpu_count = lambda: 2
 
 
 def profile(frame, event, arg):
@@ -86,6 +89,7 @@ def _sweep_calls(tmp_path: Path) -> list[list[str]]:
         ["classify", "--chi", "6", "--sigma", "0", "--spin"],
         ["classify", "--record", str(record)],
         ["census", str(DATA / "census_sample.txt"), "--jobs", "1"],
+        ["census", str(DATA / "census_sample.txt"), "--jobs", "2"],
         ["verify"],  # bad argv: no code
     ]
 
