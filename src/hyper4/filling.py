@@ -19,7 +19,6 @@ from .cusp import VertexClass, signature
 from .flatgroups import AffineMap, FlatGroup, classify_flat_group
 from .grouppres import (
     DEFAULT_COSET_LIMIT,
-    DEFAULT_TIETZE_EFFORT,
     CosetTable,
     GroupPresentation,
     character_coset_table,
@@ -31,6 +30,7 @@ from .grouppres import (
     tietze_simplify,
     todd_coxeter,
 )
+from .lorentz import IDENTITY
 from .pairing import SidePairingSet
 from .words import Word, parse_word
 
@@ -379,8 +379,14 @@ def _rebased_meridian(
 ) -> Word:
     """Conjugate the meridian word into the stabilizer of the class
     representative, so cover cusp orbits and meridian lifts share one
-    base point."""
+    base point.  The group acts faithfully and is torsion-free, so a word
+    whose matrix is the identity is the trivial element, and filling
+    along it kills nothing: it is refused."""
     matrix = pairing_set.evaluate(meridian.word)
+    if matrix == IDENTITY:
+        raise ValueError(
+            f"meridian {meridian.word} is the trivial element: its matrix is the identity"
+        )
     for vertex, tau in zip(vclass.members, vclass.transversals):
         if matrix.apply(vertex) == vertex:
             return tau.inverse() * meridian.word * tau
@@ -412,27 +418,15 @@ def _lifted_meridians(
     return out
 
 
-def classify_filled_cover(
-    code: str,
-    n: int,
-    limit: int = DEFAULT_COSET_LIMIT,
-    tietze_effort: int = DEFAULT_TIETZE_EFFORT,
-) -> dict:
+def classify_filled_cover(code: str, n: int, limit: int = DEFAULT_COSET_LIMIT) -> dict:
     """Fill every cusp of the cyclic cover along the lifted meridians,
     certify simple connectivity by coset enumeration, and classify.
 
     Returns the cover's record under "cover" (the same record as
     `cyclic_cover`) and a status of "certified", "conditional" (spin
     undetermined), or "unverified" (an enumeration exceeded the limit).
-
-    `tietze_effort` bounds this function's own Tietze pass over the
-    filled presentation, and the "presentation" counts describe that
-    pass's result.  The certificate's `todd_coxeter` simplifies that
-    result again at `DEFAULT_TIETZE_EFFORT` before it enumerates, so the
-    counts are not those of the presentation enumerated, and the effort
-    does not bound the work spent before the certificate."""
-    if tietze_effort < 0:
-        raise ValueError("tietze effort must be non-negative")
+    The "presentation" counts are those of the filled presentation after
+    Tietze simplification, the presentation the certificate enumerates."""
     analysis, table = _cyclic_table(code, n, limit)
     record = _cyclic_record(analysis, n, table)
     if not table.complete:
@@ -444,7 +438,7 @@ def classify_filled_cover(
     subgroup_pres = reidemeister_schreier(analysis.presentation, table)
     lifted = _lifted_meridians(analysis, table, default_meridians(code))
     filled = quotient(subgroup_pres, lifted)
-    simplified = tietze_simplify(filled, tietze_effort)
+    simplified = tietze_simplify(filled)
     cert = todd_coxeter(simplified, limit)
     out = {
         "cover": record,

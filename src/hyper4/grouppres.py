@@ -32,10 +32,8 @@ __all__ = [
     "parse_presentation",
 ]
 
-# the coset limit of `todd_coxeter` and the elimination effort of
-# `tietze_simplify` when the caller gives none
+# the coset limit of `todd_coxeter` when the caller gives none
 DEFAULT_COSET_LIMIT = 10**6
-DEFAULT_TIETZE_EFFORT = 1000
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ def todd_coxeter(pres: GroupPresentation, limit: int = DEFAULT_COSET_LIMIT) -> C
     """Coset enumeration of the trivial subgroup.
 
     The cosets are enumerated on the presentation that Tietze
-    simplification at the default effort leaves, and the table is lifted
+    simplification leaves at its fixed point, and the table is lifted
     back: the eliminated generators, last first, get the permutation of
     their substitution words, and each inverse column is the inverse
     permutation.  A standardized table is unique for the group and its
@@ -225,7 +223,7 @@ def todd_coxeter(pres: GroupPresentation, limit: int = DEFAULT_COSET_LIMIT) -> C
     """
     if limit <= 0:
         raise ValueError("coset limit must be positive")
-    simplified, eliminated = _tietze(pres, DEFAULT_TIETZE_EFFORT)
+    simplified, eliminated = _tietze(pres)
     table = _enumerate(simplified, limit)
     if not table.complete:
         return CosetTable(pres.generators, (), False)
@@ -507,18 +505,17 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack[i : j + 1])
 
 
-def tietze_simplify(
-    pres: GroupPresentation, effort: int = DEFAULT_TIETZE_EFFORT
-) -> GroupPresentation:
+def tietze_simplify(pres: GroupPresentation) -> GroupPresentation:
     """Simplify a presentation without changing the group.
 
     Rounds of: duplicate-relator removal, then elimination of a generator
     occurring exactly once in some relator when the substitution does not
     increase total relator length.  Relators are kept cyclically reduced.
     Each round eliminates the candidate with the least key (length change,
-    relator length, relator index, name); `effort`, which must be
-    non-negative, caps the number of eliminations.  Deterministic; never
-    increases generator count or total length.
+    relator length, relator index, name), until no relator has a
+    candidate.  Every round but the last removes a generator, so the pass
+    reaches this fixed point within one round per generator and one more.
+    Deterministic; never increases generator count or total length.
 
     The pass works on integer letters: each generator gets its rank in the
     string order of the names, each letter is +-rank, and each relator is
@@ -534,20 +531,15 @@ def tietze_simplify(
     of one of its generators changes; the least is taken from a heap of
     them, so the result equals a full rescan of every relator in every
     round (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
-    on Tietze transformations).  When `effort` runs out, the last round's
-    relators are returned as they stand, without that pass.
+    on Tietze transformations).
     """
-    return _tietze(pres, effort)[0]
+    return _tietze(pres)[0]
 
 
-def _tietze(
-    pres: GroupPresentation, effort: int
-) -> tuple[GroupPresentation, list[tuple[str, Word]]]:
+def _tietze(pres: GroupPresentation) -> tuple[GroupPresentation, list[tuple[str, Word]]]:
     """`tietze_simplify`, and its eliminations in order as (generator,
     substitution word) pairs; each substitution is written in the
     generators still present when it was made."""
-    if effort < 0:
-        raise ValueError("tietze effort must be non-negative")
     names = sorted(pres.generators)
     rank = {name: r for r, name in enumerate(names, 1)}
     eliminated: list[tuple[int, tuple[int, ...]]] = []
@@ -596,7 +588,7 @@ def _tietze(
         place(slot, _reduce(map(code.__getitem__, relator.letters)))
 
     touched: Iterable[int] = range(size)  # slots rewritten since the last dedup
-    for _ in range(effort):
+    while True:
         for slot in touched:
             word = words[slot]
             if not word:

@@ -128,6 +128,18 @@ def test_verify_double_cover_of_orientable_code(code):
     }
 
 
+def test_torsion_note_is_derived():
+    assert TORSION_NOTE == (
+        "the side-pairing group is torsion-free by Poincare's polyhedron theorem "
+        "(Ratcliffe, Foundations of Hyperbolic Manifolds, section 11.2): its ridge "
+        "cycles are the identity and have length 4, its edge stabilizers are "
+        "trivial, and its cusp groups are Bieberbach"
+    )
+    for argv in (("verify", "14FF28"), ("cusps", "1428BD"), ("census", str(DATA / "census_sample.txt"))):
+        _, doc = run_json(*argv)
+        assert doc["records"] and all(r["notes"] == [TORSION_NOTE] for r in doc["records"])
+
+
 def test_cusps_record():
     _, doc = run_json("cusps", "14FF28")
     rec = doc["records"][0]
@@ -252,7 +264,8 @@ def test_any_code_string_gives_one_envelope(verb, code):
 
 
 # verbs, codes and flags; --cyclic takes at most 7, as a cover of degree
-# 2n is built in full, and --help, which exits, is left out
+# 2n is built in full, and --help, which exits, is left out; no verb has
+# --tietze-effort, which stands for an unknown option
 ARGV_TOKENS = (
     "decode", "verify", "cusps", "cover", "fill", "classify", "census",
     "14FF28", "FF79DA", "--cyclic", *map(str, range(8)), "-1", "x",
@@ -263,8 +276,8 @@ ARGV_TOKENS = (
 
 @settings(max_examples=200, deadline=None)
 @given(argv=st.lists(st.sampled_from(ARGV_TOKENS), max_size=5))
-# a fill, through Tietze and the lifted enumeration, at a capped effort
-@example(argv=["cover", "14FF28", "--cyclic", "7", "--classify-filling", "--tietze-effort", "3"])
+# a fill, through Tietze and the lifted enumeration
+@example(argv=["cover", "14FF28", "--cyclic", "7", "--classify-filling"])
 @example(argv=["cover", "14FF28", "--cyclic", "5", "--tietze-effort", "-1", "--classify-filling"])
 def test_any_token_list_gives_one_envelope(argv):
     _assert_one_envelope(argv)
@@ -346,12 +359,15 @@ def test_closed_stdout_gives_no_traceback():
     ids=["full", "max-cosets-5", "no-filling"],
 )
 def test_cover_negative_tietze_effort_is_error(extra):
-    # rejected even when the enumeration stops before Tietze would run, or
-    # when no filling is asked for
-    code, doc = run_json("cover", "14FF28", "--cyclic", "3", "--tietze-effort", "-3", *extra)
-    assert code == 1
-    assert doc["records"] == []
-    assert doc["errors"] == [{"message": "tietze effort must be non-negative"}]
+    # Tietze runs to its fixed point, so the cover verb has no effort
+    # option: a negative value, or any other, is an unknown argument
+    for effort in ("-3", "1000"):
+        code, doc = run_json("cover", "14FF28", "--cyclic", "3", "--tietze-effort", effort, *extra)
+        assert code == 1
+        assert doc["records"] == []
+        assert doc["errors"] == [
+            {"message": f"hyper4: unrecognized arguments: --tietze-effort {effort}"}
+        ]
 
 
 # the first condition each code fails
@@ -404,6 +420,23 @@ def test_fill_rejects_wrong_cusp(tmp_path):
     code, doc = run_json("fill", "14FF28", "--meridians", str(path))
     assert code == 1
     assert "stabilizer" in doc["errors"][0]["message"]
+
+
+@pytest.mark.parametrize(
+    "line, word", [("0 :", "1"), ("1: cC", "1"), ("1: CAda", "CAda")],
+    ids=["empty", "cancelling", "ridge-cycle-relator"],
+)
+def test_fill_rejects_a_trivial_meridian(tmp_path, line, word):
+    # a word whose matrix is the identity is the trivial element, and a
+    # fill along it would kill nothing
+    path = tmp_path / "meridians.txt"
+    path.write_text(line + "\n")
+    code, doc = run_json("fill", "14FF28", "--meridians", str(path))
+    assert code == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [
+        {"message": f"meridian {word} is the trivial element: its matrix is the identity"}
+    ]
 
 
 def test_classify_flags():
@@ -737,3 +770,51 @@ def test_missing_file_is_clean_error():
     assert code == 1
     assert doc["records"] == []
     assert doc["errors"]
+
+
+# lines of the files that fill, census and classify read: meridians, some
+# malformed, trivial or with a bad exponent; census codes; JSON that is
+# not a record, nested past the recursion limit included
+FILE_LINES = (
+    "0: Eg", "1: c ^ 3", "2: a", "2: c", "0 :", "1: cC", "1: CAda", "x: a",
+    "1 c", "-1: a", "9: a", "1: z", "1: a!b", "1: c ^ 0", "1: c ^ x", "1: c ^",
+    "1: c ^ -2", "1: c ^ 99999999", "1: c ^ 2 ^ 3", "1: c ^ " + "9" * 5000,
+    "# a comment", "", "14FF28", "ZZZZZZ", "A6783B an annotation",
+    "[1, 2]", "3", "null", '"chi"', '{"records": [1]}', '{"chi": true, "sigma": 0}',
+    '{"chi": 6, "sigma": 0, "spin_status": "spin"}', "[" * 100000 + "]" * 100000,
+)
+
+
+@st.composite
+def _file_bytes(draw):
+    data = "\n".join(draw(st.lists(st.sampled_from(FILE_LINES), max_size=5))).encode()
+    if draw(st.booleans()):
+        # bytes that are not UTF-8, spliced in anywhere
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"\x80abc", b"\xc3("))) + data[at:]
+    return data
+
+
+@settings(max_examples=30, deadline=None)
+# None stands for a directory in place of the file
+@given(content=st.one_of(_file_bytes(), st.binary(max_size=40), st.none()))
+@example(content=None)
+@example(content=b"1: cC\n")
+@example(content=FILE_LINES[-1].encode())
+def test_any_file_argument_gives_one_envelope(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("file")
+    if content is not None:
+        path = path / "input"
+        path.write_bytes(content)
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(stderr):
+        patch.setattr(os, "cpu_count", lambda: 2)
+        for argv in (
+            ["fill", "14FF28", "--meridians", str(path), "--max-cosets", "1000"],
+            ["census", str(path), "--jobs", "1"],
+            ["census", str(path), "--jobs", "2"],
+            ["classify", "--record", str(path)],
+        ):
+            _assert_one_envelope(argv)
+    _assert_no_child_left()
+    assert stderr.getvalue() == ""
