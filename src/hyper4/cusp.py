@@ -2,8 +2,9 @@
 
 A cusp of the quotient manifold corresponds to an orbit of the 24 ideal
 vertices under the side pairings; the walk moves a vertex by the vertex
-map each letter's transition carries, and multiplies matrices only for
-the words it records.  The stabilizer of a class
+map each letter's transition carries, multiplies matrices on every edge
+of the orbit graph, and builds a word only for a tree edge and for a
+stabilizer element it keeps.  The stabilizer of a class
 representative acts on a horosphere as a group of exact rational affine
 isometries of Euclidean 3-space; classifying that action among the ten
 closed flat 3-manifolds gives the cusp type, and the eta table turns
@@ -60,44 +61,43 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     """Orbits of the 24 ideal vertices under the pairing action.
 
     Classes are ordered (and representatives chosen) by lexicographically
-    least light vector.
+    least light vector.  The Schreier transversal runs on matrices alone;
+    the words follow the tree, T[image] = letter T[p], and a kept
+    stabilizer element gets the word T[image]^-1 letter T[p].
     """
     cell = the_24_cell()
 
     def steps(current):
         for side_label in cell.sides_of_vertex(current):
             letter, exp, g, _, vmap = pairing_set.transition(side_label)
-            yield (letter, exp), (Word.make(((letter, exp),)), g), vmap[current]
+            yield (letter, exp), g, vmap[current]
 
-    # (word, matrix) pairs under the left action: b after a
-    def product(a, b):
-        return b[0] * a[0], b[1] @ a[1]
-
-    # a transversal matrix is a product of letters checked at decoding,
-    # so it is Lorentzian and J M^T J needs no second check
-    def inverse(a):
-        return a[0].inverse(), _unchecked_inverse(a[1])
+    # the left action: g after a
+    def product(a, g):
+        return g @ a
 
     seen: set[LorentzVector] = set()
     classes = []
     for rep in cell.vertices:
         if rep in seen:
             continue
-        members = [(rep, Word(()))]
+        words = {rep: Word(())}
         stabilizer: list[tuple[Word, LorentzMatrix]] = []
         seen_matrices = {IDENTITY}
-        orbit = schreier_transversal(rep, steps, (Word(()), IDENTITY), product, inverse)
-        for *_, image, new, (word, matrix) in orbit:
+        # a transversal matrix is a product of letters checked at decoding,
+        # so it is Lorentzian and J M^T J needs no second check
+        orbit = schreier_transversal(rep, steps, IDENTITY, product, _unchecked_inverse)
+        for p, letter, image, new, matrix in orbit:
             if new:
-                members.append((image, word))
+                words[image] = Word((letter,)) * words[p]
                 continue
             # the vertex maps bring a loop back to rep; `horospherical_action`
             # checks that each kept matrix fixes it
             if matrix not in seen_matrices:
                 seen_matrices.add(matrix)
-                stabilizer.append((word, matrix))
-        members.sort(key=lambda member: member[0].coords)
-        seen.update(v for v, _ in members)
+                stabilizer.append((words[image].inverse() * Word((letter,)) * words[p], matrix))
+        members = sorted(words.items(), key=lambda member: member[0].coords)
+        seen.update(words)
         classes.append(
             VertexClass(
                 len(classes),

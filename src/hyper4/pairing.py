@@ -15,12 +15,20 @@ so its whole action on the faces of the cell is its vertex map: the
 bijection of the source side's 6 ideal vertices onto the target side's.
 Decoding builds each map once, at 6 matrix-vector products per letter;
 the ridge and edge walks move faces by the maps and apply no matrix.
+
+The manifold gate on ridges and edges counts faces (Poincare's polyhedron
+theorem, Ratcliffe, Foundations of Hyperbolic Manifolds, sec. 11.2).  A
+ridge cycle has the identity matrix exactly when it has length 4, so only
+a cycle of another length is multiplied out, to name it in the error; an
+edge orbit has a trivial stabilizer exactly when it has 8 edges, so only
+an orbit of another size is walked with matrices, to name its loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from typing import NoReturn
 
 from .cell24 import Cell24Complex, Side, the_24_cell
 from .grouppres import GroupPresentation, orbit_edges
@@ -246,7 +254,7 @@ class FaceCycle:
     For ridges the word multiplies, left to right, to the cycle matrix;
     a manifold code needs every ridge cycle to have length 4 and
     identity matrix.  Edge orbits carry no cycle relation of their own
-    (their loop words are checked to be trivial); word and matrix are
+    (their stabilizers are checked to be trivial); word and matrix are
     the identity for them.
     """
 
@@ -261,6 +269,18 @@ class FaceCycle:
 
 
 def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
+    """The ridge cycles, walked on the vertex maps.
+
+    Each ridge lies on two sides of different supports.  The cell is
+    right-angled and a k-part keeps supports, so the walk alternates
+    between those two supports and reads only the transitions of their
+    two code positions: every ridge cycle of every decodable code is a
+    cycle of the code with F at the other four positions.  The test over
+    all 15 position pairs and 12^2 characters in tests/test_pairing.py
+    shows that each such cycle has the identity matrix exactly when it
+    has length 4.  So a cycle of length 4 records IDENTITY with no
+    product, and only a cycle of another length evaluates its word.
+    """
     cell = pairing_set.cell
     seen: set[tuple[str, str]] = set()
     cycles = []
@@ -272,14 +292,12 @@ def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
         start = (ridge, ridge.sides[0])
         state = start
         letters: list[tuple[str, int]] = []
-        matrix = IDENTITY
         members: list[tuple[str, str]] = []
         for _ in range(8 * len(cell.ridges)):
             (current, active) = state
             members.append(current.sides)
-            letter, exp, g, arrival, vmap = pairing_set.transition(active)
+            letter, exp, _, arrival, vmap = pairing_set.transition(active)
             letters.append((letter, exp))
-            matrix = g @ matrix
             image = cell.ridge_by_vertices[frozenset(vmap[v] for v in current.vertices)]
             # the image ridge's side other than the arrival side is active next
             first, second = image.sides
@@ -291,50 +309,89 @@ def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
         ordered_members = tuple(dict.fromkeys(members))
         seen.update(ordered_members)
         word = Word.make(tuple(reversed(letters)))
+        matrix = IDENTITY if len(ordered_members) == 4 else pairing_set.evaluate(word)
         cycles.append(FaceCycle(2, ordered_members, word, matrix))
     return cycles
 
 
-def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
-    """Orbits of the 96 edges, each in one `orbit_edges` walk.
-
-    T[p] is the pair (tree word, matrix) carrying the orbit's first edge
-    to p.  A tree edge sets T[image] = (letter T[p], g T[p]); every other
-    edge checks that its loop T[image]^-1 g T[p] is trivial, that is
-    g T[p] = T[image], at one product and no inverse (Schreier's lemma).
-    """
+def _edge_steps(pairing_set: SidePairingSet):
+    """steps(key) for `orbit_edges` over edges keyed by their vertex
+    pair: the side left through, and the image edge's key."""
     cell = pairing_set.cell
 
     def steps(key):
         current = cell.edge_by_vertices[key]
         for side_label in current.sides:
-            letter, exp, g, _, vmap = pairing_set.transition(side_label)
-            yield ((letter, exp), g), frozenset(vmap[v] for v in current.vertices)
+            vmap = pairing_set.transition(side_label)[4]
+            yield side_label, frozenset(vmap[v] for v in current.vertices)
 
+    return steps
+
+
+def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
+    """Orbits of the 96 edges, each in one `orbit_edges` walk on vertex
+    pairs, with no matrix; the ridge gate must have passed.
+
+    An edge lies on 3 sides at right dihedral angles, so its link in the
+    cell is an octant triangle of area pi/2, and its vertices are the 3
+    ridges through it.  Once every ridge cycle has length 4, the links
+    of an edge class of k edges close up, 4 at each ridge vertex, into
+    the link of the class: the sphere modulo the edge's stabilizer, of
+    area 4 pi / |Stab|.  So k pi/2 = 4 pi / |Stab|, and the stabilizer is
+    trivial exactly when the orbit has 8 edges.  The first orbit of
+    another size goes to `_raise_edge_loop`; the orbits before it have
+    no nontrivial loop, so its message is the first one the matrix walk
+    over every orbit finds.
+    """
+    cell = pairing_set.cell
+    steps = _edge_steps(pairing_set)
     seen: set[frozenset] = set()
     orbits = []
     for edge in cell.edges:
         key = frozenset(edge.vertices)
         if key in seen:
             continue
-        trans = {key: (Word(()), IDENTITY)}
-        for p, (letter, g), image_key, new in orbit_edges(key, steps):
-            word, matrix = trans[p]
-            moved = g @ matrix
-            if new:
-                trans[image_key] = (Word.make((letter,)) * word, moved)
-            elif moved != trans[image_key][1]:
-                loop = trans[image_key][0].inverse() * Word.make((letter,)) * word
-                raise ValueError(f"edge orbit loop {loop} is a nontrivial stabilizer")
-        seen.update(trans)
-        members = tuple(cell.edge_by_vertices[k].vertices for k in trans)
+        orbit = [key] + [image for *_, image, new in orbit_edges(key, steps) if new]
+        if len(orbit) != 8:
+            _raise_edge_loop(pairing_set, key)
+        seen.update(orbit)
+        members = tuple(cell.edge_by_vertices[k].vertices for k in orbit)
         orbits.append(FaceCycle(1, members, Word(()), IDENTITY))
     return orbits
 
 
+def _raise_edge_loop(pairing_set: SidePairingSet, key: frozenset) -> NoReturn:
+    """Raise ValueError naming the first nontrivial loop of the edge
+    orbit of key.
+
+    T[p] is the pair (tree word, matrix) carrying the orbit's first edge
+    to p.  A tree edge sets T[image] = (letter T[p], g T[p]); every other
+    edge checks that its loop T[image]^-1 g T[p] is trivial, that is
+    g T[p] = T[image], at one product and no inverse (Schreier's lemma).
+    An orbit with no nontrivial loop contradicts the link-area argument
+    of `_edge_orbits`, and raises as well.
+    """
+    trans = {key: (Word(()), IDENTITY)}
+    for p, side_label, image_key, new in orbit_edges(key, _edge_steps(pairing_set)):
+        letter, exp, g, *_ = pairing_set.transition(side_label)
+        word, matrix = trans[p]
+        moved = g @ matrix
+        if new:
+            trans[image_key] = (Word(((letter, exp),)) * word, moved)
+        elif moved != trans[image_key][1]:
+            loop = trans[image_key][0].inverse() * Word(((letter, exp),)) * word
+            raise ValueError(f"edge orbit loop {loop} is a nontrivial stabilizer")
+    raise ValueError(
+        f"edge orbit of {len(trans)} edges has no nontrivial loop: "
+        "its stabilizer is trivial, and it should have 8 edges"
+    )
+
+
 def face_cycles(pairing_set: SidePairingSet, dimension: int) -> list[FaceCycle]:
     """Equivalence classes of codimension-2 (dimension=2) ridges or
-    codimension-3 (dimension=1) edges under the pairing action."""
+    codimension-3 (dimension=1) edges under the pairing action.  The
+    edge gate reads its verdict off orbit sizes, which is sound once
+    `ridge_presentation` has accepted the ridge cycles."""
     if dimension == 2:
         return _ridge_cycles(pairing_set)
     if dimension == 1:

@@ -108,7 +108,7 @@ def test_accept_manifold_conditions():
     assert len(ridge) == 24
     for cyc in ridge:
         assert cyc.length == 4
-        assert cyc.cycle_matrix == IDENTITY
+        assert PAIRINGS.evaluate(cyc.word) == IDENTITY
     assert ANALYSIS.chi == 1
 
 

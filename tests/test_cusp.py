@@ -1,9 +1,11 @@
 """Cusp cross-sections: vertex classes, horospherical actions, flat types."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reference_walks
 from hyper4.cusp import (
     ETA_TABLE,
     cusp_flat_group,
@@ -65,6 +67,19 @@ def test_transversals_reach_members(code):
         for member, tau in zip(vc.members, vc.transversals):
             assert pairings.evaluate(tau).apply(vc.representative) == member
         assert str(vc.transversals[vc.members.index(vc.representative)]) == "1"
+
+
+def test_vertex_classes_match_the_word_and_matrix_walk():
+    # the walk on matrices alone, with words only on tree edges and kept
+    # stabilizer elements, against one carrying a (word, matrix) pair on
+    # every edge, over every manifold code of the pool
+    pool = Path(__file__).parent.parent / "perfbench" / "data" / "pool.tsv"
+    rows = [line.split() for line in pool.read_text().splitlines() if not line.startswith("#")]
+    codes = [code for code, cls, *_ in rows if cls == "M"]
+    assert len(codes) == 183
+    for code in codes:
+        pairings = build_side_pairings(code)
+        assert vertex_classes(pairings) == reference_walks.vertex_classes(pairings), code
 
 
 # words known to generate each cusp cross-section group, with a vertex

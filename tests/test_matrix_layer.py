@@ -280,6 +280,30 @@ def test_values_are_checked_only_where_they_enter(monkeypatch):
     assert checks == {}
 
 
+def test_code_analysis_product_budget(monkeypatch):
+    calls = _count_lorentz_arithmetic(monkeypatch)
+    word_product = Word.__mul__
+
+    def counted(self, other):
+        calls["Word.__mul__"] += 1
+        return word_product(self, other)
+
+    monkeypatch.setattr(Word, "__mul__", counted)
+    CodeAnalysis("14FF28")
+    # decoding: a product and a checked inverse per letter.  The ridge and
+    # edge gates count faces and multiply nothing.  The vertex walk: a
+    # product on each of the 144 edges of the orbit graph and a second on
+    # each of the 125 that leave the tree, an unchecked inverse on each of
+    # the 19 tree edges, and Word products only for those tree edges and,
+    # two each, for the 46 stabilizer elements kept
+    assert calls == {
+        "__matmul__": 12 + 144 + 125,
+        "inverse": 12,
+        "_unchecked_inverse": 12 + 19,
+        "Word.__mul__": 19 + 2 * 46,
+    }
+
+
 def test_cusp_flat_groups_do_no_lorentz_arithmetic(monkeypatch):
     classes = vertex_classes(build_side_pairings("14FF28"))
     cusp_module._cusp_basis.cache_clear()

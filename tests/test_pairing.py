@@ -2,11 +2,19 @@
 
 import contextlib
 import io
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_walks
+from hyper4 import analysis as analysis_module
+from hyper4 import pairing as pairing_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cell24 import the_24_cell
 from hyper4.cli import main
@@ -15,6 +23,8 @@ from hyper4.grouppres import orbit_edges
 from hyper4.lorentz import IDENTITY, LorentzMatrix, diagonal_k
 from hyper4.pairing import (
     CODE_ALPHABET,
+    GENERATOR_GROUPS,
+    GENERATOR_LETTERS,
     CodeError,
     FaceCycle,
     SidePairingSet,
@@ -27,6 +37,8 @@ from hyper4.pairing import (
     validate_pairings,
 )
 from hyper4.words import Word
+
+POOL = Path(__file__).parent.parent / "perfbench" / "data" / "pool.tsv"
 
 
 # (letter, source, target, k) for the census manifold with code 14FF28
@@ -219,9 +231,51 @@ def test_ridge_cycles():
     assert len(ridge) == 24
     for cyc in ridge:
         assert cyc.length == 4
-        assert cyc.cycle_matrix == IDENTITY
+        assert ps.evaluate(cyc.word) == IDENTITY
     by_start = {c.members[0]: c for c in ridge}
     assert str(by_start[("A", "C")].word) == "CAda"
+
+
+def _decodable(position: int) -> list[str]:
+    """The 12 characters that do not fix the (+,+) side at a 0-based
+    code position."""
+    p, q = GENERATOR_GROUPS[position][2]
+    return [ch for ch in CODE_ALPHABET if int(ch, 16) >> (p - 1) & 1 or int(ch, 16) >> (q - 1) & 1]
+
+
+def _position(side_label: str) -> int:
+    """The 0-based code position whose letters pair a side: A and A' are
+    a's, at position 0."""
+    return GENERATOR_LETTERS.index(side_label[0].lower()) // 2
+
+
+def test_ridge_cycle_has_identity_matrix_exactly_at_length_4():
+    """Every pair of positions, every pair of decodable characters at
+    them, F at the other four.  Every ridge cycle lies between exactly
+    two positions, and a cycle between the two chosen ones has the
+    identity matrix exactly when its length is 4.  `_ridge_cycles`
+    shows that a cycle reads only its two positions, so this holds for
+    every ridge cycle of all 12^6 decodable codes, and the gate records
+    IDENTITY for a cycle of length 4 without a product."""
+    seen = Counter()
+    for first, second in combinations(range(6), 2):
+        for x in _decodable(first):
+            for y in _decodable(second):
+                chars = ["F"] * 6
+                chars[first], chars[second] = x, y
+                ps = build_side_pairings("".join(chars))
+                for cyc in face_cycles(ps, 2):
+                    positions = {_position(side) for ridge in cyc.members for side in ridge}
+                    assert len(positions) == 2, (chars, cyc.members)
+                    if positions != {first, second}:
+                        continue
+                    matrix = ps.evaluate(cyc.word)
+                    identity = matrix == IDENTITY
+                    assert identity == (cyc.length == 4), (chars, str(cyc.word))
+                    assert cyc.cycle_matrix == matrix
+                    seen[cyc.length, identity] += 1
+    # the 3 position pairs with disjoint supports share no ridge
+    assert seen == {(4, True): 2976, (2, False): 960}
 
 
 def test_ridge_presentation_requires_length_4():
@@ -305,7 +359,8 @@ def test_edge_loop_message_names_the_first_nontrivial_loop(code):
 
 
 def test_edge_orbits_take_one_product_per_edge_and_no_inverse(monkeypatch):
-    ps = build_side_pairings("14FF28")
+    # decoded first: decoding multiplies and inverts each letter
+    manifold, looped = build_side_pairings("14FF28"), build_side_pairings("A6783B")
     calls = {"inverse": 0, "product": 0}
     inverse, product = LorentzMatrix.inverse, LorentzMatrix.__matmul__
 
@@ -319,8 +374,76 @@ def test_edge_orbits_take_one_product_per_edge_and_no_inverse(monkeypatch):
 
     monkeypatch.setattr(LorentzMatrix, "inverse", counted_inverse)
     monkeypatch.setattr(LorentzMatrix, "__matmul__", counted_product)
-    face_cycles(ps, 1)
-    assert calls == {"inverse": 0, "product": 288}
+    # every orbit has 8 edges: the gate counts them and multiplies nothing
+    face_cycles(manifold, 1)
+    assert calls == {"inverse": 0, "product": 0}
+    # the first orbit of A6783B has 4 edges, on 3 sides each; its matrix
+    # walk takes one product per edge of that orbit graph, at most 12,
+    # up to the first nontrivial loop
+    with pytest.raises(ValueError, match="^edge orbit loop lIH is a nontrivial stabilizer$"):
+        face_cycles(looped, 1)
+    assert calls == {"inverse": 0, "product": 5}
+
+
+def test_edge_loop_walk_raises_on_an_orbit_with_trivial_stabilizer():
+    # the matrix walk on an orbit of 8 edges finds no loop to name; the
+    # gate hands it only orbits of another size, so reaching this error
+    # would mean the link-area argument had failed
+    ps = build_side_pairings("14FF28")
+    key = frozenset(ps.cell.edges[0].vertices)
+    with pytest.raises(ValueError) as info:
+        pairing_module._raise_edge_loop(ps, key)
+    assert str(info.value) == (
+        "edge orbit of 8 edges has no nontrivial loop: "
+        "its stabilizer is trivial, and it should have 8 edges"
+    )
+
+
+def _outcome(walk, pairing_set):
+    try:
+        return walk(pairing_set)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_edge_gate_matches_the_matrix_walk_on_the_pool():
+    # every R and M code of the pool that passes the ridge gate: the same
+    # orbits, or the same first nontrivial loop, as the matrix walk
+    rows = [line.split() for line in POOL.read_text().splitlines() if not line.startswith("#")]
+    verdicts = Counter()
+    for code, cls, *_ in rows:
+        if cls not in "MR":
+            continue
+        ps = build_side_pairings(code)
+        try:
+            ridge_presentation(face_cycles(ps, 2))
+        except ValueError:
+            continue
+        gate = _outcome(lambda ps: face_cycles(ps, 1), ps)
+        assert gate == _outcome(reference_walks.edge_orbits, ps), code
+        verdicts["fails" if isinstance(gate, str) else "passes"] += 1
+    assert verdicts == {"passes": 183, "fails": 420}
+
+
+def _verify(code: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["verify", code])
+    return status, out.getvalue()
+
+
+decodable_codes = st.tuples(*(st.sampled_from(_decodable(i)) for i in range(6))).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(code=decodable_codes)
+def test_verify_envelope_matches_the_reference_walks(code):
+    expected = _verify(code)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pairing_module, "_ridge_cycles", reference_walks.ridge_cycles)
+        patch.setattr(pairing_module, "_edge_orbits", reference_walks.edge_orbits)
+        patch.setattr(analysis_module, "vertex_classes", reference_walks.vertex_classes)
+        assert _verify(code) == expected
 
 
 def test_euler_characteristic():
