@@ -437,7 +437,7 @@ def reidemeister_schreier(
         if new:
             # an inverse edge c -> d under x^-1 is the generator x at coset d
             coset = c if j < g else d
-            relators.append(Word.generator(f"{table.generators[j % g]}{coset}"))
+            relators.append(Word(((f"{table.generators[j % g]}{coset}", 1),)))
     return GroupPresentation(names, tuple(relators))
 
 

@@ -39,10 +39,6 @@ class Word:
     def make(cls, letters: Iterable[Letter]) -> "Word":
         return cls(_free_reduce(letters))
 
-    @classmethod
-    def generator(cls, name: str, exp: int = 1) -> "Word":
-        return cls(((name, exp),))
-
     def __mul__(self, other: "Word") -> "Word":
         return Word(_free_reduce(self.letters + other.letters))
 

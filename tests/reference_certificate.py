@@ -1,0 +1,90 @@
+"""The filled cover's group by Reidemeister-Schreier, Tietze and coset
+enumeration, as the reference for the peripheral certificate in
+`hyper4.filling.classify_filled_cover`.
+
+`lifted_meridians` gives one relator per cover cusp: the rebased
+meridian raised to its return time, conjugated to the lift's coset and
+rewritten in Schreier generators.  `filled_cover` adds them to the
+cover's Reidemeister-Schreier presentation, and `classify_by_enumeration`
+simplifies that presentation by Tietze moves and enumerates its cosets;
+index 1 proves the filled cover simply connected for that one n.
+"""
+
+from hyper4.filling import (
+    _cyclic_record,
+    _cyclic_table,
+    _orbit_partition,
+    _rebased_meridian,
+    classify_homeo,
+    conditional_verdicts,
+    default_meridians,
+)
+from hyper4.grouppres import (
+    DEFAULT_COSET_LIMIT,
+    quotient,
+    reidemeister_schreier,
+    schreier_rewrite,
+    tietze_simplify,
+    todd_coxeter,
+)
+
+
+def lifted_meridians(analysis, table, meridians):
+    out = []
+    for m in meridians:
+        vclass = analysis.classes[m.cusp_index]
+        perms = [table.permutation(w) for w, _ in vclass.stabilizer]
+        base = _rebased_meridian(analysis.pairing_set, vclass, m) ** m.exponent
+        perm = table.permutation(base)
+        for orbit in _orbit_partition(perms, table.index):
+            q = orbit[0]
+            k = 1
+            c = perm[q]
+            while c != q:
+                k += 1
+                c = perm[c]
+            out.append(schreier_rewrite(table, base**k, q))
+    return out
+
+
+def filled_cover(analysis, table, code):
+    """The filled cover's presentation and its number of filled cusps."""
+    lifted = lifted_meridians(analysis, table, default_meridians(code))
+    return quotient(reidemeister_schreier(analysis.presentation, table), lifted), len(lifted)
+
+
+def classify_by_enumeration(code, n, limit=DEFAULT_COSET_LIMIT):
+    """What `classify_filled_cover` returns, certified by enumeration:
+    "presentation" counts the simplified filled presentation in place of
+    "certificate"."""
+    analysis, table = _cyclic_table(code, n, limit)
+    record = _cyclic_record(analysis, n, table)
+    if not table.complete:
+        return {
+            "cover": record,
+            "status": "unverified",
+            "reason": f"coset enumeration did not complete within {limit} cosets",
+        }
+    filled, cusps = filled_cover(analysis, table, code)
+    simplified = tietze_simplify(filled)
+    cert = todd_coxeter(simplified, limit)
+    out = {
+        "cover": record,
+        "filled_cusps": cusps,
+        "presentation": {
+            "generators": len(simplified.generators),
+            "relators": len(simplified.relators),
+        },
+    }
+    if not (cert.complete and cert.index == 1):
+        out["status"] = "unverified"
+        out["reason"] = "could not certify the filled fundamental group trivial"
+        return out
+    out["simply_connected"] = True
+    if record.spin_status == "spin":
+        out["status"] = "certified"
+        out["verdict"] = classify_homeo(record.chi, record.sigma, True, True)
+    else:
+        out["status"] = "conditional"
+        out["verdicts"] = conditional_verdicts(record.chi, record.sigma)
+    return out

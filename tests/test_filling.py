@@ -1,13 +1,16 @@
 """Dehn fillings, cyclic covers, and the homeomorphism classifier."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_certificate
 from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import vertex_classes
 from hyper4.filling import (
     DEFAULT_MERIDIANS,
     DOUBLE_COVER_SPIN,
     Meridian,
+    _rebased_meridian,
     classify_filled_cover,
     classify_homeo,
     cyclic_cover,
@@ -19,7 +22,7 @@ from hyper4.filling import (
 )
 from hyper4.grouppres import abelianization, reidemeister_schreier, todd_coxeter
 from hyper4.pairing import build_side_pairings, fundamental_group
-from hyper4.words import parse_word
+from hyper4.words import Word, parse_word
 
 
 PAIRINGS = build_side_pairings("14FF28")
@@ -231,15 +234,77 @@ def test_classify_filled_cover_conditional_even():
 def test_classify_filled_cover_odd():
     out = classify_filled_cover("14FF28", 3)
     assert out["status"] == "certified"
-    assert out["filled_cusps"] == 13
+    assert out["certificate"] == "peripheral"
+    assert out["filled_cusps"] == out["cover"].cusp_count == 13
     assert out["verdict"].verdict == "#_2(S^2xS^2)"
-    assert out["presentation"]["generators"] is not None
 
 
-def test_classify_filled_cover_n51_is_trivial_by_tietze_alone():
-    # Tietze runs to its fixed point and eliminates all 1224 generators,
-    # so the certificate enumerates the empty presentation
-    out = classify_filled_cover("14FF28", 51)
-    assert out["presentation"] == {"generators": 0, "relators": 0}
-    assert out["status"] == "certified"
-    assert out["verdict"].verdict == "#_50(S^2xS^2)"
+@pytest.mark.parametrize("n", [*range(1, 16), 51, 101])
+def test_peripheral_certificate_matches_enumeration(n):
+    # the enumeration certificate reaches index 1 exactly where the
+    # peripheral one certifies; Tietze alone trivializes every filled
+    # cover here (all 1224 generators at n = 51), so it enumerates ⟨ | ⟩
+    new = classify_filled_cover("14FF28", n)
+    old = reference_certificate.classify_by_enumeration("14FF28", n)
+    assert old.pop("presentation") == {"generators": 0, "relators": 0}
+    assert new.pop("certificate") == "peripheral"
+    assert new == old
+    assert new["status"] in ("certified", "conditional")
+
+
+def test_peripheral_failure_names_the_generator(monkeypatch):
+    # aG fixes cusp 1's vertex, but its stabilizer generator d conjugates
+    # it to neither itself nor its inverse
+    meridians = ((0, "Eg"), (1, "aG"), (2, "a"), (3, "k"), (4, "j"))
+    monkeypatch.setitem(DEFAULT_MERIDIANS, "14FF28", meridians)
+    out = classify_filled_cover("14FF28", 1)
+    assert out["cover"].complete
+    assert out["status"] == "unverified"
+    assert out["reason"] == (
+        "generator d of cusp 1 conjugates meridian aG to neither itself nor its inverse"
+    )
+    assert "simply_connected" not in out and "verdict" not in out
+    # the enumeration does not reach index 1 on this filling either
+    old = reference_certificate.classify_by_enumeration("14FF28", 1, limit=10**4)
+    assert old["status"] == "unverified"
+
+
+def _rebased_matrices():
+    out = []
+    for m in default_meridians("14FF28"):
+        vclass = ANALYSIS.classes[m.cusp_index]
+        matrix = PAIRINGS.evaluate(_rebased_meridian(PAIRINGS, vclass, m))
+        out.append((vclass, matrix, matrix.inverse()))
+    return out
+
+
+REBASED = _rebased_matrices()
+
+
+def test_peripheral_condition_needs_the_inverse():
+    # 22 generators fix their cusp's meridian and 24 invert it, so a
+    # check that accepted only p M p^-1 = M would certify no cover
+    fixes = inverts = 0
+    for vclass, matrix, inverse in REBASED:
+        for _, g in vclass.stabilizer:
+            conjugated = g @ matrix @ g.inverse()
+            fixes += conjugated == matrix
+            inverts += conjugated == inverse
+    assert (fixes, inverts) == (22, 24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_peripheral_condition_holds_on_the_stabilizer(data):
+    # the elements that conjugate m to m^(+-1) form a subgroup: any word
+    # in the stabilizer words, evaluated afresh, keeps m at m^(+-1)
+    vclass, matrix, inverse = data.draw(st.sampled_from(REBASED))
+    words = [w for w, _ in vclass.stabilizer]
+    factors = data.draw(
+        st.lists(st.tuples(st.sampled_from(words), st.sampled_from([1, -1])), max_size=8)
+    )
+    word = Word(())
+    for w, sign in factors:
+        word = word * (w if sign == 1 else w.inverse())
+    p = PAIRINGS.evaluate(word)
+    assert p @ matrix @ p.inverse() in (matrix, inverse)

@@ -5,12 +5,12 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_certificate
 from hyper4.analysis import CodeAnalysis
 from hyper4.filling import (
     DISTINGUISHED_CUSP,
     Meridian,
     _cyclic_table,
-    _lifted_meridians,
     default_meridians,
     fill,
 )
@@ -170,7 +170,7 @@ def _padded_finite_groups(draw):
     for name in "tuvw"[: draw(st.integers(0, 4))]:
         letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
         word = Word.make(draw(st.lists(letter, max_size=5)))
-        relator = (Word.generator(name) * word.inverse()).letters
+        relator = (Word(((name, 1),)) * word.inverse()).letters
         shift = draw(st.integers(0, len(relator) - 1))
         relator = Word.make(relator[shift:] + relator[:shift])
         relators.append(relator.inverse() if draw(st.booleans()) else relator)
@@ -386,8 +386,7 @@ def _word_tietze(pres):
 def _filled_cover(n):
     """The filled presentation of `cover 14FF28 --cyclic n --classify-filling`."""
     analysis, table = _cyclic_table("14FF28", n, 10**6)
-    lifted = _lifted_meridians(analysis, table, default_meridians("14FF28"))
-    return quotient(reidemeister_schreier(analysis.presentation, table), lifted)
+    return reference_certificate.filled_cover(analysis, table, "14FF28")[0]
 
 
 def test_tietze_matches_rescan_on_filled_cover():

@@ -288,7 +288,7 @@ def test_ridge_presentation_requires_length_4():
     with pytest.raises(ValueError, match=r"length 8, not 4: not a manifold code$"):
         ridge_presentation([doubled, *ridge[1:]])
     # the matrix check runs over every cycle before the length check
-    skewed = replace(ridge[-1], cycle_matrix=ps.evaluate(Word.generator("a")))
+    skewed = replace(ridge[-1], cycle_matrix=ps.evaluate(Word((("a", 1),))))
     with pytest.raises(ValueError, match="non-identity matrix"):
         ridge_presentation([doubled, *ridge[1:-1], skewed])
 

@@ -26,6 +26,9 @@ LIBRARY_ONLY = {
     "pairing.validate_pairings": "the group, normal and involution checks, which every decodable code passes, as the test over all 72 decode entries shows; a traced layer of the benchmark, whose smoke run fails on an absent target",
     "grouppres.parse_presentation": "reads the text form of a presentation; many group tests build inputs with it",
     "grouppres._parse_relator": "one relator line of parse_presentation",
+    "grouppres.reidemeister_schreier": "the subgroup presentation of a complete table: acceptance criterion 5 abelianizes the double cover's, the benchmark tracer binds it by name, and the enumeration oracle of the filled-cover certificate builds on it",
+    "grouppres.schreier_rewrite": "rewrites a word in Schreier generators: reidemeister_schreier's relators, and the lifted meridians of the filled-cover certificate's enumeration oracle",
+    "grouppres.tietze_simplify": "the public Tietze pass (todd_coxeter runs the private one): acceptance criterion 5 calls it, the benchmark tracer binds it by name, and the filled-cover certificate's enumeration oracle simplifies with it",
     "grouppres.GroupPresentation.__str__": "the flat-group oracle test compares presentations by this form",
     "words.Word.__len__": "word length for library users; the Tietze pass counts integer letters, and the Word-based Tietze oracles of the group tests read it",
     "words.Word.is_identity": "the identity test for library users; the Tietze pass tests integer words, and the Word-based Tietze oracles of the group tests read it",
