@@ -2,13 +2,13 @@
 
 A cusp of the quotient manifold corresponds to an orbit of the 24 ideal
 vertices under the side pairings; the walk moves a vertex by the vertex
-map each letter's transition carries, multiplies matrices on every edge
-of the orbit graph, and builds a word only for a tree edge and for a
-stabilizer element it keeps.  The stabilizer of a class
-representative acts on a horosphere as a group of exact rational affine
-isometries of Euclidean 3-space; classifying that action among the ten
-closed flat 3-manifolds gives the cusp type, and the eta table turns
-orientable cusp types into the signature.
+map each letter's transition carries, multiplies matrices once for each
+pair of an edge of the orbit graph and its reverse, and builds a word
+only for a tree edge and for a stabilizer element it keeps.  The
+stabilizer of a class representative acts on a horosphere as a group of
+exact rational affine isometries of Euclidean 3-space; classifying that
+action among the ten closed flat 3-manifolds gives the cusp type, and
+the eta table turns orientable cusp types into the signature.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import mul
 
 from .cell24 import the_24_cell
 from .flatgroups import AffineMap, FlatGroup, StructuralError, _adjugate3, _det3, _mat_mul
-from .grouppres import schreier_transversal
+from .grouppres import orbit_edges
 from .intmat import smith_normal_form
 from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, _unchecked_inverse, lorentz_product
 from .pairing import SidePairingSet
@@ -61,20 +61,21 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     """Orbits of the 24 ideal vertices under the pairing action.
 
     Classes are ordered (and representatives chosen) by lexicographically
-    least light vector.  The Schreier transversal runs on matrices alone;
-    the words follow the tree, T[image] = letter T[p], and a kept
-    stabilizer element gets the word T[image]^-1 letter T[p].
+    least light vector.  The walk keeps the transversal matrix T[p] and
+    its inverse; a tree edge sets T[image] = g T[p] and the word
+    T[image] = letter T[p], and another edge carries the Schreier element
+    T[image]^-1 g T[p], at two products.  The reverse edge (image,
+    letter^-1, p) carries its inverse, and the reverse of a tree edge the
+    identity, so the walk multiplies each pair of edges once.  A
+    stabilizer element kept for a new matrix gets the word
+    T[image]^-1 letter T[p].
     """
     cell = the_24_cell()
 
     def steps(current):
         for side_label in cell.sides_of_vertex(current):
             letter, exp, g, _, vmap = pairing_set.transition(side_label)
-            yield (letter, exp), g, vmap[current]
-
-    # the left action: g after a
-    def product(a, g):
-        return g @ a
+            yield (letter, exp, g), vmap[current]
 
     seen: set[LorentzVector] = set()
     classes = []
@@ -82,20 +83,36 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
         if rep in seen:
             continue
         words = {rep: Word(())}
+        trans = {rep: (IDENTITY, IDENTITY)}
+        # the element each reverse edge still ahead carries, keyed by
+        # (point, letter, exponent); None stands for the identity
+        ahead: dict[tuple, LorentzMatrix | None] = {}
         stabilizer: list[tuple[Word, LorentzMatrix]] = []
         seen_matrices = {IDENTITY}
-        # a transversal matrix is a product of letters checked at decoding,
-        # so it is Lorentzian and J M^T J needs no second check
-        orbit = schreier_transversal(rep, steps, IDENTITY, product, _unchecked_inverse)
-        for p, letter, image, new, matrix in orbit:
+        for p, (letter, exp, g), image, new in orbit_edges(rep, steps):
             if new:
-                words[image] = Word((letter,)) * words[p]
+                # a product of letters checked at decoding is Lorentzian,
+                # so J M^T J needs no second check
+                matrix = g @ trans[p][0]
+                trans[image] = (matrix, _unchecked_inverse(matrix))
+                words[image] = Word(((letter, exp),)) * words[p]
+                ahead[image, letter, -exp] = None
                 continue
+            if (p, letter, exp) in ahead:
+                forward = ahead.pop((p, letter, exp))
+                if forward is None:
+                    continue
+                matrix = _unchecked_inverse(forward)
+            else:
+                matrix = trans[image][1] @ (g @ trans[p][0])
+                ahead[image, letter, -exp] = matrix
             # the vertex maps bring a loop back to rep; `horospherical_action`
             # checks that each kept matrix fixes it
             if matrix not in seen_matrices:
                 seen_matrices.add(matrix)
-                stabilizer.append((words[image].inverse() * Word((letter,)) * words[p], matrix))
+                stabilizer.append(
+                    (words[image].inverse() * Word(((letter, exp),)) * words[p], matrix)
+                )
         members = sorted(words.items(), key=lambda member: member[0].coords)
         seen.update(words)
         classes.append(

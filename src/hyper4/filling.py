@@ -24,7 +24,6 @@ from .grouppres import (
     CosetTable,
     GroupPresentation,
     character_coset_table,
-    orbit_edges,
     quotient,
     schreier_transversal,
     todd_coxeter,
@@ -152,35 +151,26 @@ def fill(
     return quotient(analysis.presentation, [m.relator for m in meridians])
 
 
-def _orbit_partition(perms, size: int) -> list[list[int]]:
-    """Orbits of {0..size-1} under the group the permutations generate."""
-
-    def steps(c):
-        return ((p, p[c]) for p in perms)
-
-    seen: set[int] = set()
-    orbits = []
-    for start in range(size):
-        if start in seen:
-            continue
-        orbit = [start] + [d for _, _, d, new in orbit_edges(start, steps) if new]
-        seen.update(orbit)
-        orbits.append(sorted(orbit))
-    return orbits
-
-
-def _cusp_intersection_group(base: FlatGroup, perms) -> FlatGroup:
-    """Stabilizer-intersect-kernel as a flat group, generated by the
-    distinct nontrivial Schreier elements of the base cusp group's action
-    on the cosets, in discovery order; perms[i] is the coset permutation
-    of base.generators[i], the action of the i-th stabilizer generator."""
+def _cusp_intersection_group(base: FlatGroup, perms) -> tuple[int, FlatGroup]:
+    """The size of coset 0's orbit under the base cusp group, and
+    stabilizer-intersect-kernel as a flat group, generated by the
+    distinct nontrivial Schreier elements of that orbit's walk, in
+    discovery order; perms[i] is the coset permutation of
+    base.generators[i], the action of the i-th stabilizer generator."""
 
     def steps(c):
         return ((i, g, perms[i][c]) for i, g in enumerate(base.generators))
 
     one = AffineMap.identity()
+    size = 1
+    elements: dict[AffineMap, None] = {}
     walk = schreier_transversal(0, steps, one, AffineMap.__matmul__, AffineMap.inverse)
-    return FlatGroup(dict.fromkeys(g for *_, new, g in walk if not new and g != one))
+    for *_, new, g in walk:
+        if new:
+            size += 1
+        elif g != one:
+            elements[g] = None
+    return size, FlatGroup(elements)
 
 
 def _cover_face_counts(analysis: CodeAnalysis, d: int) -> dict:
@@ -230,13 +220,24 @@ class CoverRecord:
 def cover_record_from_table(
     analysis: CodeAnalysis, table: CosetTable, spin_status: str
 ) -> CoverRecord:
+    """The record of the cover that a regular coset table determines.
+
+    The table must be regular: its base coset's subgroup is normal, so
+    the group acts on the cosets through the quotient group, each coset
+    stabilizer is the same kernel, and every orbit of a cusp group has
+    the size of coset 0's orbit.  A cusp class then lifts to d / |orbit|
+    cusps, all of the type of coset 0's.  Both callers pass a regular
+    table: `_cyclic_table` enumerates the filled group over its trivial
+    subgroup, so the table is the quotient group's own, and
+    `double_cover_record` takes the kernel of the determinant character,
+    a normal subgroup of index 2."""
     d = table.index
     lift_counts = []
     tags = []
     for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
         perms = [table.permutation(w) for w, _ in vclass.stabilizer]
-        lift_counts.append(len(_orbit_partition(perms, d)))
-        group = _cusp_intersection_group(base, perms)
+        orbit, group = _cusp_intersection_group(base, perms)
+        lift_counts.append(d // orbit)
         tags.append(classify_flat_group(group))
     all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
     orientable = _schreier_orientable(analysis.signs, table)

@@ -1,28 +1,29 @@
 """Flat 3-manifold groups from exact affine data.
 
 A crystallographic group acting on R^3 is described by affine maps
-v :-> A v + b over the rationals.  The pipeline extracts the finite
-holonomy group of linear parts, the rank-3 translation lattice (by
-Schreier generators and a Hermite basis), a finite presentation of the
-group as a lattice extension, its abelianization, and a completeness
-check that the group is torsion free.  Torsion-free groups are matched
-against the ten closed flat 3-manifold types A..J (Hantzsche-Wendt
-order: A..F orientable, G..J not) by the invariant triple
-(orientability, holonomy type, first homology), with the reference
-invariants derived at runtime from standard presentations rather than
-hardcoded.
+v :-> A v + b over the rationals.  The pipeline keeps the first
+generator of each linear part and walks the finite holonomy group of
+linear parts on those alone; the walk's Schreier elements, and the
+holonomy images of the other generators' translations, span the rank-3
+translation lattice (a Hermite basis).  The first homology is the
+cokernel of the exponent-sum rows of the group's presentation as a
+lattice extension, built as integer rows, and a completeness check shows
+the group torsion free.  Torsion-free groups are matched against the ten
+closed flat 3-manifold types A..J (Hantzsche-Wendt order: A..F
+orientable, G..J not) by the invariant triple (orientability, holonomy
+type, first homology), with the reference invariants derived at runtime
+from standard generators rather than hardcoded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from typing import NamedTuple
 
-from .grouppres import AbelianInvariants, GroupPresentation, abelianization, schreier_transversal
+from .grouppres import AbelianInvariants, cokernel_invariants, schreier_transversal
 from .intmat import hermite_row_basis, solve_integer
-from .words import Letter, Word
 
 __all__ = [
     "StructuralError",
@@ -104,6 +105,10 @@ def _vec_add(u: Vec3, v: Vec3) -> Vec3:
     return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
 
+def _vec_sub(u: Vec3, v: Vec3) -> Vec3:
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+
 def _det3(a: Mat3) -> Rational:
     return (
         a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
@@ -134,8 +139,7 @@ def _inv3(a: Mat3) -> Mat3:
     )  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """v :-> linear v + shift, all entries exact rationals; `of` and
     `scaled` store each integral entry as an int."""
 
@@ -199,11 +203,24 @@ class FlatGroup:
         if any(_det3(g.linear) == 0 for g in self.generators):
             raise StructuralError("a generator has a singular linear part")
 
-        # one pass over the finite group of linear parts: the right-coset
-        # transversal x_sigma, and the translation subgroup from the
-        # Schreier elements x_sigma g x_{sigma.g}^-1
+        # the first generator r of each linear part is kept; every other
+        # generator g with that part is the translation g r^-1, by the
+        # difference of the shifts, and a translation stays a translation
+        kept: dict[Mat3, AffineMap] = {}
+        shifts: list[Vec3] = []
+        for g in self.generators:
+            if g.linear == _ID3:
+                shifts.append(g.shift)
+            elif g.linear in kept:
+                shifts.append(_vec_sub(g.shift, kept[g.linear].shift))
+            else:
+                kept[g.linear] = g
+
+        # the walk over the finite group of linear parts, on the kept
+        # generators: the right-coset transversal x_sigma, and translations
+        # from the Schreier elements x_sigma r x_{sigma.r}^-1
         def steps(sigma):
-            return ((g, g, _mat_mul(sigma, g.linear)) for g in self.generators)
+            return ((r, r, _mat_mul(sigma, r.linear)) for r in kept.values())
 
         hol: dict[Mat3, AffineMap] = {_ID3: AffineMap.identity()}
         vectors = []
@@ -220,6 +237,9 @@ class FlatGroup:
                 )
             else:
                 hol[product] = x
+        # the Schreier element x_sigma t x_sigma^-1 of a translation t is
+        # the translation by sigma t
+        vectors += [_mat_vec(sigma, t) for sigma in hol for t in shifts]
         self.holonomy: tuple[Mat3, ...] = tuple(sorted(hol))
         self.holonomy_order = len(hol)
 
@@ -259,75 +279,57 @@ class FlatGroup:
                 )
             self._linear[s] = tuple(map(tuple, rows))  # type: ignore[arg-type]
 
-        self.presentation = self._extension_presentation()
-        self.h1: AbelianInvariants = abelianization(self.presentation)
+        self.h1: AbelianInvariants = self._first_homology()
         self._check_torsion_free()
         self.orientable = all(_det3(s) == 1 for s in self.holonomy)
         self.holonomy_type = self._holonomy_type()
 
-    # -- presentation of the lattice extension ------------------------------
+    # -- first homology of the lattice extension -----------------------------
 
     def _lattice_coords(self, vec: Vec3) -> list[int] | None:
         """The coordinates of vec in the lattice basis, or None when vec
         is not a lattice vector."""
         return _quotients(_mat_vec(self._coords_mat, vec), self._det)
 
-    @staticmethod
-    def _e_power(coeffs) -> list[Letter]:
-        letters: list[Letter] = []
-        for j, c in enumerate(coeffs):
-            letters.extend([(f"e{j + 1}", 1 if c > 0 else -1)] * abs(c))
-        return letters
+    def _first_homology(self) -> AbelianInvariants:
+        """The cokernel of the exponent-sum rows of the group's presentation
+        as a lattice extension, over the generators e1, e2, e3 (the
+        lattice basis) and one x per non-identity holonomy element.
 
-    def _extension_presentation(self) -> GroupPresentation:
-        names = [f"e{j}" for j in (1, 2, 3)] + [self._names[s] for s in self._sigmas]
-        relators = []
-        for i in range(3):
-            for j in range(i + 1, 3):
-                relators.append(
-                    Word.make(
-                        [
-                            (f"e{i + 1}", 1),
-                            (f"e{j + 1}", 1),
-                            (f"e{i + 1}", -1),
-                            (f"e{j + 1}", -1),
-                        ]
-                    )
-                )
+        The relators are the commutators of the e_j, whose rows are zero;
+        x e_j x^-1 = e^(column j of x's linear part in lattice
+        coordinates); and x_s x_t = x_st e^c, with x_st absent when st is
+        the identity and c the lattice coordinates of the residue
+        translation."""
+        column = {s: 3 + i for i, s in enumerate(self._sigmas)}
+        width = 3 + len(self._sigmas)
+        rows = []
         for s in self._sigmas:
-            x = self._names[s]
             lin = self._linear[s]
             for j in range(3):
-                column = [lin[i][j] for i in range(3)]
-                letters = [(x, 1), (f"e{j + 1}", 1), (x, -1)]
-                letters += self._e_power([-c for c in column])
-                relators.append(Word.make(letters))
+                rows.append([int(i == j) - lin[i][j] for i in range(3)] + [0] * (width - 3))
         hol = self._hol
         for s in self._sigmas:
             for t in self._sigmas:
                 product = _mat_mul(s, t)
                 # the translation part of hol[s] hol[t], in input coordinates
                 shift = _vec_add(_mat_vec(s, hol[t].shift), hol[s].shift)
-                if product == _ID3:
-                    letters = [(self._names[s], 1), (self._names[t], 1)]
-                else:
+                row = [0] * width
+                row[column[s]] += 1
+                row[column[t]] += 1
+                if product != _ID3:
                     # hol[s] hol[t] shares its linear part with
                     # hol[product], so the residue hol[s] hol[t]
                     # hol[product]^-1 is the translation by the difference
                     # of the shifts
-                    base = hol[product].shift
-                    shift = tuple(c - b for c, b in zip(shift, base))
-                    letters = [
-                        (self._names[s], 1),
-                        (self._names[t], 1),
-                        (self._names[product], -1),
-                    ]
+                    shift = _vec_sub(shift, hol[product].shift)
+                    row[column[product]] -= 1
                 coeffs = self._lattice_coords(shift)
                 if coeffs is None:
                     raise StructuralError("translation outside the lattice")
-                letters += self._e_power([-c for c in coeffs])
-                relators.append(Word.make(letters))
-        return GroupPresentation(tuple(names), tuple(relators))
+                row[:3] = [-c for c in coeffs]
+                rows.append(row)
+        return cokernel_invariants(rows, width)
 
     # -- torsion -------------------------------------------------------------
 

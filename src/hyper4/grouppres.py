@@ -23,6 +23,7 @@ __all__ = [
     "AbelianInvariants",
     "CosetTable",
     "abelianization",
+    "cokernel_invariants",
     "todd_coxeter",
     "character_coset_table",
     "reidemeister_schreier",
@@ -50,11 +51,6 @@ class GroupPresentation:
             if unknown:
                 raise ValueError(f"relator {r} uses unknown generators {sorted(unknown)}")
 
-    def __str__(self) -> str:
-        gens = " ".join(self.generators)
-        rels = ", ".join(str(r) for r in self.relators)
-        return f"<{gens} | {rels}>"
-
 
 @dataclass(frozen=True)
 class AbelianInvariants:
@@ -72,17 +68,23 @@ class AbelianInvariants:
 
 
 def abelianization(pres: GroupPresentation) -> AbelianInvariants:
-    """Invariants of the abelianized group, via Smith normal form of the
-    relator exponent-sum matrix."""
+    """Invariants of the abelianized group: the cokernel of the relator
+    exponent-sum matrix."""
     gens = pres.generators
-    if not pres.relators:
-        return AbelianInvariants(len(gens), ())
-    matrix = [[r.exponent_sum(x) for x in gens] for r in pres.relators]
-    d, _, _ = smith_normal_form(matrix)
-    diag = [d[i][i] for i in range(min(len(d), len(gens)))]
+    rows = [[r.exponent_sum(x) for x in gens] for r in pres.relators]
+    return cokernel_invariants(rows, len(gens))
+
+
+def cokernel_invariants(rows: Sequence[Sequence[int]], n: int) -> AbelianInvariants:
+    """Invariants of Z^n modulo the span of the integer rows, via Smith
+    normal form."""
+    if not rows:
+        return AbelianInvariants(n, ())
+    d, _, _ = smith_normal_form(rows)
+    diag = [d[i][i] for i in range(min(len(d), n))]
     nonzero = [x for x in diag if x != 0]
     torsion = tuple(x for x in nonzero if x > 1)
-    return AbelianInvariants(len(gens) - len(nonzero), torsion)
+    return AbelianInvariants(n - len(nonzero), torsion)
 
 
 def orbit_edges(

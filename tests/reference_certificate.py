@@ -8,12 +8,14 @@ rewritten in Schreier generators.  `filled_cover` adds them to the
 cover's Reidemeister-Schreier presentation, and `classify_by_enumeration`
 simplifies that presentation by Tietze moves and enumerates its cosets;
 index 1 proves the filled cover simply connected for that one n.
+`orbit_partition` splits the cosets into a cusp group's orbits, one per
+cover cusp; it is also the reference for a cover record's lift counts,
+which read coset 0's orbit alone.
 """
 
 from hyper4.filling import (
     _cyclic_record,
     _cyclic_table,
-    _orbit_partition,
     _rebased_meridian,
     classify_homeo,
     conditional_verdicts,
@@ -21,12 +23,30 @@ from hyper4.filling import (
 )
 from hyper4.grouppres import (
     DEFAULT_COSET_LIMIT,
+    orbit_edges,
     quotient,
     reidemeister_schreier,
     schreier_rewrite,
     tietze_simplify,
     todd_coxeter,
 )
+
+
+def orbit_partition(perms, size: int) -> list[list[int]]:
+    """Orbits of {0..size-1} under the group the permutations generate."""
+
+    def steps(c):
+        return ((p, p[c]) for p in perms)
+
+    seen: set[int] = set()
+    orbits = []
+    for start in range(size):
+        if start in seen:
+            continue
+        orbit = [start] + [d for _, _, d, new in orbit_edges(start, steps) if new]
+        seen.update(orbit)
+        orbits.append(sorted(orbit))
+    return orbits
 
 
 def lifted_meridians(analysis, table, meridians):
@@ -36,7 +56,7 @@ def lifted_meridians(analysis, table, meridians):
         perms = [table.permutation(w) for w, _ in vclass.stabilizer]
         base = _rebased_meridian(analysis.pairing_set, vclass, m) ** m.exponent
         perm = table.permutation(base)
-        for orbit in _orbit_partition(perms, table.index):
+        for orbit in orbit_partition(perms, table.index):
             q = orbit[0]
             k = 1
             c = perm[q]

@@ -263,12 +263,12 @@ def test_any_code_string_gives_one_envelope(verb, code):
     _assert_one_envelope([verb, code])
 
 
-# verbs, codes and flags; --cyclic takes at most 7, as a cover of degree
+# verbs, codes and flags; --cyclic takes at most 51, as a cover of degree
 # 2n is built in full, and --help, which exits, is left out; no verb has
 # --tietze-effort, which stands for an unknown option
 ARGV_TOKENS = (
     "decode", "verify", "cusps", "cover", "fill", "classify", "census",
-    "14FF28", "FF79DA", "--cyclic", *map(str, range(8)), "-1", "x",
+    "14FF28", "FF79DA", "--cyclic", *map(str, range(8)), "25", "51", "-1", "x",
     "--jobs", "--max-cosets", "--format", "text", "--spin",
     "--classify-filling", "--tietze-effort",
 )

@@ -3,9 +3,11 @@
 `_ReferenceFlatGroup` below is the flat-group pipeline as it stood
 before the arithmetic moved to `int`: every entry a `Fraction`, generic
 3x3 products, every holonomy transversal element inverted at each use,
-and the holonomy closure stepping over every generator.  Both classes
-must agree on holonomy, lattice, presentation, first homology and the
-invariant triple, and must raise the same `StructuralError` message.
+the holonomy closure stepping over every generator, and the first
+homology abelianized from a `Word` presentation of the lattice
+extension.  Both classes must agree on holonomy, lattice, first homology
+and the invariant triple, and must raise the same `StructuralError`
+message.
 """
 
 from fractions import Fraction
@@ -253,7 +255,6 @@ def _outcome(cls, generators):
         "group",
         group.holonomy,
         group.lattice,
-        str(group.presentation),
         group.h1,
         group.invariants(),
     )
@@ -314,6 +315,15 @@ def test_pool_cusp_groups_make_no_fraction(monkeypatch):
     groups = [cusp_flat_group(vclass) for vclass in classes]
     assert made == []
     assert len(groups) == len(classes) > 10
+
+
+def test_translation_lattice_takes_the_holonomy_images():
+    # t1 and the order-3 screw generate the group of type C: the lattice
+    # needs the image sigma t1 for each holonomy element sigma
+    screw = reference_flat_groups()["C"].generators[-1]
+    fast = _assert_agree([TRANSLATIONS[0], screw])
+    assert fast[0] == "group"
+    assert fast[-1] == reference_flat_groups()["C"].invariants()
 
 
 def test_torsion_message_agrees():

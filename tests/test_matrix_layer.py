@@ -11,7 +11,8 @@ a per-vertex orthogonal frame and inverts no basis; a linear scan over the
 pairings, applying each matrix to the side's vertices, is the reference
 for the transition table and its vertex maps; orbit counting over
 the cosets is the reference for a cover's face counts, which are d times
-the base's.
+the base's, and for its cusp lift counts, which are d over the size of
+coset 0's orbit.
 """
 
 from collections import Counter
@@ -23,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_certificate import orbit_partition
+
 from hyper4 import analysis as analysis_module
 from hyper4 import cusp as cusp_module
 from hyper4 import lorentz as lorentz_module
@@ -32,7 +35,6 @@ from hyper4.filling import (
     _cover_face_counts,
     _cusp_intersection_group,
     _cyclic_table,
-    _orbit_partition,
     cover_record_from_table,
 )
 from hyper4.flatgroups import AffineMap, StructuralError, classify_flat_group
@@ -291,15 +293,18 @@ def test_code_analysis_product_budget(monkeypatch):
     monkeypatch.setattr(Word, "__mul__", counted)
     CodeAnalysis("14FF28")
     # decoding: a product and a checked inverse per letter.  The ridge and
-    # edge gates count faces and multiply nothing.  The vertex walk: a
-    # product on each of the 144 edges of the orbit graph and a second on
-    # each of the 125 that leave the tree, an unchecked inverse on each of
-    # the 19 tree edges, and Word products only for those tree edges and,
-    # two each, for the 46 stabilizer elements kept
+    # edge gates count faces and multiply nothing.  The vertex walk: the
+    # orbit graph has 144 directed edges, and each comes with its reverse.
+    # Each of the 19 tree edges takes a product and an unchecked inverse,
+    # and its reverse carries the identity at no cost.  The other 106
+    # edges form 53 pairs: the first of a pair takes two products, and
+    # its reverse the unchecked inverse of that.  Word products are made
+    # only for the tree edges and, two each, for the 46 stabilizer
+    # elements kept
     assert calls == {
-        "__matmul__": 12 + 144 + 125,
+        "__matmul__": 12 + 19 + 2 * 53,
         "inverse": 12,
-        "_unchecked_inverse": 12 + 19,
+        "_unchecked_inverse": 12 + 19 + 53,
         "Word.__mul__": 19 + 2 * 46,
     }
 
@@ -321,11 +326,47 @@ def test_cover_cusp_groups_are_the_actions_of_the_lorentz_walk():
     for label, analysis, table in _cover_tables():
         for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
             perms = [table.permutation(w) for w, _ in vclass.stabilizer]
-            group = _cusp_intersection_group(base, perms)
+            orbit, group = _cusp_intersection_group(base, perms)
+            (zeros,) = [o for o in orbit_partition(perms, table.index) if o[0] == 0]
+            assert orbit == len(zeros), (label, vclass.index)
             assert list(group.generators) == [
                 horospherical_action(matrix, vclass.representative)
                 for matrix in walks[label, vclass.index]
             ], (label, vclass.index)
+
+
+def _lift_count_tables():
+    for n in (*range(1, 16), 51):
+        yield f"14FF28 --cyclic {n}", *_cyclic_table("14FF28", n, 10**6)
+    for code in _pool_manifold_codes():
+        analysis = CodeAnalysis(code)
+        # an orientable code has no orientation double cover
+        if -1 in analysis.signs.values():
+            table = character_coset_table(analysis.presentation, analysis.signs)
+            yield f"{code} double cover", analysis, table
+
+
+def test_lift_counts_are_the_orbit_counts():
+    # both callers pass a regular table, so every orbit of a cusp group on
+    # the cosets has the size of coset 0's, and the lift count d / |orbit|
+    # is the number of orbits
+    labels = []
+    double_cover_orbit_sizes = set()
+    for label, analysis, table in _lift_count_tables():
+        labels.append(label)
+        partitions = [
+            orbit_partition([table.permutation(w) for w, _ in vclass.stabilizer], table.index)
+            for vclass in analysis.classes
+        ]
+        assert all(len({len(o) for o in orbits}) == 1 for orbits in partitions), label
+        record = cover_record_from_table(analysis, table, "unknown")
+        assert record.cusp_lift_counts == tuple(map(len, partitions)), label
+        if label.endswith("double cover"):
+            double_cover_orbit_sizes.update(len(orbits[0]) for orbits in partitions)
+    # 181 of the 183 pool manifolds are non-orientable, and the cusps of
+    # their double covers have orbits of both sizes
+    assert len(labels) == 16 + 181
+    assert double_cover_orbit_sizes == {1, 2}
 
 
 def test_cover_record_does_no_lorentz_arithmetic(monkeypatch):
@@ -342,7 +383,7 @@ def test_cover_face_counts_match_orbit_counting():
     for label, analysis, table in _cover_tables():
         d = table.index
         ridges = sum(
-            len(_orbit_partition([table.permutation(cycle.word)], d))
+            len(orbit_partition([table.permutation(cycle.word)], d))
             for cycle in analysis.ridge_cycles
         )
         sides = d * len(analysis.pairing_set.pairings)
@@ -396,12 +437,16 @@ def test_evaluate_is_the_product_of_generators_and_inverses(code, raw):
     assert pairing_set.evaluate(Word.make(raw)) == expected
 
 
-def test_cusp_basis_table_is_per_vertex():
-    codes = [
+def _pool_manifold_codes() -> list[str]:
+    return [
         line.split()[0]
         for line in POOL.read_text().splitlines()
         if not line.startswith("#") and line.split()[1] == "M"
     ]
+
+
+def test_cusp_basis_table_is_per_vertex():
+    codes = _pool_manifold_codes()
     assert len(codes) == 183
     cusp_module._cusp_basis.cache_clear()
     for code in codes:

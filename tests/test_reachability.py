@@ -29,7 +29,6 @@ LIBRARY_ONLY = {
     "grouppres.reidemeister_schreier": "the subgroup presentation of a complete table: acceptance criterion 5 abelianizes the double cover's, the benchmark tracer binds it by name, and the enumeration oracle of the filled-cover certificate builds on it",
     "grouppres.schreier_rewrite": "rewrites a word in Schreier generators: reidemeister_schreier's relators, and the lifted meridians of the filled-cover certificate's enumeration oracle",
     "grouppres.tietze_simplify": "the public Tietze pass (todd_coxeter runs the private one): acceptance criterion 5 calls it, the benchmark tracer binds it by name, and the filled-cover certificate's enumeration oracle simplifies with it",
-    "grouppres.GroupPresentation.__str__": "the flat-group oracle test compares presentations by this form",
     "words.Word.__len__": "word length for library users; the Tietze pass counts integer letters, and the Word-based Tietze oracles of the group tests read it",
     "words.Word.is_identity": "the identity test for library users; the Tietze pass tests integer words, and the Word-based Tietze oracles of the group tests read it",
     "words.Word.cyclic_reduce": "cyclic reduction for library users; the Tietze pass reduces integer words, and the Word-based Tietze oracles of the group tests read it",
