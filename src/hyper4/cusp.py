@@ -4,7 +4,8 @@ A cusp of the quotient manifold corresponds to an orbit of the 24 ideal
 vertices under the side pairings; the walk moves a vertex by the vertex
 map each letter's transition carries, multiplies matrices once for each
 pair of an edge of the orbit graph and its reverse, and builds a word
-only for a tree edge and for a stabilizer element it keeps.  The
+only for a tree edge and for a stabilizer element it keeps; the kept
+elements whose inverse comes later generate the stabilizer.  The
 stabilizer of a class representative acts on a horosphere as a group of
 exact rational affine isometries of Euclidean 3-space; classifying that
 action among the ten closed flat 3-manifolds gives the cusp type, and
@@ -43,13 +44,17 @@ class VertexClass:
 
     Stabilizer generators come from non-tree loops of the orbit graph
     over a breadth-first spanning tree; each matrix fixes the class
-    representative's light vector exactly.
+    representative's light vector exactly.  `stabilizer` lists every
+    distinct element the walk meets, closed under inverses, and
+    `generators` the half of them whose inverse comes later: the half
+    generates the same group, and the cusp group's consumers read only it.
     """
 
     index: int
     members: tuple[LorentzVector, ...]
     representative: LorentzVector
     stabilizer: tuple[tuple[Word, LorentzMatrix], ...]
+    generators: tuple[tuple[Word, LorentzMatrix], ...]
     transversals: tuple[Word, ...]
 
     @property
@@ -64,11 +69,14 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     least light vector.  The walk keeps the transversal matrix T[p] and
     its inverse; a tree edge sets T[image] = g T[p] and the word
     T[image] = letter T[p], and another edge carries the Schreier element
-    T[image]^-1 g T[p], at two products.  The reverse edge (image,
-    letter^-1, p) carries its inverse, and the reverse of a tree edge the
-    identity, so the walk multiplies each pair of edges once.  A
-    stabilizer element kept for a new matrix gets the word
-    T[image]^-1 letter T[p].
+    T[image]^-1 g T[p], at two products, and its inverse, which the
+    reverse edge (image, letter^-1, p) carries; the reverse of a tree
+    edge carries the identity, so the walk multiplies each pair of edges
+    once.  A stabilizer element kept for a new matrix gets the word
+    T[image]^-1 letter T[p], and is a generator when its inverse has not
+    been kept before it.  The kept elements are closed under inverses,
+    and the group is torsion free, so they pair off with their inverses
+    and the generators are the first of each pair.
     """
     cell = the_24_cell()
 
@@ -85,9 +93,11 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
         words = {rep: Word(())}
         trans = {rep: (IDENTITY, IDENTITY)}
         # the element each reverse edge still ahead carries, keyed by
-        # (point, letter, exponent); None stands for the identity
+        # (point, letter, exponent): the inverse of its first edge's, with
+        # None for the identity
         ahead: dict[tuple, LorentzMatrix | None] = {}
         stabilizer: list[tuple[Word, LorentzMatrix]] = []
+        generators: list[tuple[Word, LorentzMatrix]] = []
         seen_matrices = {IDENTITY}
         for p, (letter, exp, g), image, new in orbit_edges(rep, steps):
             if new:
@@ -99,20 +109,24 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
                 ahead[image, letter, -exp] = None
                 continue
             if (p, letter, exp) in ahead:
-                forward = ahead.pop((p, letter, exp))
-                if forward is None:
+                matrix = ahead.pop((p, letter, exp))
+                if matrix is None:
                     continue
-                matrix = _unchecked_inverse(forward)
+                # its inverse, the first edge's element, was met before
+                generator = False
             else:
                 matrix = trans[image][1] @ (g @ trans[p][0])
-                ahead[image, letter, -exp] = matrix
+                inverse = _unchecked_inverse(matrix)
+                ahead[image, letter, -exp] = inverse
+                generator = inverse not in seen_matrices
             # the vertex maps bring a loop back to rep; `horospherical_action`
-            # checks that each kept matrix fixes it
+            # checks that each generator fixes it
             if matrix not in seen_matrices:
                 seen_matrices.add(matrix)
-                stabilizer.append(
-                    (words[image].inverse() * Word(((letter, exp),)) * words[p], matrix)
-                )
+                element = (words[image].inverse() * Word(((letter, exp),)) * words[p], matrix)
+                stabilizer.append(element)
+                if generator:
+                    generators.append(element)
         members = sorted(words.items(), key=lambda member: member[0].coords)
         seen.update(words)
         classes.append(
@@ -121,6 +135,7 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
                 tuple(v for v, _ in members),
                 rep,
                 tuple(stabilizer),
+                tuple(generators),
                 tuple(w for _, w in members),
             )
         )
@@ -186,12 +201,14 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
 
 
 def cusp_flat_group(vclass: VertexClass) -> FlatGroup:
-    """The stabilizer as an exact flat crystallographic group."""
-    if not vclass.stabilizer:
+    """The stabilizer as an exact flat crystallographic group, on the
+    actions of its generators: the half of the stabilizer elements that
+    generates it."""
+    if not vclass.generators:
         raise ValueError(f"vertex class {vclass.index} has an empty stabilizer")
     maps = [
         horospherical_action(matrix, vclass.representative)
-        for _, matrix in vclass.stabilizer
+        for _, matrix in vclass.generators
     ]
     return FlatGroup(maps)
 

@@ -13,7 +13,6 @@ Freedman-Donaldson classification of closed simply connected 4-manifolds.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .analysis import CodeAnalysis
@@ -28,7 +27,7 @@ from .grouppres import (
     schreier_transversal,
     todd_coxeter,
 )
-from .lorentz import IDENTITY
+from .lorentz import IDENTITY, _unchecked_inverse
 from .pairing import SidePairingSet
 from .words import Word, parse_word
 
@@ -156,7 +155,8 @@ def _cusp_intersection_group(base: FlatGroup, perms) -> tuple[int, FlatGroup]:
     stabilizer-intersect-kernel as a flat group, generated by the
     distinct nontrivial Schreier elements of that orbit's walk, in
     discovery order; perms[i] is the coset permutation of
-    base.generators[i], the action of the i-th stabilizer generator."""
+    base.generators[i], the action of the cusp's i-th generator (the
+    half of its stabilizer elements that are kept before their inverse)."""
 
     def steps(c):
         return ((i, g, perms[i][c]) for i, g in enumerate(base.generators))
@@ -187,15 +187,26 @@ def _cover_face_counts(analysis: CodeAnalysis, d: int) -> dict:
     }
 
 
-def _schreier_orientable(letter_det: dict[str, int], table: CosetTable) -> bool:
+def _orientable(letter_det: dict[str, int], table: CosetTable) -> bool:
     """Whether the cover is orientable: every Schreier element of the
-    kernel must have determinant +1."""
-
-    def steps(c):
-        return ((name, sign, table.step(c, name, 1)) for name, sign in letter_det.items())
-
-    orbit = schreier_transversal(0, steps, 1, operator.mul, lambda sign: sign)
-    return all(new or sign == 1 for *_, new, sign in orbit)
+    kernel must have determinant +1, that is the cosets take signs with
+    sign(c . x) = sign(c) det(x) for every coset c and letter x.  A
+    breadth-first walk over the letters' columns gives coset 0 the sign
+    +1 and stops at the first edge that disagrees."""
+    columns = [(table.column(name, 1), det) for name, det in letter_det.items()]
+    signs = [0] * table.index
+    signs[0] = 1
+    queue = [0]
+    for c in queue:
+        row = table.rows[c]
+        for j, det in columns:
+            image, sign = row[j], signs[c] * det
+            if not signs[image]:
+                signs[image] = sign
+                queue.append(image)
+            elif signs[image] != sign:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -235,12 +246,12 @@ def cover_record_from_table(
     lift_counts = []
     tags = []
     for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
-        perms = [table.permutation(w) for w, _ in vclass.stabilizer]
+        perms = [table.permutation(w) for w, _ in vclass.generators]
         orbit, group = _cusp_intersection_group(base, perms)
         lift_counts.append(d // orbit)
         tags.append(classify_flat_group(group))
     all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
-    orientable = _schreier_orientable(analysis.signs, table)
+    orientable = _orientable(analysis.signs, table)
     sigma = signature(all_cusps) if orientable else None
     face = _cover_face_counts(analysis, d)
     base_orientable = all(s == 1 for s in analysis.signs.values())
@@ -396,16 +407,19 @@ def _rebased_meridian(
 
 
 def _peripheral_failure(analysis: CodeAnalysis, meridians: list[Meridian]) -> str | None:
-    """Why some stabilizer generator p of a meridian's cusp conjugates the
-    rebased meridian m to neither m nor m^-1, or None.  Compared on
-    matrices: p M = M p or p M = M^-1 p."""
+    """Why some generator p of a meridian's cusp conjugates the rebased
+    meridian m to neither m nor m^-1, or None.  Compared on matrices:
+    p M = M p or p M = M^-1 p.  The p that pass form a subgroup, so the
+    first stabilizer element that fails is a generator, and the message
+    is the one a walk over every stabilizer element would give."""
     for m in meridians:
         vclass = analysis.classes[m.cusp_index]
         matrix = analysis.pairing_set.evaluate(
             _rebased_meridian(analysis.pairing_set, vclass, m)
         )
-        inverse = matrix.inverse()
-        for word, g in vclass.stabilizer:
+        # a product of checked letters is Lorentzian
+        inverse = _unchecked_inverse(matrix)
+        for word, g in vclass.generators:
             conjugated = g @ matrix
             if conjugated != matrix @ g and conjugated != inverse @ g:
                 return (

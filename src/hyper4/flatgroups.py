@@ -220,7 +220,7 @@ class FlatGroup:
         # generators: the right-coset transversal x_sigma, and translations
         # from the Schreier elements x_sigma r x_{sigma.r}^-1
         def steps(sigma):
-            return ((r, r, _mat_mul(sigma, r.linear)) for r in kept.values())
+            return ((i, r, _mat_mul(sigma, r.linear)) for i, r in enumerate(kept.values()))
 
         hol: dict[Mat3, AffineMap] = {_ID3: AffineMap.identity()}
         vectors = []

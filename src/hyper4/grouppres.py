@@ -124,16 +124,19 @@ def schreier_transversal(
     identity, product and inverse (Holt, Eick & O'Brien, sec. 4.1).
 
     steps(p) gives the (label, g, image) triples leaving point p, g being
-    the group element of the edge.  The transversal element of start is
-    the identity, and a tree edge sets T[image] = product(T[p], g) and,
-    once, its inverse.  Every edge is yielded as (p, label, image, new,
-    element): element is T[image] on a tree edge (new), and otherwise the
-    Schreier element product(product(T[p], g), T[image]^-1).  A left
-    action, where g T[p] carries start to image, passes product(a, b) =
-    b a.
+    the group element of the edge; a label is hashable and names one
+    element wherever it appears.  The transversal element of start is the
+    identity, and a tree edge sets T[image] = product(T[p], g) and
+    T[image]^-1 = product(g^-1, T[p]^-1), which holds for both actions
+    below; g^-1 is taken once per label, when a tree edge first uses it.
+    Every edge is yielded as (p, label, image, new, element): element is
+    T[image] on a tree edge (new), and otherwise the Schreier element
+    product(product(T[p], g), T[image]^-1).  A left action, where g T[p]
+    carries start to image, passes product(a, b) = b a.
     """
     trans = {start: identity}
     trans_inv = {start: identity}
+    inverses: dict = {}
 
     def labelled(p):
         return (((label, g), image) for label, g, image in steps(p))
@@ -141,8 +144,10 @@ def schreier_transversal(
     for p, (label, g), image, new in orbit_edges(start, labelled):
         moved = product(trans[p], g)
         if new:
+            if label not in inverses:
+                inverses[label] = inverse(g)
             trans[image] = moved
-            trans_inv[image] = inverse(moved)
+            trans_inv[image] = product(inverses[label], trans_inv[p])
             yield p, label, image, True, moved
         else:
             yield p, label, image, False, product(moved, trans_inv[image])

@@ -11,7 +11,15 @@ index 1 proves the filled cover simply connected for that one n.
 `orbit_partition` splits the cosets into a cusp group's orbits, one per
 cover cusp; it is also the reference for a cover record's lift counts,
 which read coset 0's orbit alone.
+
+`peripheral_failure` checks the peripheral condition on every element of
+each cusp stabilizer, not on its generating half, and `schreier_orientable`
+reads a cover's orientability off the determinants of the Schreier
+elements of a transversal: they are the references for
+`hyper4.filling._peripheral_failure` and `hyper4.filling._orientable`.
 """
+
+import operator
 
 from hyper4.filling import (
     _cyclic_record,
@@ -27,9 +35,40 @@ from hyper4.grouppres import (
     quotient,
     reidemeister_schreier,
     schreier_rewrite,
+    schreier_transversal,
     tietze_simplify,
     todd_coxeter,
 )
+
+
+def peripheral_failure(analysis, meridians):
+    """Why some stabilizer element p of a meridian's cusp conjugates the
+    rebased meridian m to neither m nor m^-1, or None."""
+    for m in meridians:
+        vclass = analysis.classes[m.cusp_index]
+        matrix = analysis.pairing_set.evaluate(
+            _rebased_meridian(analysis.pairing_set, vclass, m)
+        )
+        inverse = matrix.inverse()
+        for word, g in vclass.stabilizer:
+            conjugated = g @ matrix
+            if conjugated != matrix @ g and conjugated != inverse @ g:
+                return (
+                    f"generator {word} of cusp {m.cusp_index} conjugates meridian "
+                    f"{m.word} to neither itself nor its inverse"
+                )
+    return None
+
+
+def schreier_orientable(letter_det, table) -> bool:
+    """Whether the cover is orientable: every Schreier element of the
+    kernel must have determinant +1."""
+
+    def steps(c):
+        return ((name, sign, table.step(c, name, 1)) for name, sign in letter_det.items())
+
+    orbit = schreier_transversal(0, steps, 1, operator.mul, lambda sign: sign)
+    return all(new or sign == 1 for *_, new, sign in orbit)
 
 
 def orbit_partition(perms, size: int) -> list[list[int]]:

@@ -4,7 +4,8 @@ reference for the gate in `hyper4.pairing` and `hyper4.cusp`.
 `ridge_cycles` multiplies each cycle's matrix along its walk,
 `edge_orbits` compares g T[p] with T[image] on every edge of every
 orbit, and `vertex_classes` carries a (word, matrix) pair through the
-whole Schreier transversal.  They return what the package's walks
+whole Schreier transversal, marking as a generator each element it
+keeps before its inverse.  They return what the package's walks
 return, and raise the same messages.
 """
 
@@ -97,6 +98,7 @@ def vertex_classes(pairing_set) -> list[VertexClass]:
             continue
         members = [(rep, Word(()))]
         stabilizer = []
+        generators = []
         seen_matrices = {IDENTITY}
         orbit = schreier_transversal(rep, steps, (Word(()), IDENTITY), product, inverse)
         for *_, image, new, (word, matrix) in orbit:
@@ -105,6 +107,8 @@ def vertex_classes(pairing_set) -> list[VertexClass]:
             elif matrix not in seen_matrices:
                 seen_matrices.add(matrix)
                 stabilizer.append((word, matrix))
+                if matrix.inverse() not in seen_matrices:
+                    generators.append((word, matrix))
         members.sort(key=lambda member: member[0].coords)
         seen.update(v for v, _ in members)
         classes.append(
@@ -113,6 +117,7 @@ def vertex_classes(pairing_set) -> list[VertexClass]:
                 tuple(v for v, _ in members),
                 rep,
                 tuple(stabilizer),
+                tuple(generators),
                 tuple(w for _, w in members),
             )
         )

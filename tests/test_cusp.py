@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import reference_walks
+from hyper4 import cusp as cusp_module
+from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import (
     ETA_TABLE,
     cusp_flat_group,
@@ -14,7 +16,7 @@ from hyper4.cusp import (
     signature,
     vertex_classes,
 )
-from hyper4.flatgroups import classify_flat_group
+from hyper4.flatgroups import FlatGroup, classify_flat_group
 from hyper4.lorentz import LorentzVector
 from hyper4.pairing import build_side_pairings
 from hyper4.words import parse_word
@@ -69,17 +71,67 @@ def test_transversals_reach_members(code):
         assert str(vc.transversals[vc.members.index(vc.representative)]) == "1"
 
 
+def _pool_manifold_codes() -> list[str]:
+    pool = Path(__file__).parent.parent / "perfbench" / "data" / "pool.tsv"
+    rows = [line.split() for line in pool.read_text().splitlines() if not line.startswith("#")]
+    return [code for code, cls, *_ in rows if cls == "M"]
+
+
 def test_vertex_classes_match_the_word_and_matrix_walk():
     # the walk on matrices alone, with words only on tree edges and kept
     # stabilizer elements, against one carrying a (word, matrix) pair on
     # every edge, over every manifold code of the pool
-    pool = Path(__file__).parent.parent / "perfbench" / "data" / "pool.tsv"
-    rows = [line.split() for line in pool.read_text().splitlines() if not line.startswith("#")]
-    codes = [code for code, cls, *_ in rows if cls == "M"]
+    codes = _pool_manifold_codes()
     assert len(codes) == 183
     for code in codes:
         pairings = build_side_pairings(code)
         assert vertex_classes(pairings) == reference_walks.vertex_classes(pairings), code
+
+
+def test_generators_give_the_stabilizer_flat_group():
+    # every stabilizer element that is not a generator is the inverse of
+    # an earlier one, and the flat group on the generators is the one on
+    # every element, over every manifold code of the pool
+    def invariants(group):
+        return (
+            group.holonomy,
+            group.lattice,
+            group.h1,
+            group.orientable,
+            classify_flat_group(group),
+        )
+
+    counts = [0, 0]
+    for code in _pool_manifold_codes():
+        for vc in vertex_classes(build_side_pairings(code)):
+            matrices = [m for _, m in vc.stabilizer]
+            assert set(vc.generators) <= set(vc.stabilizer), code
+            for i, (word, matrix) in enumerate(vc.stabilizer):
+                if (word, matrix) not in vc.generators:
+                    assert matrix.inverse() in matrices[:i], (code, vc.index, str(word))
+
+            def group(elements, vc=vc):
+                return FlatGroup(horospherical_action(m, vc.representative) for _, m in elements)
+
+            assert invariants(group(vc.generators)) == invariants(group(vc.stabilizer)), code
+            counts[0] += len(vc.generators)
+            counts[1] += len(vc.stabilizer)
+    assert counts == [4150, 8300]
+
+
+def test_code_analysis_acts_on_the_generators_alone(monkeypatch):
+    calls = []
+    action = cusp_module.horospherical_action
+
+    def counted(matrix, vertex):
+        calls.append(matrix)
+        return action(matrix, vertex)
+
+    monkeypatch.setattr(cusp_module, "horospherical_action", counted)
+    analysis = CodeAnalysis("14FF28")
+    assert [len(vc.generators) for vc in analysis.classes] == [7, 4, 4, 4, 4]
+    assert calls == [m for vc in analysis.classes for _, m in vc.generators]
+    assert len(calls) == 23
 
 
 # words known to generate each cusp cross-section group, with a vertex

@@ -1,5 +1,9 @@
 """Dehn fillings, cyclic covers, and the homeomorphism classifier."""
 
+from collections import Counter
+from itertools import product
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +14,13 @@ from hyper4.filling import (
     DEFAULT_MERIDIANS,
     DOUBLE_COVER_SPIN,
     Meridian,
+    _cyclic_table,
+    _orientable,
+    _peripheral_failure,
     _rebased_meridian,
     classify_filled_cover,
     classify_homeo,
+    cover_record_from_table,
     cyclic_cover,
     default_meridians,
     double_cover_record,
@@ -20,7 +28,12 @@ from hyper4.filling import (
     parse_meridian_lines,
     validate_meridians,
 )
-from hyper4.grouppres import abelianization, reidemeister_schreier, todd_coxeter
+from hyper4.grouppres import (
+    abelianization,
+    character_coset_table,
+    reidemeister_schreier,
+    todd_coxeter,
+)
 from hyper4.pairing import build_side_pairings, fundamental_group
 from hyper4.words import Word, parse_word
 
@@ -308,3 +321,110 @@ def test_peripheral_condition_holds_on_the_stabilizer(data):
         word = word * (w if sign == 1 else w.inverse())
     p = PAIRINGS.evaluate(word)
     assert p @ matrix @ p.inverse() in (matrix, inverse)
+
+
+# 14FF28, and two codes whose cusps have several flat types: 1428BD
+# (FABAA) is orientable, E1BB86 (GFABH) is not
+PERIPHERAL_CODES = ("14FF28", "1428BD", "E1BB86")
+PERIPHERAL_ANALYSES = {code: CodeAnalysis(code) for code in PERIPHERAL_CODES}
+
+
+def _peripheral_outcome(check, analysis, meridians):
+    try:
+        return check(analysis, meridians)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_peripheral_failure_on_the_generators_matches_the_full_stabilizer(data):
+    # meridians drawn as words in their cusp's stabilizer words: checking
+    # the generators gives the same first failure as checking every
+    # stabilizer element, or the same refusal of a trivial meridian
+    analysis = PERIPHERAL_ANALYSES[data.draw(st.sampled_from(PERIPHERAL_CODES))]
+    meridians = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        vclass = data.draw(st.sampled_from(analysis.classes))
+        words = [w for w, _ in vclass.stabilizer]
+        factors = data.draw(
+            st.lists(st.tuples(st.sampled_from(words), st.sampled_from([1, -1])), max_size=4)
+        )
+        word = Word(())
+        for w, sign in factors:
+            word = word * (w if sign == 1 else w.inverse())
+        meridians.append(Meridian(vclass.index, word))
+    assert _peripheral_outcome(_peripheral_failure, analysis, meridians) == (
+        _peripheral_outcome(reference_certificate.peripheral_failure, analysis, meridians)
+    )
+
+
+def test_peripheral_failure_on_each_stabilizer_element():
+    # every stabilizer element of 14FF28 as a meridian of its own cusp:
+    # the generators fail exactly where the full stabilizer does
+    outcomes = Counter()
+    for vclass in ANALYSIS.classes:
+        for word, _ in vclass.stabilizer:
+            meridians = [Meridian(vclass.index, word)]
+            failure = _peripheral_failure(ANALYSIS, meridians)
+            assert failure == reference_certificate.peripheral_failure(ANALYSIS, meridians)
+            outcomes[failure is None] += 1
+    assert sum(outcomes.values()) == 46 and outcomes[False] > 0 and outcomes[True] > 0
+
+
+def _other_character_tables() -> list:
+    """The index-2 tables of 14FF28's nontrivial Z/2 characters other
+    than the determinant, from every sign assignment to the letters."""
+    presentation = ANALYSIS.presentation
+    tables = []
+    for bits in product((1, -1), repeat=len(presentation.generators)):
+        signs = dict(zip(presentation.generators, bits))
+        if signs == ANALYSIS.signs:
+            continue
+        try:
+            tables.append(character_coset_table(presentation, signs))
+        except ValueError:
+            continue
+    return tables
+
+
+OTHER_CHARACTER_TABLES = _other_character_tables()
+
+
+def test_other_characters_give_non_orientable_covers():
+    # the kernel of any other character contains an orientation-reversing
+    # element, so its double cover is not orientable and has no signature
+    assert len(OTHER_CHARACTER_TABLES) == 62
+    for table in OTHER_CHARACTER_TABLES:
+        record = cover_record_from_table(ANALYSIS, table, "unknown")
+        assert record.degree == 2
+        assert record.orientable is False
+        assert record.sigma is None
+        assert record.degree_over_double_cover is None
+
+
+def _orientation_cases():
+    for table in OTHER_CHARACTER_TABLES:
+        yield "14FF28 other character", ANALYSIS, table
+    for n in (*range(1, 16), 51):
+        yield f"14FF28 cyclic {n}", *_cyclic_table("14FF28", n, 10**6)
+    pool = Path(__file__).parent.parent / "perfbench" / "data" / "pool.tsv"
+    rows = [line.split() for line in pool.read_text().splitlines() if not line.startswith("#")]
+    for code in (code for code, cls, *_ in rows if cls == "M"):
+        analysis = CodeAnalysis(code)
+        # an orientable code has no orientation double cover
+        if -1 in analysis.signs.values():
+            table = character_coset_table(analysis.presentation, analysis.signs)
+            yield f"{code} double cover", analysis, table
+
+
+def test_orientation_walk_matches_the_schreier_signs():
+    outcomes = Counter()
+    for label, analysis, table in _orientation_cases():
+        orientable = _orientable(analysis.signs, table)
+        assert orientable == reference_certificate.schreier_orientable(
+            analysis.signs, table
+        ), label
+        outcomes[label.split()[1], orientable] += 1
+    # 181 of the 183 pool manifolds are non-orientable
+    assert outcomes == {("other", False): 62, ("cyclic", True): 16, ("double", True): 181}

@@ -37,7 +37,7 @@ from hyper4.filling import (
     _cyclic_table,
     cover_record_from_table,
 )
-from hyper4.flatgroups import AffineMap, StructuralError, classify_flat_group
+from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, classify_flat_group
 from hyper4.grouppres import character_coset_table, orbit_edges, schreier_transversal
 from hyper4.lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
 from hyper4.pairing import GENERATOR_LETTERS, build_side_pairings
@@ -124,28 +124,29 @@ def _cover_tables():
 @lru_cache(maxsize=None)
 def _schreier_cases() -> tuple:
     """(label, analysis, vertex class, Schreier word, transversal matrix)
-    for every non-tree edge of every cusp of every cover under test; the
-    words are rebuilt here from the same breadth-first tree."""
+    for every non-tree edge of every cusp of every cover under test, over
+    the cusp's generators as the cover walks them; the words are rebuilt
+    here from the same breadth-first tree."""
     cases = []
     for label, analysis, table in _cover_tables():
         for vclass in analysis.classes:
-            perms = [table.permutation(w) for w, _ in vclass.stabilizer]
+            perms = [table.permutation(w) for w, _ in vclass.generators]
             trans = {0: Word(())}
 
             def steps(c, perms=perms):
                 return ((i, perm[c]) for i, perm in enumerate(perms))
 
             def matrix_steps(c, perms=perms, vclass=vclass):
-                return ((i, m, perms[i][c]) for i, (_, m) in enumerate(vclass.stabilizer))
+                return ((i, m, perms[i][c]) for i, (_, m) in enumerate(vclass.generators))
 
             for c, i, d, new in orbit_edges(0, steps):
                 if new:
-                    trans[d] = trans[c] * vclass.stabilizer[i][0]
+                    trans[d] = trans[c] * vclass.generators[i][0]
             for c, i, d, new, matrix in schreier_transversal(
                 0, matrix_steps, IDENTITY, LorentzMatrix.__matmul__, LorentzMatrix.inverse
             ):
                 if not new:
-                    word = trans[c] * vclass.stabilizer[i][0] * trans[d].inverse()
+                    word = trans[c] * vclass.generators[i][0] * trans[d].inverse()
                     cases.append((label, analysis, vclass, word, matrix))
     return tuple(cases)
 
@@ -325,7 +326,7 @@ def test_cover_cusp_groups_are_the_actions_of_the_lorentz_walk():
             walks.setdefault((label, vclass.index), {})[matrix] = None
     for label, analysis, table in _cover_tables():
         for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
-            perms = [table.permutation(w) for w, _ in vclass.stabilizer]
+            perms = [table.permutation(w) for w, _ in vclass.generators]
             orbit, group = _cusp_intersection_group(base, perms)
             (zeros,) = [o for o in orbit_partition(perms, table.index) if o[0] == 0]
             assert orbit == len(zeros), (label, vclass.index)
@@ -367,6 +368,49 @@ def test_lift_counts_are_the_orbit_counts():
     # their double covers have orbits of both sizes
     assert len(labels) == 16 + 181
     assert double_cover_orbit_sizes == {1, 2}
+
+
+def _count_affine_inverses(monkeypatch) -> Counter:
+    calls = Counter()
+    original = AffineMap.inverse
+
+    def counted(self):
+        calls["inverse"] += 1
+        return original(self)
+
+    monkeypatch.setattr(AffineMap, "inverse", counted)
+    return calls
+
+
+def test_cover_cusp_walk_inverts_each_generator_once(monkeypatch):
+    # the transversal inverts a generator the first time a tree edge uses
+    # it, not each of the tree edges: cusp 1 of the n = 51 cover has 101
+    analysis, table = _cyclic_table("14FF28", 51, 10**6)
+    calls = _count_affine_inverses(monkeypatch)
+    counts = []
+    for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
+        perms = [table.permutation(w) for w, _ in vclass.generators]
+        calls.clear()
+        orbit, _ = _cusp_intersection_group(base, perms)
+        assert calls["inverse"] <= len(base.generators)
+        counts.append((orbit, calls["inverse"]))
+    assert counts == [(2, 1), (102, 2), (2, 1), (2, 1), (2, 1)]
+
+
+def test_flat_group_inverts_each_kept_generator_once(monkeypatch):
+    # the holonomy walk runs on the first generator of each nontrivial
+    # linear part, and inverts each of those at most once
+    calls = _count_affine_inverses(monkeypatch)
+    groups = 0
+    for code in _pool_manifold_codes():
+        for vclass in vertex_classes(build_side_pairings(code)):
+            maps = [horospherical_action(m, vclass.representative) for _, m in vclass.generators]
+            kept = {g.linear for g in maps} - {AffineMap.identity().linear}
+            calls.clear()
+            FlatGroup(maps)
+            assert calls["inverse"] <= len(kept), code
+            groups += 1
+    assert groups == 928
 
 
 def test_cover_record_does_no_lorentz_arithmetic(monkeypatch):

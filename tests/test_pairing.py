@@ -214,15 +214,16 @@ def test_vertex_maps_take_the_only_matrix_vector_products(monkeypatch):
     face_cycles(ps, 2)
     vertex_classes(ps)
     assert len(calls) == 72
-    # the rest are `horospherical_action`'s: for each kept stabilizer
-    # matrix of the five cusps, the check that it fixes the vertex and
-    # the images of the four vectors of the cusp frame
+    # the rest are `horospherical_action`'s: for each generator of the
+    # five cusps, half of the 46 kept stabilizer matrices, the check that
+    # it fixes the vertex and the images of the four vectors of the cusp
+    # frame
     del calls[:]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "14FF28"]) == 0
-    stabilizers = sum(len(vc.stabilizer) for vc in vertex_classes(ps))
-    assert stabilizers == 46
-    assert len(calls) == 72 + 5 * stabilizers
+    generators = sum(len(vc.generators) for vc in vertex_classes(ps))
+    assert generators == 23
+    assert len(calls) == 72 + 5 * generators
 
 
 def test_ridge_cycles():
