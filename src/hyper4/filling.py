@@ -2,9 +2,12 @@
 
 Filling kills chosen parabolic words (meridians) in the fundamental
 group.  The cyclic family quotients by the default meridians with the
-distinguished one raised to a power, determines the resulting regular
-cover by coset enumeration, and computes the cover's cusps, Euler
-characteristic, orientability, and signature exactly.  The filled cover
+distinguished one raised to a power n, and computes the resulting
+regular cover's cusps, Euler characteristic, orientability, and
+signature exactly.  The cover's deck group is the filled group G_n.  A
+map onto the infinite dihedral group, checked once per call by a
+certificate that does not depend on n, shows G_n = D_n; its table is
+then written in O(n), and otherwise G_n is enumerated.  The filled cover
 is certified simply connected when each cusp stabilizer conjugates its
 meridian to itself or its inverse, a check on matrices that does not
 depend on the cover.  Closed invariant triples are matched against the
@@ -22,7 +25,10 @@ from .grouppres import (
     DEFAULT_COSET_LIMIT,
     CosetTable,
     GroupPresentation,
+    _enumerate,
     character_coset_table,
+    dihedral_image,
+    dihedral_table,
     quotient,
     schreier_transversal,
     todd_coxeter,
@@ -72,6 +78,14 @@ DEFAULT_MERIDIANS: dict[str, tuple[tuple[int, str], ...]] = {
 
 # Which cusp's meridian is raised to the n-th power in the cyclic family.
 DISTINGUISHED_CUSP: dict[str, int] = {"14FF28": 1}
+
+# A map phi of the fundamental group onto the infinite dihedral group
+# D_inf = Z x| Z/2, for codes whose cyclic family has dihedral deck groups:
+# each listed letter goes to r^k s^e, given as (k, e), and the other
+# letters go to 1.  Not trusted: `_dihedral_certificate` checks it.
+DIHEDRAL_MAPS: dict[str, dict[str, tuple[int, int]]] = {
+    "14FF28": {"c": (1, 0), "d": (1, 0), "e": (0, 1), "f": (0, 1), "g": (0, 1), "h": (0, 1)},
+}
 
 # Orientation double covers known to admit a spin structure.  Supplied as
 # configuration, not computed here; the classification path reports
@@ -139,6 +153,12 @@ def fill(
     The presentation is built for coset enumeration within `limit`
     cosets, so a meridian power beyond the limit is refused before its
     relator is expanded."""
+    _check_fill(analysis, meridians, limit)
+    return quotient(analysis.presentation, [m.relator for m in meridians])
+
+
+def _check_fill(analysis: CodeAnalysis, meridians: list[Meridian], limit: int) -> None:
+    """`fill`'s checks, in order, without building the presentation."""
     validate_meridians(analysis.pairing_set, analysis.classes, meridians)
     if limit <= 0:
         raise ValueError("coset limit must be positive")
@@ -147,7 +167,6 @@ def fill(
             raise ValueError(
                 f"meridian {m.word} ^ {m.exponent}: the exponent exceeds the coset limit {limit}"
             )
-    return quotient(analysis.presentation, [m.relator for m in meridians])
 
 
 def _cusp_intersection_group(base: FlatGroup, perms) -> tuple[int, FlatGroup]:
@@ -238,8 +257,10 @@ def cover_record_from_table(
     stabilizer is the same kernel, and every orbit of a cusp group has
     the size of coset 0's orbit.  A cusp class then lifts to d / |orbit|
     cusps, all of the type of coset 0's.  Both callers pass a regular
-    table: `_cyclic_table` enumerates the filled group over its trivial
-    subgroup, so the table is the quotient group's own, and
+    table: `_cyclic_table` writes the filled group's table through its
+    certified isomorphism onto D_n, or enumerates the filled group over
+    its trivial subgroup, so the table is the quotient group's own (a
+    standardized table is unique, so both ways give the same rows), and
     `double_cover_record` takes the kernel of the determinant character,
     a normal subgroup of index 2."""
     d = table.index
@@ -273,7 +294,48 @@ def cover_record_from_table(
     )
 
 
+def _dihedral_certificate(
+    analysis: CodeAnalysis, meridians: list[Meridian], limit: int
+) -> dict[str, tuple[int, int]] | None:
+    """The images of `DIHEDRAL_MAPS`' phi when it certifies G_n = D_n for
+    every n, or None.  The certificate does not depend on n.
+
+    Let c be the distinguished meridian and K = pi / <<other meridians>>,
+    so that G_n = K / <<c^n>>.  phi must kill every relator and the other
+    meridians, so it is defined on K; it must send c to r and some letter
+    to a reflection, so it is onto D_inf and injective on <c>.  And <c>
+    must have exactly 2 cosets in K, by an enumeration over the raw
+    presentation within `limit` cosets.  Then phi maps the 2 cosets of
+    <c> onto the 2 cosets of <r>, so its kernel lies in <c> and is
+    trivial: phi is an isomorphism of K onto D_inf, and
+    G_n = D_inf / <<r^n>> = D_n."""
+    entries = DIHEDRAL_MAPS.get(analysis.code)
+    if entries is None:
+        return None
+    images = {x: entries.get(x, (0, 0)) for x in analysis.presentation.generators}
+    distinguished = DISTINGUISHED_CUSP[analysis.code]
+    for m in meridians:
+        expected = (1, 0) if m.cusp_index == distinguished else (0, 0)
+        if dihedral_image(images, m.word) != expected:
+            return None
+    if not any(e for _, e in images.values()):
+        return None
+    if any(dihedral_image(images, r) != (0, 0) for r in analysis.presentation.relators):
+        return None
+    others = [m.word for m in meridians if m.cusp_index != distinguished]
+    subgroup = [m.word for m in meridians if m.cusp_index == distinguished]
+    table = _enumerate(quotient(analysis.presentation, others), limit, subgroup)
+    return images if table.complete and len(table.rows) == 2 else None
+
+
 def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTable]:
+    """The regular table of G_n, the fundamental group filled along the
+    default meridians with the distinguished one raised to the n-th power.
+
+    When `_dihedral_certificate` holds, G_n = D_n and its table is
+    written; the table is incomplete when its 2n cosets exceed `limit`,
+    where the enumeration of G_n stops too.  Otherwise G_n is enumerated,
+    and only then is the power relator c^n built."""
     if n < 1:
         raise ValueError("the cyclic parameter must be a positive integer")
     analysis = CodeAnalysis(code)
@@ -281,7 +343,15 @@ def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTab
         Meridian(m.cusp_index, m.word, n if m.cusp_index == DISTINGUISHED_CUSP[code] else 1)
         for m in default_meridians(code)
     ]
-    return analysis, todd_coxeter(fill(analysis, meridians, limit), limit)
+    _check_fill(analysis, meridians, limit)
+    generators = analysis.presentation.generators
+    images = _dihedral_certificate(analysis, meridians, limit)
+    if images is None:
+        filled = quotient(analysis.presentation, [m.relator for m in meridians])
+        return analysis, todd_coxeter(filled, limit)
+    if 2 * n > limit:
+        return analysis, CosetTable(generators, (), False)
+    return analysis, dihedral_table(generators, images, n)
 
 
 def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRecord:

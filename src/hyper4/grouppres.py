@@ -25,6 +25,8 @@ __all__ = [
     "abelianization",
     "cokernel_invariants",
     "todd_coxeter",
+    "dihedral_image",
+    "dihedral_table",
     "character_coset_table",
     "reidemeister_schreier",
     "schreier_rewrite",
@@ -249,9 +251,15 @@ def todd_coxeter(pres: GroupPresentation, limit: int = DEFAULT_COSET_LIMIT) -> C
     return CosetTable(gens, _standardize(rows, len(gens)), True)
 
 
-def _enumerate(pres: GroupPresentation, limit: int) -> CosetTable:
-    """Relator-driven (HLT) enumeration of the trivial subgroup, with row
-    filling in first-in order; incomplete past `limit` cosets."""
+def _enumerate(
+    pres: GroupPresentation, limit: int, subgroup: Sequence[Word] = ()
+) -> CosetTable:
+    """Relator-driven (HLT) enumeration of the cosets of the subgroup the
+    given words generate, the trivial one by default, with row filling in
+    first-in order; incomplete past `limit` cosets.  The subgroup words
+    are scanned once at coset 0, before the relators (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, ch. 5); coset 0 is
+    never merged away, so they keep fixing it."""
     gens = pres.generators
     g = len(gens)
     ncols = 2 * g
@@ -341,6 +349,8 @@ def _enumerate(pres: GroupPresentation, limit: int) -> CosetTable:
     relator_cols = [[col(l) for l in r.letters] for r in pres.relators if r.letters]
     try:
         define()
+        for word in subgroup:
+            scan_and_fill(0, [col(l) for l in word.letters])
         alpha = 0
         while alpha < len(table):
             if find(alpha) != alpha:
@@ -383,18 +393,62 @@ def _standardize(rows: list[tuple[int, ...]], g: int) -> tuple[tuple[int, ...], 
     )
 
 
+def dihedral_image(images: Mapping[str, tuple[int, int]], word: Word) -> tuple[int, int]:
+    """The image (k, e) of a word in the infinite dihedral group
+    D_inf = Z x| Z/2 under the map sending each generator x to images[x];
+    (k, e) stands for r^k s^e, where s r s = r^-1."""
+    k, e = 0, 0
+    for name, exp in word.letters:
+        b, beta = images[name]
+        if exp == -1 and not beta:
+            b = -b  # a reflection r^b s is its own inverse
+        k, e = (k - b if e else k + b), e ^ beta
+    return k, e
+
+
+def dihedral_table(
+    generators: Sequence[str], images: Mapping[str, tuple[int, int]], n: int
+) -> CosetTable:
+    """The regular table of the dihedral group D_n = D_inf / <r^n>, of
+    order 2n, on generators sent to images[x] = (k, e), that is r^k s^e.
+
+    The images must generate D_n.  Coset c.x is the product of c's element
+    and x's image, and the table is standardized, so it is the table that
+    an enumeration over any presentation of D_n on these generators gives:
+    a standardized table is unique for the group and its base coset.  The
+    element r^a s^e is numbered a + e n before standardizing, and each
+    distinct image's column is written once, in O(n)."""
+    g = len(generators)
+
+    def column(b: int, beta: int) -> list[int]:
+        # r^a . r^b s^beta = r^(a+b) s^beta, r^a s . r^b s^beta = r^(a-b) s^(1-beta)
+        return [(a + b) % n + beta * n for a in range(n)] + [
+            (a - b) % n + (1 - beta) * n for a in range(n)
+        ]
+
+    written: dict[tuple[int, int], list[int]] = {}
+    columns = []
+    for j in range(2 * g):
+        b, beta = images[generators[j % g]]
+        if j >= g and not beta:
+            b = -b
+        key = (b % n, beta)
+        if key not in written:
+            written[key] = column(*key)
+        columns.append(written[key])
+    return CosetTable(tuple(generators), _standardize(list(zip(*columns)), g), True)
+
+
 def character_coset_table(
     pres: GroupPresentation, signs: Mapping[str, int]
 ) -> CosetTable:
     """Two-coset table of the kernel of the {1,-1}-character sending each
-    generator to the given sign.  Every relator must map to +1."""
+    generator to the given sign, the regular table of D_1 with -1 as the
+    reflection.  Every relator must map to +1."""
     if all(signs[x] == 1 for x in pres.generators):
         raise ValueError("character is trivial; kernel has index 1, not 2")
-    bits = [0 if signs[x] == 1 else 1 for x in pres.generators]
-    rows = tuple(
-        tuple((i ^ b) for b in bits) + tuple((i ^ b) for b in bits) for i in (0, 1)
-    )
-    table = CosetTable(pres.generators, rows, True)
+    images = {x: (0, 0 if signs[x] == 1 else 1) for x in pres.generators}
+    table = dihedral_table(pres.generators, images, 1)
     for r in pres.relators:
         if table.follow(0, r) != 0:
             raise ValueError(f"character does not vanish on relator {r}")

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_certificate
+import hyper4.filling as filling_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import vertex_classes
 from hyper4.filling import (
     DEFAULT_MERIDIANS,
+    DIHEDRAL_MAPS,
     DOUBLE_COVER_SPIN,
     Meridian,
     _cyclic_table,
+    _dihedral_certificate,
     _orientable,
     _peripheral_failure,
     _rebased_meridian,
@@ -175,6 +178,177 @@ def test_cyclic_cover_respects_limit():
     rec = cyclic_cover("14FF28", 3, limit=4)
     assert not rec.complete
     assert rec.degree is None
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The number of `todd_coxeter` calls `_cyclic_table` makes."""
+    calls = []
+
+    def counted(pres, limit):
+        calls.append(limit)
+        return todd_coxeter(pres, limit)
+
+    monkeypatch.setattr(filling_module, "todd_coxeter", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 101, 1001])
+def test_written_dihedral_table_is_the_enumerated_one(n, enumerations):
+    # a standardized table is unique, so D_n's written table is the
+    # enumeration's, and every record built on it stays the same
+    _, table = _cyclic_table("14FF28", n, 10**6)
+    assert enumerations == []
+    assert table == todd_coxeter(fill(ANALYSIS, _default_with_power(n)))
+
+
+def _naive_coset_count(relators, subgroup, limit=10**4):
+    """The index of the subgroup, by the textbook loop: each coset in turn
+    traces each relator, defining cosets for every missing letter but the
+    last, and a trace that ends at the wrong coset equates two cosets,
+    merged by rewriting every entry of the table.  A word is a tuple of
+    (name, exponent) letters.  None past `limit` cosets."""
+    letters = sorted({letter for word in relators for letter in word})
+    table: dict[int, dict] = {0: {}}
+    count = 1
+
+    def merge(a, b):
+        work = [(a, b)]
+        while work:
+            a, b = sorted(work.pop())
+            if a == b or b not in table:
+                continue
+            row = table.pop(b)
+            for other in table.values():
+                for letter, target in other.items():
+                    if target == b:
+                        other[letter] = a
+            for letter, target in row.items():
+                target = a if target == b else target
+                if letter not in table[a]:
+                    table[a][letter] = target
+                elif table[a][letter] != target:
+                    work.append((table[a][letter], target))
+            work = [(a if x == b else x, a if y == b else y) for x, y in work]
+
+    def close(start, word):
+        nonlocal count
+        c = start
+        for name, exp in word[:-1]:
+            if (name, exp) not in table[c]:
+                table[c][name, exp] = count
+                table[count] = {(name, -exp): c}
+                count += 1
+            c = table[c][name, exp]
+        name, exp = word[-1]
+        end = table[c].get((name, exp))
+        if end is None:
+            table[c][name, exp] = start
+            back = table[start].setdefault((name, -exp), c)
+            if back != c:
+                merge(back, c)
+        elif end != start:
+            merge(end, start)
+
+    for word in subgroup:
+        close(0, word)
+    c = 0
+    while c < count:
+        for word in relators:
+            if c not in table or count > limit:
+                break
+            close(c, word)
+        if count > limit:
+            return None
+        c += 1
+    # every live coset must be closed under every letter and relator
+    for c, row in table.items():
+        assert set(row) == set(letters), c
+        for word in relators:
+            end = c
+            for letter in word:
+                end = table[end][letter]
+            assert end == c
+    return len(table)
+
+
+def test_naive_enumeration_finds_two_cosets_of_the_meridian():
+    # K = pi / <<Eg, a, k, j>>: <c> has index 2, the certificate's count
+    words = [r.letters for r in ANALYSIS.presentation.relators]
+    words += [parse_word(w).letters for w in ("Eg", "a", "k", "j")]
+    assert _naive_coset_count(words, [parse_word("c").letters]) == 2
+    # and the trivial subgroup of G_3 = K / <<c^3>> has the 6 cosets of D_3
+    assert _naive_coset_count(words + [parse_word("ccc").letters], []) == 6
+
+
+def test_dihedral_certificate_holds_on_the_interim_map():
+    images = _dihedral_certificate(ANALYSIS, default_meridians("14FF28"), 10**6)
+    assert images == {x: DIHEDRAL_MAPS["14FF28"].get(x, (0, 0)) for x in "abcdefghijkl"}
+    # the subgroup enumeration completes within 34 cosets and not fewer
+    assert _dihedral_certificate(ANALYSIS, default_meridians("14FF28"), 34) == images
+    assert _dihedral_certificate(ANALYSIS, default_meridians("14FF28"), 33) is None
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [{"e": (0, 0)}, {"c": (2, 0)}, {"a": (1, 0)}],
+    ids=["e-to-1", "c-to-r2", "a-to-r"],
+)
+def test_a_wrong_map_falls_back_to_enumeration(mutation, monkeypatch, enumerations):
+    expected = {n: cyclic_cover("14FF28", n) for n in (3, 8)}
+    assert enumerations == []
+    monkeypatch.setitem(DIHEDRAL_MAPS, "14FF28", {**DIHEDRAL_MAPS["14FF28"], **mutation})
+    assert _dihedral_certificate(ANALYSIS, default_meridians("14FF28"), 10**6) is None
+    for n, record in expected.items():
+        assert cyclic_cover("14FF28", n) == record
+    assert enumerations == [10**6, 10**6]
+
+
+def test_a_code_without_a_map_falls_back_to_enumeration(monkeypatch, enumerations):
+    expected = cyclic_cover("14FF28", 5)
+    monkeypatch.delitem(DIHEDRAL_MAPS, "14FF28")
+    assert cyclic_cover("14FF28", 5) == expected
+    assert enumerations == [10**6]
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 101])
+def test_max_cosets_boundary_is_twice_n(n, enumerations):
+    # the enumeration completes exactly when its 2n cosets fit; below the
+    # certificate's 34 cosets the enumeration itself decides
+    assert cyclic_cover("14FF28", n, limit=2 * n).degree == 2 * n
+    assert not cyclic_cover("14FF28", n, limit=2 * n - 1).complete
+    assert len(enumerations) == (0 if 2 * n - 1 >= 34 else 1 if 2 * n >= 34 else 2)
+
+
+def test_limits_below_the_certificate_give_the_enumeration(enumerations):
+    rec = cyclic_cover("14FF28", 1, limit=5)
+    assert (rec.complete, rec.degree, rec.cusp_types) == (True, 2, "AAAAA")
+    assert not cyclic_cover("14FF28", 3, limit=5).complete
+    assert enumerations == [5, 5]
+    message = r"^meridian c \^ 7: the exponent exceeds the coset limit 5$"
+    with pytest.raises(ValueError, match=message):
+        cyclic_cover("14FF28", 7, limit=5)
+    with pytest.raises(ValueError, match="^coset limit must be positive$"):
+        cyclic_cover("14FF28", 3, limit=0)
+    assert len(enumerations) == 2
+    out = classify_filled_cover("14FF28", 3, limit=5)
+    assert out["reason"] == "coset enumeration did not complete within 5 cosets"
+
+
+def test_the_power_relator_is_built_only_on_the_fallback(monkeypatch):
+    power = Meridian.relator.fget
+    built = []
+
+    def counted(self):
+        built.append(self.exponent)
+        return power(self)
+
+    monkeypatch.setattr(Meridian, "relator", property(counted))
+    cyclic_cover("14FF28", 51)
+    assert built == []
+    monkeypatch.delitem(DIHEDRAL_MAPS, "14FF28")
+    cyclic_cover("14FF28", 51)
+    assert built == [1, 51, 1, 1, 1]
 
 
 def test_classify_homeo_sphere():

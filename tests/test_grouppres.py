@@ -23,6 +23,8 @@ from hyper4.grouppres import (
     _tietze,
     abelianization,
     character_coset_table,
+    dihedral_image,
+    dihedral_table,
     orbit_edges,
     parse_presentation,
     quotient,
@@ -184,6 +186,43 @@ def _padded_finite_groups(draw):
 @given(_padded_finite_groups())
 def test_lifted_table_matches_direct_enumeration_on_padded_groups(pres):
     assert _assert_lifted_table_is_direct(pres, 10**5).complete
+
+
+def test_subgroup_enumeration_in_d4():
+    d4 = parse_presentation("gens: r s\nr^4\ns^2\nsrsr\n")
+    r, s = parse_word("r"), parse_word("s")
+    assert len(_enumerate(d4, 100, [r]).rows) == 2
+    assert len(_enumerate(d4, 100, [s]).rows) == 4
+    assert len(_enumerate(d4, 100, [r, s]).rows) == 1
+    assert len(_enumerate(d4, 100, [r**2]).rows) == 4
+    # the subgroup is scanned at coset 0, so it fixes coset 0
+    table = _enumerate(d4, 100, [s])
+    assert table.follow(0, s) == 0 and table.follow(0, r) != 0
+    assert not _enumerate(d4, 3, [s]).complete
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dihedral_table_is_the_enumerated_table(n):
+    # rotation and reflection, and two reflections
+    rs = parse_presentation(f"gens: r s\nr^{n}\ns^2\nsrsr\n")
+    assert dihedral_table(rs.generators, {"r": (1, 0), "s": (0, 1)}, n) == todd_coxeter(rs)
+    ab = parse_presentation(f"gens: b a\naa\nbb\n{'ab' * n}\n")
+    images = {"a": (0, 1), "b": (1, 1)}
+    assert dihedral_table(ab.generators, images, n) == todd_coxeter(ab)
+    # a redundant generator sent to r^-3, and images given outside 0..n-1
+    rt = parse_presentation(f"gens: t r s\nr^{n}\ns^2\nsrsr\nrrrt\n")
+    images = {"t": (-3, 0), "r": (1 + n, 0), "s": (2 * n, 1)}
+    assert dihedral_table(rt.generators, images, n) == todd_coxeter(rt)
+
+
+def test_dihedral_image_multiplies_in_d_infinity():
+    images = {"r": (1, 0), "s": (0, 1), "t": (5, 1)}
+    assert dihedral_image(images, parse_word("")) == (0, 0)
+    assert dihedral_image(images, parse_word("rrR")) == (1, 0)
+    assert dihedral_image(images, parse_word("sr")) == (-1, 1)
+    assert dihedral_image(images, parse_word("srsr")) == (0, 0)
+    assert dihedral_image(images, parse_word("T")) == (5, 1)
+    assert dihedral_image(images, parse_word("st")) == (-5, 0)
 
 
 def test_character_table_orientation():
