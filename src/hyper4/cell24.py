@@ -6,6 +6,12 @@ The cell is bounded by 24 hyperplanes whose unit space-like normals are
 sixteen of the form (+-1, +-1, +-1, +-1, 2).  Ridges (codimension 2)
 are orthogonal side pairs; edges (codimension 3) are vertex pairs lying
 on exactly three common sides.
+
+Besides its faces, the complex keeps integer tables for the edge and
+vertex walks: each vertex's index and its side indices, each edge's end
+and side indices, and the edge at a pair of end indices.  A walk then
+moves a face by a side's vertex permutation and looks its image up by
+integers, with no `LorentzVector` hashed.
 """
 
 from __future__ import annotations
@@ -185,6 +191,32 @@ class Cell24Complex:
         self.edge_by_vertices: dict[frozenset[LorentzVector], Edge] = {
             frozenset(e.vertices): e for e in self.edges
         }
+
+        # the integer tables of the edge and vertex walks: a vertex by its
+        # index in `vertices` (coordinate order), a side by its index in
+        # `sides` (label order), an edge by its index in `edges`.  Vertex
+        # indices are keyed by coordinates, whose tuples hash in C.
+        self.vertex_index: dict[tuple[int, ...], int] = {
+            v.coords: i for i, v in enumerate(self.vertices)
+        }
+        self.side_index: dict[str, int] = {s.label: i for i, s in enumerate(self.sides)}
+        side_index = self.side_index
+        self.vertex_sides: tuple[tuple[int, ...], ...] = tuple(
+            tuple(side_index[label] for label in self.sides_of_vertex(v))
+            for v in self.vertices
+        )
+        self.edge_ends: tuple[tuple[int, int], ...] = tuple(
+            (self.vertex_index[e.vertices[0].coords], self.vertex_index[e.vertices[1].coords])
+            for e in self.edges
+        )
+        self.edge_sides: tuple[tuple[int, int, int], ...] = tuple(
+            tuple(side_index[label] for label in e.sides)
+            for e in self.edges
+        )
+        # either order of an edge's ends looks up the edge
+        self.edge_by_ends: dict[tuple[int, int], int] = {}
+        for k, (i, j) in enumerate(self.edge_ends):
+            self.edge_by_ends[i, j] = self.edge_by_ends[j, i] = k
 
     def vertices_of_side(self, label: str) -> tuple[LorentzVector, ...]:
         return self._incidence[label]

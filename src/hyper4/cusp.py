@@ -1,8 +1,9 @@
 """Ideal vertex classes, parabolic stabilizers, and flat cusp types.
 
 A cusp of the quotient manifold corresponds to an orbit of the 24 ideal
-vertices under the side pairings; the walk moves a vertex by the vertex
-map each letter's transition carries, multiplies matrices once for each
+vertices under the side pairings; the walk runs on vertex indices, leaves
+a vertex through its 6 sides by the cell's integer table, and moves it by
+each side's vertex permutation; it multiplies matrices once for each
 pair of an edge of the orbit graph and its reverse, and builds a word
 only for a tree edge and for a stabilizer element it keeps; the kept
 elements whose inverse comes later generate the stabilizer.  The
@@ -66,7 +67,9 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     """Orbits of the 24 ideal vertices under the pairing action.
 
     Classes are ordered (and representatives chosen) by lexicographically
-    least light vector.  The walk keeps the transversal matrix T[p] and
+    least light vector.  The walk runs on vertex indices, which follow
+    that order, and moves a vertex by the permutation of each side it
+    lies on, in label order.  It keeps the transversal matrix T[p] and
     its inverse; a tree edge sets T[image] = g T[p] and the word
     T[image] = letter T[p], and another edge carries the Schreier element
     T[image]^-1 g T[p], at two products, and its inverse, which the
@@ -79,15 +82,18 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     and the generators are the first of each pair.
     """
     cell = the_24_cell()
+    perms = pairing_set.vertex_permutations
+    # (letter, exponent, matrix) of leaving through each side, in side order
+    letters = [pairing_set.transition(side.label)[:3] for side in cell.sides]
+    vertex_sides = cell.vertex_sides
 
     def steps(current):
-        for side_label in cell.sides_of_vertex(current):
-            letter, exp, g, _, vmap = pairing_set.transition(side_label)
-            yield (letter, exp, g), vmap[current]
+        for s in vertex_sides[current]:
+            yield letters[s], perms[s][current]
 
-    seen: set[LorentzVector] = set()
+    seen: set[int] = set()
     classes = []
-    for rep in cell.vertices:
+    for rep in range(len(cell.vertices)):
         if rep in seen:
             continue
         words = {rep: Word(())}
@@ -127,13 +133,13 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
                 stabilizer.append(element)
                 if generator:
                     generators.append(element)
-        members = sorted(words.items(), key=lambda member: member[0].coords)
+        members = sorted(words.items())
         seen.update(words)
         classes.append(
             VertexClass(
                 len(classes),
-                tuple(v for v, _ in members),
-                rep,
+                tuple(cell.vertices[v] for v, _ in members),
+                cell.vertices[rep],
                 tuple(stabilizer),
                 tuple(generators),
                 tuple(w for _, w in members),

@@ -13,7 +13,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .intmat import smith_normal_form
+from .intmat import eliminate_unit_pivots, smith_normal_form
 from .words import Letter, Word, parse_word
 
 __all__ = [
@@ -71,22 +71,24 @@ class AbelianInvariants:
 
 def abelianization(pres: GroupPresentation) -> AbelianInvariants:
     """Invariants of the abelianized group: the cokernel of the relator
-    exponent-sum matrix."""
+    exponent-sum matrix, by `cokernel_invariants`."""
     gens = pres.generators
     rows = [[r.exponent_sum(x) for x in gens] for r in pres.relators]
     return cokernel_invariants(rows, len(gens))
 
 
 def cokernel_invariants(rows: Sequence[Sequence[int]], n: int) -> AbelianInvariants:
-    """Invariants of Z^n modulo the span of the integer rows, via Smith
-    normal form."""
-    if not rows:
-        return AbelianInvariants(n, ())
-    d, _, _ = smith_normal_form(rows)
-    diag = [d[i][i] for i in range(min(len(d), n))]
-    nonzero = [x for x in diag if x != 0]
+    """Invariants of Z^n modulo the span of the integer rows: unit pivots
+    first, then a Smith form of what remains (Dumas, Saunders & Villard,
+    J. Symbolic Comput. 32, 2001).  Each unit pivot removes a generator
+    and a relator, and the remainder's Smith form gives the torsion."""
+    units, rest = eliminate_unit_pivots(rows)
+    if not rest:
+        return AbelianInvariants(n - units, ())
+    d, _, _ = smith_normal_form(rest)
+    nonzero = [d[i][i] for i in range(min(len(rest), len(rest[0]))) if d[i][i]]
     torsion = tuple(x for x in nonzero if x > 1)
-    return AbelianInvariants(n - len(nonzero), torsion)
+    return AbelianInvariants(n - units - len(nonzero), torsion)
 
 
 def orbit_edges(

@@ -15,6 +15,10 @@ so its whole action on the faces of the cell is its vertex map: the
 bijection of the source side's 6 ideal vertices onto the target side's.
 Decoding builds each map once, at 6 matrix-vector products per letter;
 the ridge and edge walks move faces by the maps and apply no matrix.
+The ridge walk looks each image ridge up by its vertex triple.  The edge
+walk reads each side's map as a permutation of vertex indices, built on
+first use, and looks each image edge up by its pair of end indices in
+the cell's integer tables.
 
 The manifold gate on ridges and edges counts faces (Poincare's polyhedron
 theorem, Ratcliffe, Foundations of Hyperbolic Manifolds, sec. 11.2).  A
@@ -27,6 +31,7 @@ an orbit of another size is walked with matrices, to name its loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 from typing import NoReturn
 
@@ -120,7 +125,8 @@ class SidePairingSet:
 
     Each letter's inverse, by the checked `LorentzMatrix.inverse`, and
     its vertex map are computed once, and each side's transition is
-    looked up in a table; neither table takes part in equality.
+    looked up in a table; neither table takes part in equality, nor do
+    the vertex permutations built from the maps on first use.
     """
 
     code: str
@@ -163,6 +169,28 @@ class SidePairingSet:
             except KeyError:
                 raise ValueError(f"word uses unknown generator {letter[0]!r}") from None
         return out
+
+    @cached_property
+    def vertex_permutations(self) -> tuple[tuple[int, ...], ...]:
+        """Each side's vertex map on vertex indices, in side order.
+
+        Entry v of a side's permutation is the index of the image of
+        vertex v when v lies on the side, and -1 otherwise.  A code that
+        fails the ridge gate never builds them.
+        """
+        cell = self.cell
+        index = cell.vertex_index
+        perms: list = [None] * len(cell.sides)
+        for p in self.pairings:
+            perm = [-1] * len(cell.vertices)
+            inverse = [-1] * len(cell.vertices)
+            for v, w in self._transitions[p.source.label][4].items():
+                i, j = index[v.coords], index[w.coords]
+                perm[i] = j
+                inverse[j] = i
+            perms[cell.side_index[p.source.label]] = tuple(perm)
+            perms[cell.side_index[p.target.label]] = tuple(inverse)
+        return tuple(perms)
 
     def transition(self, side_label: str) -> Transition:
         """(letter, exponent, matrix, partner label, vertex map) for leaving
@@ -315,22 +343,26 @@ def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
 
 
 def _edge_steps(pairing_set: SidePairingSet):
-    """steps(key) for `orbit_edges` over edges keyed by their vertex
-    pair: the side left through, and the image edge's key."""
+    """steps(e) for `orbit_edges` over edge indices: for each of the
+    edge's 3 sides, in label order, the side's index and the image edge,
+    looked up by the end indices that the side's vertex permutation
+    moves."""
     cell = pairing_set.cell
+    perms = pairing_set.vertex_permutations
+    ends, sides, edge_by_ends = cell.edge_ends, cell.edge_sides, cell.edge_by_ends
 
-    def steps(key):
-        current = cell.edge_by_vertices[key]
-        for side_label in current.sides:
-            vmap = pairing_set.transition(side_label)[4]
-            yield side_label, frozenset(vmap[v] for v in current.vertices)
+    def steps(e):
+        a, b = ends[e]
+        for s in sides[e]:
+            perm = perms[s]
+            yield s, edge_by_ends[perm[a], perm[b]]
 
     return steps
 
 
 def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
-    """Orbits of the 96 edges, each in one `orbit_edges` walk on vertex
-    pairs, with no matrix; the ridge gate must have passed.
+    """Orbits of the 96 edges, each in one `orbit_edges` walk on edge
+    indices, with no matrix; the ridge gate must have passed.
 
     An edge lies on 3 sides at right dihedral angles, so its link in the
     cell is an octant triangle of area pi/2, and its vertices are the 3
@@ -345,24 +377,23 @@ def _edge_orbits(pairing_set: SidePairingSet) -> list[FaceCycle]:
     """
     cell = pairing_set.cell
     steps = _edge_steps(pairing_set)
-    seen: set[frozenset] = set()
+    seen: set[int] = set()
     orbits = []
-    for edge in cell.edges:
-        key = frozenset(edge.vertices)
-        if key in seen:
+    for start in range(len(cell.edges)):
+        if start in seen:
             continue
-        orbit = [key] + [image for *_, image, new in orbit_edges(key, steps) if new]
+        orbit = [start] + [image for *_, image, new in orbit_edges(start, steps) if new]
         if len(orbit) != 8:
-            _raise_edge_loop(pairing_set, key)
+            _raise_edge_loop(pairing_set, start)
         seen.update(orbit)
-        members = tuple(cell.edge_by_vertices[k].vertices for k in orbit)
+        members = tuple(cell.edges[e].vertices for e in orbit)
         orbits.append(FaceCycle(1, members, Word(()), IDENTITY))
     return orbits
 
 
-def _raise_edge_loop(pairing_set: SidePairingSet, key: frozenset) -> NoReturn:
-    """Raise ValueError naming the first nontrivial loop of the edge
-    orbit of key.
+def _raise_edge_loop(pairing_set: SidePairingSet, start: int) -> NoReturn:
+    """Raise ValueError naming the first nontrivial loop of the orbit of
+    edge index start.
 
     T[p] is the pair (tree word, matrix) carrying the orbit's first edge
     to p.  A tree edge sets T[image] = (letter T[p], g T[p]); every other
@@ -371,15 +402,16 @@ def _raise_edge_loop(pairing_set: SidePairingSet, key: frozenset) -> NoReturn:
     An orbit with no nontrivial loop contradicts the link-area argument
     of `_edge_orbits`, and raises as well.
     """
-    trans = {key: (Word(()), IDENTITY)}
-    for p, side_label, image_key, new in orbit_edges(key, _edge_steps(pairing_set)):
-        letter, exp, g, *_ = pairing_set.transition(side_label)
+    sides = pairing_set.cell.sides
+    trans = {start: (Word(()), IDENTITY)}
+    for p, s, image, new in orbit_edges(start, _edge_steps(pairing_set)):
+        letter, exp, g, *_ = pairing_set.transition(sides[s].label)
         word, matrix = trans[p]
         moved = g @ matrix
         if new:
-            trans[image_key] = (Word(((letter, exp),)) * word, moved)
-        elif moved != trans[image_key][1]:
-            loop = trans[image_key][0].inverse() * Word(((letter, exp),)) * word
+            trans[image] = (Word(((letter, exp),)) * word, moved)
+        elif moved != trans[image][1]:
+            loop = trans[image][0].inverse() * Word(((letter, exp),)) * word
             raise ValueError(f"edge orbit loop {loop} is a nontrivial stabilizer")
     raise ValueError(
         f"edge orbit of {len(trans)} edges has no nontrivial loop: "

@@ -68,3 +68,17 @@ def test_edges_join_three_sides():
 def test_side_lookup_by_center():
     side = CELL.by_center[(1, 0, 0, 1)]
     assert side.label == "G"
+
+
+def test_index_tables_follow_the_vector_tables():
+    assert [CELL.vertex_index[v.coords] for v in CELL.vertices] == list(range(24))
+    assert [CELL.side_index[s.label] for s in CELL.sides] == list(range(24))
+    for i, v in enumerate(CELL.vertices):
+        labels = tuple(CELL.sides[s].label for s in CELL.vertex_sides[i])
+        assert labels == CELL.sides_of_vertex(v)
+    for k, edge in enumerate(CELL.edges):
+        i, j = CELL.edge_ends[k]
+        assert (CELL.vertices[i], CELL.vertices[j]) == edge.vertices
+        assert tuple(CELL.sides[s].label for s in CELL.edge_sides[k]) == edge.sides
+        assert CELL.edge_by_ends[i, j] == CELL.edge_by_ends[j, i] == k
+    assert len(CELL.edge_by_ends) == 2 * len(CELL.edges)

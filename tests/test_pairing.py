@@ -178,6 +178,11 @@ def test_every_decode_entry_maps_faces_onto_faces(position):
                 vmap = ps.transition(side.label)[4]
                 assert set(vmap) == set(cell.vertices_of_side(side.label))
                 assert set(vmap.values()) == set(cell.vertices_of_side(partner.label))
+                # the side's vertex permutation is its map on vertex indices
+                perm = ps.vertex_permutations[cell.side_index[side.label]]
+                assert {
+                    cell.vertices[i]: cell.vertices[j] for i, j in enumerate(perm) if j >= 0
+                } == vmap
                 for face in cell.ridges + cell.edges:
                     if side.label not in face.sides:
                         continue
@@ -391,9 +396,8 @@ def test_edge_loop_walk_raises_on_an_orbit_with_trivial_stabilizer():
     # gate hands it only orbits of another size, so reaching this error
     # would mean the link-area argument had failed
     ps = build_side_pairings("14FF28")
-    key = frozenset(ps.cell.edges[0].vertices)
     with pytest.raises(ValueError) as info:
-        pairing_module._raise_edge_loop(ps, key)
+        pairing_module._raise_edge_loop(ps, 0)
     assert str(info.value) == (
         "edge orbit of 8 edges has no nontrivial loop: "
         "its stabilizer is trivial, and it should have 8 edges"
@@ -470,3 +474,19 @@ def test_parse_census_lines():
         (2, "14FF28", "five cusps"),
         (4, "1428BD", ""),
     ]
+
+
+def test_vertex_permutations_are_built_only_past_the_ridge_gate(monkeypatch):
+    built = []
+
+    def recording(code):
+        built.append(build_side_pairings(code))
+        return built[-1]
+
+    monkeypatch.setattr(analysis_module, "build_side_pairings", recording)
+    with pytest.raises(ValueError, match="ridge cycle Ca"):
+        CodeAnalysis("FF79DA")
+    CodeAnalysis("14FF28")
+    rejected, manifold = built
+    assert "vertex_permutations" not in vars(rejected)
+    assert "vertex_permutations" in vars(manifold)
