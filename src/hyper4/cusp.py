@@ -16,6 +16,7 @@ the eta table turns orientable cusp types into the signature.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -242,9 +243,10 @@ def eta(flat_type: str) -> Fraction:
 def signature(cusp_types) -> int | None:
     """Signature of the bounding 4-manifold: the sum of the cusp eta
     invariants, or None when a cusp type has no eta invariant.  The sum
-    must come out an integer."""
+    must come out an integer.  Each type is counted once and weighted by
+    its count, so a cover's long list costs one pass of counting."""
     try:
-        total = sum((eta(t) for t in cusp_types), Fraction(0))
+        total = sum((c * eta(t) for t, c in Counter(cusp_types).items()), Fraction(0))
     except ValueError:
         return None
     if total.denominator != 1:

@@ -5,36 +5,52 @@ group.  The cyclic family quotients by the default meridians with the
 distinguished one raised to a power n, and computes the resulting
 regular cover's cusps, Euler characteristic, orientability, and
 signature exactly.  The cover's deck group is the filled group G_n.  A
-map onto the infinite dihedral group, checked once per call by a
-certificate that does not depend on n, shows G_n = D_n; its table is
-then written in O(n), and otherwise G_n is enumerated.  The filled cover
-is certified simply connected when each cusp stabilizer conjugates its
-meridian to itself or its inverse, a check on matrices that does not
-depend on the cover.  Closed invariant triples are matched against the
-Freedman-Donaldson classification of closed simply connected 4-manifolds.
+map phi onto the infinite dihedral group, checked once per call by a
+certificate that does not depend on n, shows G_n = D_n.  The record is
+then read off phi, with no coset table: each cusp group's image in D_n
+gives its lift count, and the part of the cusp group that phi sends into
+<r^n>, generated by a number of affine maps that does not depend on n,
+gives the lifts' flat type.  The orientation double cover is the n = 1
+case of the map that sends each orientation-reversing letter to a
+reflection.  Without the certificate, G_n is enumerated and the record
+is read off its coset table.  The filled cover is certified simply
+connected when each cusp stabilizer conjugates its meridian to itself or
+its inverse, a check on matrices that does not depend on the cover.
+Closed invariant triples are matched against the Freedman-Donaldson
+classification of closed simply connected 4-manifolds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .analysis import CodeAnalysis
 from .cusp import VertexClass, signature
-from .flatgroups import AffineMap, FlatGroup, classify_flat_group
+from .flatgroups import (
+    AffineMap,
+    FlatGroup,
+    _mat_vec,
+    _matrix_order,
+    _vec_add,
+    _vec_sub,
+    classify_flat_group,
+)
 from .grouppres import (
     DEFAULT_COSET_LIMIT,
     CosetTable,
     GroupPresentation,
     _enumerate,
-    character_coset_table,
     dihedral_image,
+    dihedral_inverse,
+    dihedral_product,
     dihedral_table,
     quotient,
     schreier_transversal,
     todd_coxeter,
 )
 from .lorentz import IDENTITY, _unchecked_inverse
-from .pairing import SidePairingSet
+from .pairing import GENERATOR_LETTERS, SidePairingSet
 from .words import Word, parse_word
 
 __all__ = [
@@ -48,6 +64,7 @@ __all__ = [
     "fill",
     "CoverRecord",
     "cover_record_from_table",
+    "cover_record_from_dihedral_map",
     "cyclic_cover",
     "double_cover_record",
     "ClassificationResult",
@@ -103,7 +120,8 @@ def default_meridians(code: str) -> list[Meridian]:
 
 def parse_meridian_lines(lines) -> list[Meridian]:
     """Parse 'cusp-index : word ^ exponent' lines ('#' starts a comment,
-    the exponent defaults to 1)."""
+    the exponent defaults to 1).  A word may use only the generators
+    a-l, with the message that evaluating it would give."""
     out = []
     for lineno, raw in enumerate(lines, 1):
         text = raw.split("#", 1)[0].strip()
@@ -126,7 +144,13 @@ def parse_meridian_lines(lines) -> list[Meridian]:
                 raise ValueError(f"line {lineno}: bad exponent {etext.strip()!r}") from None
         if exponent == 0:
             raise ValueError(f"line {lineno}: exponent must be nonzero")
-        out.append(Meridian(index, parse_word(rest.strip()), exponent))
+        word = parse_word(rest.strip())
+        # by name before reduction, so that a cancelling pair such as Zz
+        # is refused as evaluating the word would refuse z
+        for ch in rest:
+            if ch.isalpha() and ch.lower() not in GENERATOR_LETTERS:
+                raise ValueError(f"word uses unknown generator {ch.lower()!r}")
+        out.append(Meridian(index, word, exponent))
     return out
 
 
@@ -256,13 +280,12 @@ def cover_record_from_table(
     the group acts on the cosets through the quotient group, each coset
     stabilizer is the same kernel, and every orbit of a cusp group has
     the size of coset 0's orbit.  A cusp class then lifts to d / |orbit|
-    cusps, all of the type of coset 0's.  Both callers pass a regular
-    table: `_cyclic_table` writes the filled group's table through its
-    certified isomorphism onto D_n, or enumerates the filled group over
-    its trivial subgroup, so the table is the quotient group's own (a
-    standardized table is unique, so both ways give the same rows), and
-    `double_cover_record` takes the kernel of the determinant character,
-    a normal subgroup of index 2."""
+    cusps, all of the type of coset 0's.  `_cyclic_cover` reaches it only
+    on its fallback, which enumerates the filled group over its trivial
+    subgroup, so the table is the quotient group's own.  `_cyclic_table`
+    also writes D_n's table through a certified map, with the same rows
+    (a standardized table is unique); the record of that table is the
+    oracle of `cover_record_from_dihedral_map`."""
     d = table.index
     lift_counts = []
     tags = []
@@ -271,8 +294,21 @@ def cover_record_from_table(
         orbit, group = _cusp_intersection_group(base, perms)
         lift_counts.append(d // orbit)
         tags.append(classify_flat_group(group))
-    all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
     orientable = _orientable(analysis.signs, table)
+    return _cover_record(analysis, d, lift_counts, tags, orientable, spin_status)
+
+
+def _cover_record(
+    analysis: CodeAnalysis,
+    d: int,
+    lift_counts: list[int],
+    tags: list[str],
+    orientable: bool,
+    spin_status: str,
+) -> CoverRecord:
+    """The record of a degree-d regular cover from its lift counts, the
+    cusp type of each class's lifts and its orientability."""
+    all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
     sigma = signature(all_cusps) if orientable else None
     face = _cover_face_counts(analysis, d)
     base_orientable = all(s == 1 for s in analysis.signs.values())
@@ -292,6 +328,139 @@ def cover_record_from_table(
         spin_status=spin_status,
         degree_over_double_cover=over_double,
     )
+
+
+def _rotation_half(pairs, identity) -> tuple[list[tuple], bool]:
+    """Generators of P+, the elements of a cusp group P that phi sends to
+    rotations, each with its rotation exponent psi, and whether P has an
+    element that phi sends to a reflection.
+
+    `pairs` are P's generators (g, phi(g)), phi(g) = (k, e) in D_inf, and
+    P+ has index 1 or 2.  The Schreier walk runs over the parity e of
+    the images, from 0, and carries each element's D_inf value beside it
+    by the same products; a Schreier element returns to parity 0, so it
+    is a rotation r^k.  The elements need only `@` and `inverse`."""
+
+    def product(x, y):
+        return x[0] @ y[0], dihedral_product(x[1], y[1])
+
+    def inverse(x):
+        return x[0].inverse(), dihedral_inverse(x[1])
+
+    def steps(e):
+        return ((i, pair, e ^ pair[1][1]) for i, pair in enumerate(pairs))
+
+    rotations = []
+    reflected = False
+    walk = schreier_transversal(0, steps, (identity, (0, 0)), product, inverse)
+    for *_, new, (g, (k, _)) in walk:
+        if new:
+            reflected = True
+        else:
+            rotations.append((g, k))
+    return rotations, reflected
+
+
+def _kernel_generators(
+    rotations: list[tuple[AffineMap, int]], m: int, n: int
+) -> list[AffineMap]:
+    """The distinct nontrivial elements of a generating set of
+    K_n = psi^-1(nZ), where the pairs (g, psi(g)) generate P+ and
+    psi(P+) = mZ, by a number of affine products that does not depend
+    on n.
+
+    When m = 0, K_n = P+.  Otherwise Euclid's algorithm on the pairs
+    gives t with psi(t) = m; its linear part has some order o, and
+    T = t^o is the translation by a vector v.  Reidemeister-Schreier over
+    the transversal t^i, i in Z, generates ker psi by the t^i q t^-i,
+    q = s t^-a for each pair (s, a m).  With i = l o + j, 0 <= j < o, that
+    is T^l g T^-l = c^l g, where g = t^j q t^-j and c is the translation
+    by v - A v, A the linear part of g.  So the g and the c generate
+    ker psi, and K_n = ker psi x| <t^i> with i = n / gcd(m, n); a power
+    t^i is t^(i mod o) shifted by (i div o) v, with no product."""
+    if not m:
+        elements = [g for g, _ in rotations]
+    else:
+        t = _euclid(rotations)
+        order = _matrix_order(t.linear)
+        powers = [AffineMap.identity()]
+        for _ in range(order):
+            powers.append(powers[-1] @ t)
+        v = powers.pop().shift
+
+        def power(i: int) -> AffineMap:
+            q, r = divmod(i, order)
+            return AffineMap(powers[r].linear, _vec_add(powers[r].shift, [q * x for x in v]))
+
+        elements = [power(n // gcd(m, n))]
+        for s, k in rotations:
+            q = s @ power(-k // m)
+            for j in range(order):
+                g = powers[j] @ q @ power(-j)
+                elements.append(g)
+                elements.append(AffineMap.translation(_vec_sub(v, _mat_vec(g.linear, v))))
+    one = AffineMap.identity()
+    return [g for g in dict.fromkeys(elements) if g != one]
+
+
+def _euclid(rotations: list[tuple[AffineMap, int]]) -> AffineMap:
+    """An element t with psi(t) = m > 0, the gcd of the exponents psi(s)
+    of the pairs (s, psi(s)), by Euclid's algorithm on the elements: a
+    pair (t, a) with (s, b) gives (s, b) and (t s^-q, a - q b)."""
+    t, a = AffineMap.identity(), 0
+    for s, b in rotations:
+        while b:
+            q, r = divmod(a, b)
+            step = s.inverse() if q > 0 else s
+            for _ in range(abs(q)):
+                t = t @ step
+            t, a, s, b = s, b, t, r
+    return t if a > 0 else t.inverse()
+
+
+def _pulls_back(signs: dict[str, int], images: dict[str, tuple[int, int]], n: int) -> bool:
+    """Whether the letter signs are a character of D_n pulled back by phi.
+    A character sends r^k s^e to (-1)^(a k + b e), with a = 1 only when n
+    is even, since r^n must go to 1; a homomorphism is fixed by the
+    letters."""
+    pairs = [(images[x], sign) for x, sign in signs.items()]
+    return any(
+        all(sign == (-1) ** ((a * k + b * e) % 2) for (k, e), sign in pairs)
+        for a in range(2 - n % 2)
+        for b in (0, 1)
+    )
+
+
+def cover_record_from_dihedral_map(
+    analysis: CodeAnalysis, images: dict[str, tuple[int, int]], n: int, spin_status: str
+) -> CoverRecord:
+    """The record of the regular cover whose deck group is D_n, read off a
+    map phi of the fundamental group onto D_inf, each letter x going to
+    images[x] = (k, e), that is r^k s^e, followed by D_inf -> D_n.  It is
+    the record `cover_record_from_table` gives on D_n's table, and the
+    number of affine products does not depend on n.
+
+    The cover's subgroup is N = phi^-1(<r^n>).  A cusp group P acts on the
+    2n cosets through its image in D_n, so its class lifts to 2n over
+    that order, each lift of the type of P cap N.  Let P+ be the elements
+    of P that phi sends to rotations r^psi, with psi(P+) = mZ: the image
+    has n / gcd(m, n) rotations, and as many reflections when P+ is not
+    all of P, and P cap N = psi^-1(nZ).  The cover is orientable when the
+    determinant is trivial on N, that is when it is a character of D_n
+    pulled back by phi."""
+    lift_counts = []
+    tags = []
+    identity = AffineMap.identity()
+    for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
+        pairs = [
+            (g, dihedral_image(images, w)) for g, (w, _) in zip(base.generators, vclass.generators)
+        ]
+        rotations, reflected = _rotation_half(pairs, identity)
+        m = gcd(*(k for _, k in rotations))
+        lift_counts.append(gcd(m, n) * (1 if reflected else 2))
+        tags.append(classify_flat_group(FlatGroup(_kernel_generators(rotations, m, n))))
+    orientable = _pulls_back(analysis.signs, images, n)
+    return _cover_record(analysis, 2 * n, lift_counts, tags, orientable, spin_status)
 
 
 def _dihedral_certificate(
@@ -328,14 +497,13 @@ def _dihedral_certificate(
     return images if table.complete and len(table.rows) == 2 else None
 
 
-def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTable]:
-    """The regular table of G_n, the fundamental group filled along the
-    default meridians with the distinguished one raised to the n-th power.
-
-    When `_dihedral_certificate` holds, G_n = D_n and its table is
-    written; the table is incomplete when its 2n cosets exceed `limit`,
-    where the enumeration of G_n stops too.  Otherwise G_n is enumerated,
-    and only then is the power relator c^n built."""
+def _cyclic_family(
+    code: str, n: int, limit: int
+) -> tuple[CodeAnalysis, list[Meridian], dict[str, tuple[int, int]] | None]:
+    """The analysis, the default meridians with the distinguished one
+    raised to the n-th power, and phi's images when `_dihedral_certificate`
+    shows G_n = D_n, where G_n is the fundamental group filled along
+    those meridians; `fill`'s checks run first."""
     if n < 1:
         raise ValueError("the cyclic parameter must be a positive integer")
     analysis = CodeAnalysis(code)
@@ -344,35 +512,74 @@ def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTab
         for m in default_meridians(code)
     ]
     _check_fill(analysis, meridians, limit)
-    generators = analysis.presentation.generators
-    images = _dihedral_certificate(analysis, meridians, limit)
+    return analysis, meridians, _dihedral_certificate(analysis, meridians, limit)
+
+
+def _family_table(
+    analysis: CodeAnalysis,
+    meridians: list[Meridian],
+    images: dict[str, tuple[int, int]] | None,
+    n: int,
+    limit: int,
+) -> CosetTable:
+    """The regular table of G_n.  With phi's images, G_n = D_n and its
+    table is written; the table is incomplete when its 2n cosets exceed
+    `limit`, where the enumeration of G_n stops too.  Otherwise G_n is
+    enumerated, and only then is the power relator c^n built."""
     if images is None:
         filled = quotient(analysis.presentation, [m.relator for m in meridians])
-        return analysis, todd_coxeter(filled, limit)
+        return todd_coxeter(filled, limit)
     if 2 * n > limit:
-        return analysis, CosetTable(generators, (), False)
-    return analysis, dihedral_table(generators, images, n)
+        return CosetTable(analysis.presentation.generators, (), False)
+    return dihedral_table(analysis.presentation.generators, images, n)
+
+
+def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTable]:
+    """The regular table of G_n, the fundamental group filled along the
+    default meridians with the distinguished one raised to the n-th power."""
+    analysis, meridians, images = _cyclic_family(code, n, limit)
+    return analysis, _family_table(analysis, meridians, images, n, limit)
+
+
+def _cyclic_spin(code: str, n: int) -> str:
+    """The spin status of the n-th cover: the double cover's when n is odd."""
+    return "spin" if DOUBLE_COVER_SPIN.get(code, False) and n % 2 == 1 else "unknown"
 
 
 def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRecord:
+    """The n-th cover's record read off G_n's table, incomplete with it."""
     if not table.complete:
         return CoverRecord(code=analysis.code, complete=False, spin_status="unknown")
-    spin = DOUBLE_COVER_SPIN.get(analysis.code, False) and n % 2 == 1
-    return cover_record_from_table(analysis, table, "spin" if spin else "unknown")
+    return cover_record_from_table(analysis, table, _cyclic_spin(analysis.code, n))
+
+
+def _cyclic_cover(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CoverRecord]:
+    """The analysis and the n-th cover's record: read off phi when the
+    certificate holds and the 2n cosets fit in `limit`, and otherwise
+    off the table of G_n, which is then enumerated or incomplete."""
+    analysis, meridians, images = _cyclic_family(code, n, limit)
+    if images is not None and 2 * n <= limit:
+        spin = _cyclic_spin(code, n)
+        return analysis, cover_record_from_dihedral_map(analysis, images, n, spin)
+    table = _family_table(analysis, meridians, images, n, limit)
+    return analysis, _cyclic_record(analysis, n, table)
 
 
 def cyclic_cover(code: str, n: int, limit: int = DEFAULT_COSET_LIMIT) -> CoverRecord:
     """The regular cover attached to killing the default meridians with
     the distinguished one raised to the n-th power."""
-    analysis, table = _cyclic_table(code, n, limit)
-    return _cyclic_record(analysis, n, table)
+    return _cyclic_cover(code, n, limit)[1]
 
 
 def double_cover_record(analysis: CodeAnalysis) -> CoverRecord:
-    """The analysed code's orientation double cover, by the determinant character."""
-    table = character_coset_table(analysis.presentation, analysis.signs)
+    """The analysed code's orientation double cover: the D_1 cover of the
+    map onto D_inf that sends each orientation-reversing letter to the
+    reflection s and the others to 1."""
+    if all(s == 1 for s in analysis.signs.values()):
+        raise ValueError("character is trivial; kernel has index 1, not 2")
+    images = {x: (0, 0 if s == 1 else 1) for x, s in analysis.signs.items()}
     spin = "spin" if DOUBLE_COVER_SPIN.get(analysis.code, False) else "unknown"
-    return cover_record_from_table(analysis, table, spin)
+    return cover_record_from_dihedral_map(analysis, images, 1, spin)
 
 
 @dataclass(frozen=True)
@@ -505,12 +712,12 @@ def classify_filled_cover(code: str, n: int, limit: int = DEFAULT_COSET_LIMIT) -
 
     Returns the cover's record under "cover" (the same record as
     `cyclic_cover`) and a status of "certified", "conditional" (spin
-    undetermined), or "unverified" (the enumeration exceeded the limit,
-    or a generator breaks the condition).
+    undetermined), or "unverified" (the cover's record is incomplete
+    within the limit, or a generator breaks the condition).
 
-    The certificate ("peripheral"): the table is complete, so N is the
-    normal closure of the meridians S, pi is the union of the cosets
-    N t, and N is generated by N-conjugates of the t s t^-1.  A coset in
+    The certificate ("peripheral"): the record is complete, so G_n is
+    finite, N is the normal closure of the meridians S, pi is the union
+    of the finitely many cosets N t, and N is generated by N-conjugates of the t s t^-1.  A coset in
     the cover cusp of base coset q is N t_q p, with p in the cusp
     stabilizer P.  The p with p m p^-1 = m^(+-1) form a subgroup, so when
     P's generators pass, t s t^-1 is an N-conjugate of a power of the
@@ -518,9 +725,8 @@ def classify_filled_cover(code: str, n: int, limit: int = DEFAULT_COSET_LIMIT) -
     generate N, and the filled cover is simply connected (van Kampen).
     The side pairings present pi faithfully (Ratcliffe & Tschantz,
     Experiment. Math. 9, 2000), so equal matrices are equal elements."""
-    analysis, table = _cyclic_table(code, n, limit)
-    record = _cyclic_record(analysis, n, table)
-    if not table.complete:
+    analysis, record = _cyclic_cover(code, n, limit)
+    if not record.complete:
         return {
             "cover": record,
             "status": "unverified",

@@ -25,6 +25,8 @@ __all__ = [
     "abelianization",
     "cokernel_invariants",
     "todd_coxeter",
+    "dihedral_product",
+    "dihedral_inverse",
     "dihedral_image",
     "dihedral_table",
     "character_coset_table",
@@ -395,17 +397,28 @@ def _standardize(rows: list[tuple[int, ...]], g: int) -> tuple[tuple[int, ...], 
     )
 
 
+def dihedral_product(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of x = (k, e) and y = (b, beta) in the infinite dihedral
+    group D_inf = Z x| Z/2, where (k, e) stands for r^k s^e and s r s =
+    r^-1: r^k s^e r^b s^beta = r^(k +- b) s^(e + beta)."""
+    (k, e), (b, beta) = x, y
+    return (k - b if e else k + b), e ^ beta
+
+
+def dihedral_inverse(x: tuple[int, int]) -> tuple[int, int]:
+    """The inverse of (k, e) in D_inf: a reflection r^k s is its own."""
+    k, e = x
+    return x if e else (-k, 0)
+
+
 def dihedral_image(images: Mapping[str, tuple[int, int]], word: Word) -> tuple[int, int]:
-    """The image (k, e) of a word in the infinite dihedral group
-    D_inf = Z x| Z/2 under the map sending each generator x to images[x];
-    (k, e) stands for r^k s^e, where s r s = r^-1."""
-    k, e = 0, 0
+    """The image (k, e) of a word in D_inf under the map sending each
+    generator x to images[x]."""
+    value = (0, 0)
     for name, exp in word.letters:
-        b, beta = images[name]
-        if exp == -1 and not beta:
-            b = -b  # a reflection r^b s is its own inverse
-        k, e = (k - b if e else k + b), e ^ beta
-    return k, e
+        image = images[name]
+        value = dihedral_product(value, image if exp == 1 else dihedral_inverse(image))
+    return value
 
 
 def dihedral_table(
@@ -432,8 +445,8 @@ def dihedral_table(
     columns = []
     for j in range(2 * g):
         b, beta = images[generators[j % g]]
-        if j >= g and not beta:
-            b = -b
+        if j >= g:
+            b, beta = dihedral_inverse((b, beta))
         key = (b % n, beta)
         if key not in written:
             written[key] = column(*key)

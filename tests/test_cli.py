@@ -439,6 +439,18 @@ def test_fill_rejects_a_trivial_meridian(tmp_path, line, word):
     ]
 
 
+@pytest.mark.parametrize("line", ["0: z", "0: Zz", "1: cZzC", "1: c Z z ^ 3"])
+def test_fill_refuses_an_unknown_generator_before_reduction(tmp_path, line):
+    # letters outside a-l are refused by name even when they cancel, not
+    # reported as a trivial meridian after the reduction removed them
+    path = tmp_path / "meridians.txt"
+    path.write_text(line + "\n")
+    code, doc = run_json("fill", "14FF28", "--meridians", str(path))
+    assert code == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [{"message": "word uses unknown generator 'z'"}]
+
+
 def test_classify_flags():
     code, doc = run_json("classify", "--chi", "26", "--sigma", "0", "--spin")
     assert code == 0

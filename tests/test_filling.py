@@ -1,7 +1,11 @@
 """Dehn fillings, cyclic covers, and the homeomorphism classifier."""
 
 from collections import Counter
+from dataclasses import fields
+from functools import cache
+from fractions import Fraction
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -9,20 +13,29 @@ from hypothesis import given, settings, strategies as st
 
 import reference_certificate
 import hyper4.filling as filling_module
+import hyper4.grouppres as grouppres_module
 from hyper4.analysis import CodeAnalysis
-from hyper4.cusp import vertex_classes
+from hyper4.cusp import horospherical_action, vertex_classes
 from hyper4.filling import (
     DEFAULT_MERIDIANS,
     DIHEDRAL_MAPS,
     DOUBLE_COVER_SPIN,
+    CoverRecord,
     Meridian,
+    _cusp_intersection_group,
+    _cyclic_family,
     _cyclic_table,
     _dihedral_certificate,
+    _kernel_generators,
     _orientable,
     _peripheral_failure,
+    _pulls_back,
     _rebased_meridian,
+    _rotation_half,
     classify_filled_cover,
     classify_homeo,
+    conditional_verdicts,
+    cover_record_from_dihedral_map,
     cover_record_from_table,
     cyclic_cover,
     default_meridians,
@@ -31,9 +44,12 @@ from hyper4.filling import (
     parse_meridian_lines,
     validate_meridians,
 )
+from hyper4.flatgroups import AffineMap, FlatGroup, _reference_affine_data
 from hyper4.grouppres import (
+    CosetTable,
     abelianization,
     character_coset_table,
+    dihedral_image,
     reidemeister_schreier,
     todd_coxeter,
 )
@@ -577,15 +593,21 @@ def test_other_characters_give_non_orientable_covers():
         assert record.degree_over_double_cover is None
 
 
+@cache
+def _pool_analyses() -> tuple:
+    """The analyses of the 183 manifold codes of the benchmark pool."""
+    pool = Path(__file__).parent.parent / "perfbench" / "data" / "pool.tsv"
+    rows = [line.split() for line in pool.read_text().splitlines() if not line.startswith("#")]
+    return tuple(CodeAnalysis(code) for code, cls, *_ in rows if cls == "M")
+
+
 def _orientation_cases():
     for table in OTHER_CHARACTER_TABLES:
         yield "14FF28 other character", ANALYSIS, table
     for n in (*range(1, 16), 51):
         yield f"14FF28 cyclic {n}", *_cyclic_table("14FF28", n, 10**6)
-    pool = Path(__file__).parent.parent / "perfbench" / "data" / "pool.tsv"
-    rows = [line.split() for line in pool.read_text().splitlines() if not line.startswith("#")]
-    for code in (code for code, cls, *_ in rows if cls == "M"):
-        analysis = CodeAnalysis(code)
+    for analysis in _pool_analyses():
+        code = analysis.code
         # an orientable code has no orientation double cover
         if -1 in analysis.signs.values():
             table = character_coset_table(analysis.presentation, analysis.signs)
@@ -602,3 +624,221 @@ def test_orientation_walk_matches_the_schreier_signs():
         outcomes[label.split()[1], orientable] += 1
     # 181 of the 183 pool manifolds are non-orientable
     assert outcomes == {("other", False): 62, ("cyclic", True): 16, ("double", True): 181}
+
+
+# The cover's record read off the map onto D_n, against the record of
+# D_n's written table (which equals the enumerated table).
+
+IMAGES = {x: DIHEDRAL_MAPS["14FF28"].get(x, (0, 0)) for x in "abcdefghijkl"}
+
+
+@pytest.mark.parametrize("n", [*range(1, 201), 1001, 3001])
+def test_record_off_the_map_is_the_table_record(n, enumerations):
+    analysis, table = _cyclic_table("14FF28", n, 10**6)
+    expected = cover_record_from_table(analysis, table, "spin" if n % 2 else "unknown")
+    record = cyclic_cover("14FF28", n)
+    for field in fields(CoverRecord):
+        assert getattr(record, field.name) == getattr(expected, field.name), field.name
+    out = classify_filled_cover("14FF28", n)
+    assert out["cover"] == expected
+    assert out["filled_cusps"] == expected.cusp_count
+    if n % 2:
+        assert out["status"] == "certified"
+        assert out["verdict"] == classify_homeo(expected.chi, expected.sigma, True, True)
+    else:
+        assert out["status"] == "conditional"
+        assert out["verdicts"] == conditional_verdicts(expected.chi, expected.sigma)
+    assert enumerations == []
+
+
+class _Tracked:
+    """An affine map with the word it is the action of: each product or
+    inverse the construction takes is taken on both."""
+
+    def __init__(self, affine, word):
+        self.affine, self.word = affine, word
+
+    def __matmul__(self, other):
+        return _Tracked(self.affine @ other.affine, self.word * other.word)
+
+    def inverse(self):
+        return _Tracked(self.affine.inverse(), self.word.inverse())
+
+
+# any images of the letters define a map of the free group into D_inf,
+# under which a product of words takes the product of their values;
+# these give reflections of several exponents
+LETTER_IMAGES = {
+    "phi": IMAGES,
+    "ramp": {x: (i, i % 2) for i, x in enumerate("abcdefghijkl")},
+    "squares": {x: (i * i - 5, i // 2 % 2) for i, x in enumerate("abcdefghijkl")},
+}
+
+
+@pytest.mark.parametrize("name", LETTER_IMAGES)
+def test_rotation_half_carries_the_dihedral_value_of_each_word(name):
+    # walked on every kept stabilizer element of each cusp: each Schreier
+    # element is a rotation whose exponent is the dihedral image of its
+    # word, and its affine map is that word's action
+    images = LETTER_IMAGES[name]
+    elements = 0
+    for vclass in ANALYSIS.classes:
+        rep = vclass.representative
+        pairs = [
+            (_Tracked(horospherical_action(matrix, rep), word), dihedral_image(images, word))
+            for word, matrix in vclass.stabilizer
+        ]
+        identity = _Tracked(AffineMap.identity(), Word(()))
+        rotations, reflected = _rotation_half(pairs, identity)
+        assert reflected == any(e for _, (_, e) in pairs)
+        for x, k in rotations:
+            assert dihedral_image(images, x.word) == (k, 0), (vclass.index, str(x.word))
+            assert x.affine == horospherical_action(PAIRINGS.evaluate(x.word), rep)
+        elements += len(rotations)
+    if name == "phi":
+        # every cusp has a reflection under phi: two parities, one tree edge
+        assert elements == sum(2 * len(vc.stabilizer) - 1 for vc in ANALYSIS.classes)
+
+
+def test_generating_half_gives_the_rotation_subgroup_of_the_stabilizer():
+    # phi is a homomorphism on pi, so the generating half of each cusp's
+    # stabilizer and the whole of it give the same P+ and psi(P+) = mZ
+    for vclass in ANALYSIS.classes:
+        rep = vclass.representative
+        found = []
+        for elements in (vclass.generators, vclass.stabilizer):
+            pairs = [
+                (horospherical_action(matrix, rep), dihedral_image(IMAGES, word))
+                for word, matrix in elements
+            ]
+            rotations, reflected = _rotation_half(pairs, AffineMap.identity())
+            m = gcd(*(k for _, k in rotations))
+            lattice = FlatGroup(_kernel_generators(rotations, m, 7)).lattice
+            found.append((reflected, m, lattice))
+        assert found[0] == found[1], vclass.index
+
+
+def test_orientation_character_is_the_table_double_cover():
+    # the determinant as the map onto D_1 that sends each reversing letter
+    # to s: the record is the one of its two-coset table
+    covers = 0
+    for analysis in _pool_analyses():
+        if -1 not in analysis.signs.values():
+            message = "^character is trivial; kernel has index 1, not 2$"
+            with pytest.raises(ValueError, match=message):
+                double_cover_record(analysis)
+            continue
+        table = character_coset_table(analysis.presentation, analysis.signs)
+        spin = "spin" if DOUBLE_COVER_SPIN.get(analysis.code, False) else "unknown"
+        expected = cover_record_from_table(analysis, table, spin)
+        record = double_cover_record(analysis)
+        assert record.cusp_lift_counts == expected.cusp_lift_counts, analysis.code
+        assert record.cusp_types == expected.cusp_types, analysis.code
+        assert record == expected, analysis.code
+        covers += 1
+    assert covers == 181
+
+
+REFERENCE_MAPS = _reference_affine_data()
+# G's glide with the translations (0, 1, 1) and (1, 0, 0), a subgroup of
+# index 2: t is the first translation, and the glide in ker psi moves it,
+# so the translation by v - Av is needed to reach (0, 0, 2)
+SKEWED = [
+    AffineMap.translation((0, 1, 1)),
+    AffineMap.translation((1, 0, 0)),
+    REFERENCE_MAPS["G"][3],
+]
+
+# (generators, psi on an element's shift): psi(p) = mu(shift), for a
+# linear form mu that the holonomy fixes, is a homomorphism onto a
+# subgroup of Z; the screw types cover orders 2, 3, 4 and 6, and the
+# first case needs Euclid's algorithm (2 and 3, no generator at 1)
+KERNEL_CASES = (
+    ("A", lambda v: 2 * v[0] + 3 * v[1]),
+    ("A", lambda v: 4 * v[2]),
+    ("B", lambda v: 2 * v[2]),
+    ("B", lambda v: 4 * v[2]),
+    ("C", lambda v: 3 * v[2]),
+    ("D", lambda v: 4 * v[2]),
+    ("E", lambda v: 6 * v[2]),
+    ("E", lambda v: 12 * v[2]),
+    ("G", lambda v: 2 * v[0]),
+    ("H", lambda v: 2 * v[0]),
+    ("I", lambda v: 2 * v[0]),
+    ("J", lambda v: 2 * v[0]),
+    ("F", lambda v: 0),
+    (SKEWED, lambda v: v[1]),
+)
+
+
+@pytest.mark.parametrize("case", range(len(KERNEL_CASES)))
+def test_kernel_generators_give_the_stabilizer_of_the_orbit_walk(case):
+    # psi^-1(nZ) is the stabilizer of 0 when each generator g adds psi(g)
+    # on Z/n; the walk over that orbit is the table record's construction
+    maps, mu = KERNEL_CASES[case]
+    generators = REFERENCE_MAPS[maps] if isinstance(maps, str) else maps
+    rotations = [(g, int(Fraction(mu(g.shift)))) for g in generators]
+    m = gcd(*(k for _, k in rotations))
+    base = FlatGroup(generators)
+    for n in range(1, 14):
+        perms = [tuple((c + k) % n for c in range(n)) for _, k in rotations]
+        size, expected = _cusp_intersection_group(base, perms)
+        assert size == n // gcd(m, n)
+        group = FlatGroup(_kernel_generators(rotations, m, n))
+        assert group.lattice == expected.lattice, (case, n)
+        assert group.holonomy == expected.holonomy, (case, n)
+        assert group.invariants() == expected.invariants(), (case, n)
+
+
+def test_orientability_reads_the_characters_of_d_n():
+    # c -> r reverses orientation: the character (-1)^k of D_n, which
+    # exists only for even n; e -> s reversing is the character (-1)^e
+    images = {"a": (0, 0), "c": (1, 0), "e": (0, 1)}
+    signs = {"a": 1, "c": -1, "e": 1}
+    assert [_pulls_back(signs, images, n) for n in (1, 2, 3, 4)] == [False, True, False, True]
+    signs = {"a": 1, "c": -1, "e": -1}
+    assert [_pulls_back(signs, images, n) for n in (1, 2, 3, 4)] == [False, True, False, True]
+    signs = {"a": 1, "c": 1, "e": -1}
+    assert [_pulls_back(signs, images, n) for n in (1, 2, 3, 4)] == [True] * 4
+    signs = {"a": -1, "c": 1, "e": 1}
+    assert not any(_pulls_back(signs, images, n) for n in (1, 2, 3, 4))
+
+
+def _count_affine_products(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("__matmul__", "inverse"):
+        original = getattr(AffineMap, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(AffineMap, name, counted)
+    return calls
+
+
+def test_record_off_the_map_takes_the_same_products_at_any_n(monkeypatch):
+    analysis, _, images = _cyclic_family("14FF28", 1, 10**6)
+    assert images == IMAGES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coset table was built")
+
+    for module in (filling_module, grouppres_module):
+        monkeypatch.setattr(module, "dihedral_table", refuse)
+    monkeypatch.setattr(CosetTable, "permutation", refuse)
+    # the whole op writes no table; the certificate's 2-coset table is n-free
+    record = cyclic_cover("14FF28", 100001)
+    assert record.cusp_lift_counts == (100001, 1, 100001, 100001, 100001)
+    assert classify_filled_cover("14FF28", 100001)["verdict"].verdict == "#_100000(S^2xS^2)"
+    monkeypatch.setattr(CosetTable, "__init__", refuse)
+    calls = _count_affine_products(monkeypatch)
+    counts = []
+    for n in (51, 100001):
+        calls.clear()
+        record = cover_record_from_dihedral_map(analysis, images, n, "spin")
+        assert record.cusp_lift_counts == (n, 1, n, n, n)
+        assert record.cusp_types == "A" * (4 * n + 1)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["__matmul__"] > 0

@@ -32,6 +32,12 @@ LIBRARY_ONLY = {
     "words.Word.__len__": "word length for library users; the Tietze pass counts integer letters, and the Word-based Tietze oracles of the group tests read it",
     "words.Word.is_identity": "the identity test for library users; the Tietze pass tests integer words, and the Word-based Tietze oracles of the group tests read it",
     "words.Word.cyclic_reduce": "cyclic reduction for library users; the Tietze pass reduces integer words, and the Word-based Tietze oracles of the group tests read it",
+    "filling._cyclic_table": "G_n's table, written through the certified map onto D_n or enumerated: the oracle of the record that cover reads off the map, and the tables the cover-layer tests walk",
+    "grouppres.dihedral_table": "D_n's regular table, written in O(n): _cyclic_table's certified branch and character_coset_table, the tables of the cover records' oracles",
+    "grouppres.dihedral_table.column": "one column of dihedral_table",
+    "grouppres.character_coset_table": "the two-coset table of a Z/2 character, exported by the package: the oracle of the orientation double cover, which verify reads off the determinant as a map onto D_1",
+    "grouppres.CosetTable.follow": "a word's trace from a coset, for library users: character_coset_table checks each relator with it, and the group tests read it",
+    "grouppres.CosetTable.step": "one table entry by letter: follow and schreier_rewrite take it, and the orientation oracle of the cover tests reads it",
     "lorentz.LorentzVector.__str__": "the coordinate form of a vector for library users; the walks read vertex maps, so no message prints one",
 }
 
@@ -88,6 +94,8 @@ def _sweep_calls(tmp_path: Path) -> list[list[str]]:
         ["cover", "14FF28", "--cyclic", "5"],
         ["cover", "14FF28", "--cyclic", "3", "--classify-filling"],
         ["cover", "14FF28", "--cyclic", "2", "--classify-filling"],
+        # below the certificate's 34 cosets: the enumerated table's record
+        ["cover", "14FF28", "--cyclic", "3", "--max-cosets", "10"],
         ["classify", "--chi", "6", "--sigma", "0", "--spin"],
         ["classify", "--record", str(record)],
         ["census", str(DATA / "census_sample.txt"), "--jobs", "1"],
