@@ -1,18 +1,18 @@
 """Flat 3-manifold groups from exact affine data.
 
 A crystallographic group acting on R^3 is described by affine maps
-v :-> A v + b over the rationals.  The pipeline keeps the first
-generator of each linear part and walks the finite holonomy group of
-linear parts on those alone; the walk's Schreier elements, and the
-holonomy images of the other generators' translations, span the rank-3
-translation lattice (a Hermite basis).  The first homology is the
-cokernel of the exponent-sum rows of the group's presentation as a
-lattice extension, built as integer rows, and a completeness check shows
-the group torsion free.  Torsion-free groups are matched against the ten
-closed flat 3-manifold types A..J (Hantzsche-Wendt order: A..F
-orientable, G..J not) by the invariant triple (orientability, holonomy
-type, first homology), with the reference invariants derived at runtime
-from standard generators rather than hardcoded.
+v :-> A v + b over the rationals.  The pipeline walks the finite holonomy
+group of linear parts on the first generator of each, carrying only the
+shift of each transversal element, with no affine product or inverse;
+the walk's Schreier translations and the holonomy images of the other
+generators' translations span the rank-3 translation lattice (a Hermite
+basis).  The first homology is the cokernel of the exponent-sum rows of
+the group's presentation as a lattice extension, and a Hermite lattice
+membership test per holonomy element shows the group torsion free.
+Torsion-free groups are matched against the ten closed flat 3-manifold
+types A..J (Hantzsche-Wendt order: A..F orientable, G..J not) by the
+invariant triple (orientability, holonomy type, first homology), with
+reference invariants derived at runtime from standard generators.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple
 
-from .grouppres import AbelianInvariants, cokernel_invariants, schreier_transversal
-from .intmat import hermite_row_basis, solve_integer
+from .grouppres import AbelianInvariants, cokernel_invariants, orbit_edges
+from .intmat import hermite_row_basis, in_row_span
 
 __all__ = [
     "StructuralError",
@@ -206,37 +206,36 @@ class FlatGroup:
         # the first generator r of each linear part is kept; every other
         # generator g with that part is the translation g r^-1, by the
         # difference of the shifts, and a translation stays a translation
-        kept: dict[Mat3, AffineMap] = {}
+        kept: dict[Mat3, Vec3] = {}
         shifts: list[Vec3] = []
         for g in self.generators:
             if g.linear == _ID3:
                 shifts.append(g.shift)
             elif g.linear in kept:
-                shifts.append(_vec_sub(g.shift, kept[g.linear].shift))
+                shifts.append(_vec_sub(g.shift, kept[g.linear]))
             else:
-                kept[g.linear] = g
+                kept[g.linear] = g.shift
 
         # the walk over the finite group of linear parts, on the kept
-        # generators: the right-coset transversal x_sigma, and translations
-        # from the Schreier elements x_sigma r x_{sigma.r}^-1
+        # generators, carries the shift b_sigma of each right-coset
+        # transversal element x_sigma: an edge sigma -> tau = sigma r has
+        # the Schreier element x_sigma r x_tau^-1, the translation by
+        # sigma r.shift + b_sigma - b_tau
         def steps(sigma):
-            return ((i, r, _mat_mul(sigma, r.linear)) for i, r in enumerate(kept.values()))
+            return ((shift, _mat_mul(sigma, linear)) for linear, shift in kept.items())
 
-        hol: dict[Mat3, AffineMap] = {_ID3: AffineMap.identity()}
+        hol: dict[Mat3, Vec3] = {_ID3: (0, 0, 0)}
         vectors = []
-        for *_, product, new, x in schreier_transversal(
-            _ID3, steps, AffineMap.identity(), AffineMap.__matmul__, AffineMap.inverse
-        ):
+        for sigma, shift, tau, new in orbit_edges(_ID3, steps):
+            moved = _vec_add(_mat_vec(sigma, shift), hol[sigma])
             if not new:
-                if x.linear != _ID3:
-                    raise AssertionError("Schreier element has nontrivial linear part")
-                vectors.append(x.shift)
+                vectors.append(_vec_sub(moved, hol[tau]))
             elif len(hol) >= HOLONOMY_CAP:
                 raise StructuralError(
                     f"holonomy exceeds {HOLONOMY_CAP} elements; not finite"
                 )
             else:
-                hol[product] = x
+                hol[tau] = moved
         # the Schreier element x_sigma t x_sigma^-1 of a translation t is
         # the translation by sigma t
         vectors += [_mat_vec(sigma, t) for sigma in hol for t in shifts]
@@ -312,17 +311,16 @@ class FlatGroup:
         for s in self._sigmas:
             for t in self._sigmas:
                 product = _mat_mul(s, t)
-                # the translation part of hol[s] hol[t], in input coordinates
-                shift = _vec_add(_mat_vec(s, hol[t].shift), hol[s].shift)
+                # the translation part of x_s x_t, in input coordinates
+                shift = _vec_add(_mat_vec(s, hol[t]), hol[s])
                 row = [0] * width
                 row[column[s]] += 1
                 row[column[t]] += 1
                 if product != _ID3:
-                    # hol[s] hol[t] shares its linear part with
-                    # hol[product], so the residue hol[s] hol[t]
-                    # hol[product]^-1 is the translation by the difference
-                    # of the shifts
-                    shift = _vec_sub(shift, hol[product].shift)
+                    # x_s x_t shares its linear part with x_product, so
+                    # the residue x_s x_t x_product^-1 is the translation
+                    # by the difference of the shifts
+                    shift = _vec_sub(shift, hol[product])
                     row[column[product]] -= 1
                 coeffs = self._lattice_coords(shift)
                 if coeffs is None:
@@ -335,27 +333,29 @@ class FlatGroup:
 
     def _check_torsion_free(self) -> None:
         """A nontrivial element (A, b + l) of finite order exists iff
-        N(b + l) = 0 is solvable with l integral, N = I + A + ... + A^(m-1).
-        Checking every holonomy element is a complete torsion test."""
+        N(b + l) = 0 is solvable with l integral, N = I + A + ... + A^(m-1),
+        that is iff -N b lies in the lattice of N's columns.  Checking every
+        holonomy element, and recording its order m, is a complete test."""
+        self._orders: dict[Mat3, int] = {}
         for s in self._sigmas:
             lin = self._linear[s]
-            order = _matrix_order(lin)
             # N in lattice coordinates, and N b in input coordinates as
-            # the translation b + s(b + s(b + ...)) of hol[s]^order
-            shift = self._hol[s].shift
-            n_mat, power, n_shift = _ID3, lin, shift
-            for _ in range(order - 1):
+            # the translation b + s(b + s(b + ...)) of x_s^m; s lies in a
+            # finite group, so its powers come back to the identity
+            shift = self._hol[s]
+            n_mat, power, n_shift, order = _ID3, lin, shift, 1
+            while power != _ID3:
                 n_mat = tuple(
                     tuple(n_mat[i][j] + power[i][j] for j in range(3)) for i in range(3)
                 )  # type: ignore[assignment]
                 power = _mat_mul(power, lin)
                 n_shift = _vec_add(_mat_vec(s, n_shift), shift)
+                order += 1
+            self._orders[s] = order
             rhs = self._lattice_coords(tuple(-x for x in n_shift))  # type: ignore[arg-type]
-            if rhs is None:
-                # N l is integral for integral l, so a fractional rhs
-                # already rules out a solution
-                continue
-            if solve_integer([list(row) for row in n_mat], rhs) is not None:
+            # N l is integral for integral l, so a fractional rhs already
+            # rules out a solution
+            if rhs is not None and in_row_span(hermite_row_basis(zip(*n_mat)), rhs):
                 raise StructuralError(
                     f"group has torsion over holonomy element {self._names[s]}"
                 )
@@ -369,9 +369,7 @@ class FlatGroup:
         if n in (2, 3, 6):
             return f"Z{n}"
         if n == 4:
-            if any(_matrix_order(s) == 4 for s in self.holonomy):
-                return "Z4"
-            return "Z2xZ2"
+            return "Z4" if 4 in self._orders.values() else "Z2xZ2"
         raise StructuralError(
             f"holonomy order {n} is not realized by a closed flat 3-manifold"
         )

@@ -73,10 +73,16 @@ class AbelianInvariants:
 
 def abelianization(pres: GroupPresentation) -> AbelianInvariants:
     """Invariants of the abelianized group: the cokernel of the relator
-    exponent-sum matrix, by `cokernel_invariants`."""
-    gens = pres.generators
-    rows = [[r.exponent_sum(x) for x in gens] for r in pres.relators]
-    return cokernel_invariants(rows, len(gens))
+    exponent-sum matrix, by `cokernel_invariants`.  Each relator's row is
+    summed in one pass over its letters."""
+    column = {x: j for j, x in enumerate(pres.generators)}
+    rows = []
+    for r in pres.relators:
+        row = [0] * len(column)
+        for name, exp in r.letters:
+            row[column[name]] += exp
+        rows.append(row)
+    return cokernel_invariants(rows, len(column))
 
 
 def cokernel_invariants(rows: Sequence[Sequence[int]], n: int) -> AbelianInvariants:

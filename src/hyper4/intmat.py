@@ -14,6 +14,7 @@ __all__ = [
     "eliminate_unit_pivots",
     "smith_normal_form",
     "hermite_row_basis",
+    "in_row_span",
     "solve_integer",
 ]
 
@@ -187,54 +188,52 @@ def eliminate_unit_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
 
 
 def hermite_row_basis(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis (as rows, in Hermite normal form) of the row span over Z."""
+    """Basis (as rows, in Hermite normal form) of the row span over Z:
+    positive pivots, each entry above a pivot in [0, pivot).  Each row
+    is combined into the pivot of a column by one Bezout step, as in
+    `smith_normal_form`, and the entries above the pivots are reduced in
+    pivot order, so no reduction undoes an earlier column's."""
     rows = [list(map(int, row)) for row in mat if any(row)]
-    if not rows:
-        return []
-    n = len(rows[0])
     basis: list[list[int]] = []
-    col = 0
-    while rows and col < n:
-        live = [r for r in rows if r[col] != 0]
-        if not live:
-            col += 1
-            continue
-        # reduce the column to a single pivot by gcd steps
-        while True:
-            live.sort(key=lambda r: abs(r[col]))
-            p = live[0]
-            done = True
-            for r in live[1:]:
-                q = r[col] // p[col]
-                for k in range(n):
-                    r[k] -= q * p[k]
-                if r[col] != 0:
-                    done = False
-            live = [r for r in live if r[col] != 0]
-            if done or len(live) <= 1:
-                break
-        pivot = live[0]
-        if pivot[col] < 0:
-            for k in range(n):
-                pivot[k] = -pivot[k]
-        basis.append(pivot)
-        rows = [r for r in rows if r is not pivot and any(r)]
+    for col in range(len(rows[0]) if rows else 0):
+        pivot, rest = None, []
         for r in rows:
-            if r[col] != 0:
-                q = r[col] // pivot[col]
-                for k in range(n):
-                    r[k] -= q * pivot[k]
-        rows = [r for r in rows if any(r)]
-        col += 1
-    # reduce entries above each pivot for a canonical form
-    for idx in range(len(basis) - 1, -1, -1):
-        pcol = next(k for k in range(n) if basis[idx][k] != 0)
-        for above in range(idx):
-            q = basis[above][pcol] // basis[idx][pcol]
-            if q:
-                for k in range(n):
-                    basis[above][k] -= q * basis[idx][k]
+            if r[col] and pivot is None:
+                pivot = r
+                continue
+            if r[col]:
+                # det [[x, y], [-b/g, p/g]] = 1, and g = p when p | b
+                p, b = pivot[col], r[col]
+                g, x, y = (p, 1, 0) if b % p == 0 else _xgcd(p, b)
+                pivot, r = (
+                    [x * u + y * v for u, v in zip(pivot, r)],
+                    [p // g * v - b // g * u for u, v in zip(pivot, r)],
+                )
+            if any(r):
+                rest.append(r)
+        if pivot is None:
+            continue
+        if pivot[col] < 0:
+            pivot = [-u for u in pivot]
+        for above in basis:
+            q = above[col] // pivot[col]
+            above[:] = [u - q * v for u, v in zip(above, pivot)]
+        basis.append(pivot)
+        rows = rest
     return basis
+
+
+def in_row_span(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
+    """Whether vec is an integer combination of the rows of a Hermite
+    basis: each pivot must divide what is left in its column."""
+    vec = list(vec)
+    for row in basis:
+        col = next(k for k, x in enumerate(row) if x)
+        q, r = divmod(vec[col], row[col])
+        if r:
+            return False
+        vec = [v - q * u for u, v in zip(row, vec)]
+    return not any(vec)
 
 
 def solve_integer(mat: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | None:

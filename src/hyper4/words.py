@@ -67,9 +67,6 @@ class Word:
     def names(self) -> set[str]:
         return {name for name, _ in self.letters}
 
-    def exponent_sum(self, name: str) -> int:
-        return sum(exp for n, exp in self.letters if n == name)
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"

@@ -5,7 +5,7 @@ before the arithmetic moved to `int`: every entry a `Fraction`, generic
 3x3 products, every holonomy transversal element inverted at each use,
 the holonomy closure stepping over every generator, and the first
 homology abelianized from a `Word` presentation of the lattice
-extension.  Both classes must agree on holonomy, lattice, first homology
+extension, and torsion decided by `solve_integer`'s Smith form.  Both classes must agree on holonomy, lattice, first homology
 and the invariant triple, and must raise the same `StructuralError`
 message.
 """
@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyper4 import filling
+from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import cusp_flat_group, horospherical_action, vertex_classes
 from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, reference_flat_groups
 from hyper4.grouppres import GroupPresentation, abelianization, orbit_edges
@@ -292,6 +294,25 @@ def test_reference_groups_agree():
 def test_cusp_groups_agree(code):
     for generators in _cusp_generators(code):
         assert _assert_agree(generators)[0] == "group", code
+
+
+def test_cyclic_cover_kernel_groups_agree(monkeypatch):
+    # the cusp groups K_n that the record of the n-th cyclic cover of
+    # 14FF28 classifies, read off its certified map onto D_n
+    analysis = CodeAnalysis("14FF28")
+    images = filling._dihedral_certificate(analysis, filling.default_meridians("14FF28"), 10**6)
+    kernels = []
+
+    def recording(generators):
+        kernels.append(list(generators))
+        return FlatGroup(kernels[-1])
+
+    monkeypatch.setattr(filling, "FlatGroup", recording)
+    for n in range(1, 31):
+        filling.cover_record_from_dihedral_map(analysis, images, n, "spin")
+    assert len(kernels) == 30 * len(analysis.classes)
+    for generators in kernels:
+        assert _assert_agree(generators)[0] == "group"
 
 
 def test_pool_cusp_groups_make_no_fraction(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_certificate
+from hyper4 import grouppres
 from hyper4.analysis import CodeAnalysis
 from hyper4.filling import (
     DISTINGUISHED_CUSP,
@@ -76,6 +77,14 @@ def test_abelianization_dihedral():
     ab = abelianization(pres)
     assert (ab.rank, ab.torsion) == (0, (2,))
     assert str(ab) == "Z/2"
+
+
+def test_abelianization_sums_each_relators_exponents(monkeypatch):
+    # one pass over a relator's letters gives its exponent-sum row
+    seen = []
+    monkeypatch.setattr(grouppres, "cokernel_invariants", lambda rows, n: seen.append((rows, n)))
+    abelianization(parse_presentation("gens: a b c\naabA\nccBcb\n"))
+    assert seen == [([[1, 1, 0], [0, 0, 3]], 3)]
 
 
 def test_abelianization_free_abelian():

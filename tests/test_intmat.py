@@ -12,6 +12,7 @@ from hyper4.grouppres import AbelianInvariants, cokernel_invariants
 from hyper4.intmat import (
     eliminate_unit_pivots,
     hermite_row_basis,
+    in_row_span,
     smith_normal_form,
     solve_integer,
 )
@@ -74,6 +75,99 @@ def test_hermite_row_basis_canonical():
     a = hermite_row_basis([[2, 0, 0], [0, 3, 0], [2, 3, 0]])
     b = hermite_row_basis([[2, 3, 0], [2, 0, 0], [4, 3, 0]])
     assert a == b == [[2, 0, 0], [0, 3, 0]]
+
+
+def test_hermite_row_basis_reduces_in_pivot_order():
+    # reducing the last pivot's column first let the first pivot's step
+    # undo it: the basis came out [[1, 0, -6], [0, 1, 4], [0, 0, 5]]
+    basis = hermite_row_basis([[-5, -5, 5], [2, 4, -1], [1, 2, 2], [5, -6, -4]])
+    assert basis == [[1, 0, 4], [0, 1, 4], [0, 0, 5]]
+    assert hermite_row_basis(basis) == basis
+
+
+def _is_hermite(basis):
+    pivots = [next(k for k, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, col) in enumerate(zip(basis, pivots)):
+        assert row[col] > 0
+        assert all(0 <= basis[above][col] < row[col] for above in range(i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=1, max_size=5),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3)), max_size=6
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_hermite_row_basis_is_canonical(rows, moves, order):
+    # the basis is in Hermite form, it is its own basis, and another
+    # generating set of the same lattice (elementary row moves, a shuffle
+    # and the basis rows appended) gives the same one
+    basis = hermite_row_basis(rows)
+    _is_hermite(basis)
+    assert hermite_row_basis(basis) == basis
+    other = [list(r) for r in rows]
+    for i, j, c in moves:
+        i, j = i % len(other), j % len(other)
+        if i != j:
+            other[i] = [a + c * b for a, b in zip(other[i], other[j])]
+    other += [list(r) for r in basis]
+    order.shuffle(other)
+    assert hermite_row_basis(other) == basis
+
+
+# integral matrices of orders 2, 3, 4 and 6 in GL(3, Z)
+FINITE_ORDER = {
+    2: ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+    3: ((0, -1, 0), (1, -1, 0), (0, 0, 1)),
+    4: ((0, -1, 0), (1, 0, 0), (0, 0, 1)),
+    6: ((1, -1, 0), (1, 0, 0), (0, 0, 1)),
+}
+
+
+def _identity3():
+    return [[int(i == j) for j in range(3)] for i in range(3)]
+
+
+def _elementary(moves):
+    """A product of elementary matrices I + c E_ij, and its inverse."""
+    p, p_inv = _identity3(), _identity3()
+    for i, j, c in moves:
+        if i != j:
+            e, e_inv = _identity3(), _identity3()
+            e[i][j], e_inv[i][j] = c, -c
+            p, p_inv = _mat_mul(e, p), _mat_mul(p_inv, e_inv)
+    return p, p_inv
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(FINITE_ORDER)),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)), max_size=4),
+    st.booleans(),
+    st.lists(small_ints, min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_hermite_membership_agrees_with_solve_integer(m, moves, reflect, x, image):
+    # FlatGroup's torsion test: N l = rhs is solvable over Z exactly when
+    # rhs lies in the Hermite lattice of N's columns, N = I + A + ... +
+    # A^(m-1) for A of finite order, here a conjugate of a standard one,
+    # times a reflection that commutes with it; rhs is x itself or N x
+    a = [list(row) for row in FINITE_ORDER[m]]
+    if reflect:
+        a = _mat_mul(a, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    p, p_inv = _elementary(moves)
+    a = _mat_mul(_mat_mul(p, a), p_inv)
+    n_mat, power = _identity3(), a
+    while power != _identity3():
+        n_mat = [[u + v for u, v in zip(r, q)] for r, q in zip(n_mat, power)]
+        power = _mat_mul(power, a)
+    rhs = [sum(map(int.__mul__, row, x)) for row in n_mat] if image else x
+    member = in_row_span(hermite_row_basis(zip(*n_mat)), rhs)
+    assert member == (solve_integer(n_mat, rhs) is not None)
+    assert member or not image
 
 
 def test_hermite_full_rank():
@@ -173,7 +267,8 @@ def test_cokernel_matches_the_dense_smith_form_on_the_pool(monkeypatch):
     for code in codes:
         pres = CodeAnalysis(code).presentation
         gens = pres.generators
-        recorded.append(([[r.exponent_sum(x) for x in gens] for r in pres.relators], len(gens)))
+        sums = [[sum(e for name, e in r.letters if name == x) for x in gens] for r in pres.relators]
+        recorded.append((sums, len(gens)))
     assert len(recorded) >= 183 + 928
     for rows, n in recorded:
         assert cokernel_invariants(rows, n) == _dense_invariants(rows, n)

@@ -38,6 +38,7 @@ LIBRARY_ONLY = {
     "grouppres.character_coset_table": "the two-coset table of a Z/2 character, exported by the package: the oracle of the orientation double cover, which verify reads off the determinant as a map onto D_1",
     "grouppres.CosetTable.follow": "a word's trace from a coset, for library users: character_coset_table checks each relator with it, and the group tests read it",
     "grouppres.CosetTable.step": "one table entry by letter: follow and schreier_rewrite take it, and the orientation oracle of the cover tests reads it",
+    "intmat.solve_integer": "one integer solution of a linear system by Smith form with both transforms: the torsion oracle of the flat-group reference in the group tests, which FlatGroup's Hermite membership test is checked against",
     "lorentz.LorentzVector.__str__": "the coordinate form of a vector for library users; the walks read vertex maps, so no message prints one",
 }
 

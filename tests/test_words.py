@@ -73,13 +73,6 @@ def test_cyclic_reduce_trims_cancelling_ends(outer, inner, reduce_first):
         assert reduced is word
 
 
-def test_exponent_sum():
-    w = parse_word("aabA")
-    assert w.exponent_sum("a") == 1
-    assert w.exponent_sum("b") == 1
-    assert w.exponent_sum("c") == 0
-
-
 @given(st.text(alphabet="abAB", max_size=12))
 def test_word_times_inverse_is_identity(text):
     w = parse_word(text)
