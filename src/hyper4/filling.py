@@ -12,10 +12,11 @@ gives its lift count, and the part of the cusp group that phi sends into
 <r^n>, generated by a number of affine maps that does not depend on n,
 gives the lifts' flat type.  The orientation double cover is the n = 1
 case of the map that sends each orientation-reversing letter to a
-reflection.  Without the certificate, G_n is enumerated and the record
-is read off its coset table.  The filled cover is certified simply
-connected when each cusp stabilizer conjugates its meridian to itself or
-its inverse, a check on matrices that does not depend on the cover.
+reflection.  A code whose map fails the certificate gets no record, and
+the error names the failed condition.  The filled cover is certified
+simply connected when each cusp stabilizer conjugates its meridian to
+itself or its inverse, a check on matrices that does not depend on the
+cover.
 Closed invariant triples are matched against the Freedman-Donaldson
 classification of closed simply connected 4-manifolds.
 """
@@ -44,10 +45,8 @@ from .grouppres import (
     dihedral_image,
     dihedral_inverse,
     dihedral_product,
-    dihedral_table,
     quotient,
     schreier_transversal,
-    todd_coxeter,
 )
 from .lorentz import IDENTITY, _unchecked_inverse
 from .pairing import GENERATOR_LETTERS, SidePairingSet
@@ -254,7 +253,8 @@ def _orientable(letter_det: dict[str, int], table: CosetTable) -> bool:
 
 @dataclass(frozen=True)
 class CoverRecord:
-    """Invariants of a finite regular cover determined by a coset table."""
+    """Invariants of a finite regular cover: read off a map onto D_n, or
+    off a regular coset table."""
 
     code: str
     complete: bool
@@ -280,12 +280,9 @@ def cover_record_from_table(
     the group acts on the cosets through the quotient group, each coset
     stabilizer is the same kernel, and every orbit of a cusp group has
     the size of coset 0's orbit.  A cusp class then lifts to d / |orbit|
-    cusps, all of the type of coset 0's.  `_cyclic_cover` reaches it only
-    on its fallback, which enumerates the filled group over its trivial
-    subgroup, so the table is the quotient group's own.  `_cyclic_table`
-    also writes D_n's table through a certified map, with the same rows
-    (a standardized table is unique); the record of that table is the
-    oracle of `cover_record_from_dihedral_map`."""
+    cusps, all of the type of coset 0's.  No verb reads a table's record:
+    on D_n's table it is the oracle of `cover_record_from_dihedral_map`,
+    and on the table of a character, of `double_cover_record`."""
     d = table.index
     lift_counts = []
     tags = []
@@ -464,46 +461,61 @@ def cover_record_from_dihedral_map(
 
 
 def _dihedral_certificate(
-    analysis: CodeAnalysis, meridians: list[Meridian], limit: int
-) -> dict[str, tuple[int, int]] | None:
-    """The images of `DIHEDRAL_MAPS`' phi when it certifies G_n = D_n for
-    every n, or None.  The certificate does not depend on n.
+    analysis: CodeAnalysis, meridians: list[Meridian]
+) -> dict[str, tuple[int, int]]:
+    """The images of `DIHEDRAL_MAPS`' phi, which certify G_n = D_n for
+    every n; a ValueError names the first condition that fails.  The
+    certificate does not depend on n.
 
     Let c be the distinguished meridian and K = pi / <<other meridians>>,
     so that G_n = K / <<c^n>>.  phi must kill every relator and the other
     meridians, so it is defined on K; it must send c to r and some letter
     to a reflection, so it is onto D_inf and injective on <c>.  And <c>
     must have exactly 2 cosets in K, by an enumeration over the raw
-    presentation within `limit` cosets.  Then phi maps the 2 cosets of
-    <c> onto the 2 cosets of <r>, so its kernel lies in <c> and is
-    trivial: phi is an isomorphism of K onto D_inf, and
-    G_n = D_inf / <<r^n>> = D_n."""
+    presentation within `DEFAULT_COSET_LIMIT` cosets (34 on 14FF28).
+    Then phi maps the 2 cosets of <c> onto the 2 cosets of <r>, so its
+    kernel lies in <c> and is trivial: phi is an isomorphism of K onto
+    D_inf, and G_n = D_inf / <<r^n>> = D_n."""
     entries = DIHEDRAL_MAPS.get(analysis.code)
     if entries is None:
-        return None
+        raise ValueError(f"no map onto D_inf is on record for code {analysis.code}")
     images = {x: entries.get(x, (0, 0)) for x in analysis.presentation.generators}
     distinguished = DISTINGUISHED_CUSP[analysis.code]
     for m in meridians:
         expected = (1, 0) if m.cusp_index == distinguished else (0, 0)
-        if dihedral_image(images, m.word) != expected:
-            return None
+        image = dihedral_image(images, m.word)
+        if image != expected:
+            raise ValueError(
+                f"the map onto D_inf sends meridian {m.word} to {image}, not {expected}"
+            )
     if not any(e for _, e in images.values()):
-        return None
-    if any(dihedral_image(images, r) != (0, 0) for r in analysis.presentation.relators):
-        return None
+        raise ValueError("the map onto D_inf sends no letter to a reflection")
+    for r in analysis.presentation.relators:
+        if dihedral_image(images, r) != (0, 0):
+            raise ValueError(f"the map onto D_inf does not kill relator {r}")
     others = [m.word for m in meridians if m.cusp_index != distinguished]
     subgroup = [m.word for m in meridians if m.cusp_index == distinguished]
-    table = _enumerate(quotient(analysis.presentation, others), limit, subgroup)
-    return images if table.complete and len(table.rows) == 2 else None
+    table = _enumerate(quotient(analysis.presentation, others), DEFAULT_COSET_LIMIT, subgroup)
+    if not (table.complete and len(table.rows) == 2):
+        raise ValueError(
+            f"meridian {subgroup[0]} does not generate a subgroup of index 2 once the "
+            f"other meridians are killed, by an enumeration within {DEFAULT_COSET_LIMIT} cosets"
+        )
+    return images
 
 
-def _cyclic_family(
-    code: str, n: int, limit: int
-) -> tuple[CodeAnalysis, list[Meridian], dict[str, tuple[int, int]] | None]:
-    """The analysis, the default meridians with the distinguished one
-    raised to the n-th power, and phi's images when `_dihedral_certificate`
-    shows G_n = D_n, where G_n is the fundamental group filled along
-    those meridians; `fill`'s checks run first."""
+def _cyclic_spin(code: str, n: int) -> str:
+    """The spin status of the n-th cover: the double cover's when n is odd."""
+    return "spin" if DOUBLE_COVER_SPIN.get(code, False) and n % 2 == 1 else "unknown"
+
+
+def _cyclic_cover(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CoverRecord]:
+    """The analysis and the record of the n-th cover, whose deck group
+    G_n is the fundamental group filled along the default meridians with
+    the distinguished one raised to the n-th power.  `fill`'s checks run
+    first, then `_dihedral_certificate`, which shows G_n = D_n; the
+    record is read off phi, and is incomplete when the cover's 2n cosets
+    exceed `limit`."""
     if n < 1:
         raise ValueError("the cyclic parameter must be a positive integer")
     analysis = CodeAnalysis(code)
@@ -512,57 +524,10 @@ def _cyclic_family(
         for m in default_meridians(code)
     ]
     _check_fill(analysis, meridians, limit)
-    return analysis, meridians, _dihedral_certificate(analysis, meridians, limit)
-
-
-def _family_table(
-    analysis: CodeAnalysis,
-    meridians: list[Meridian],
-    images: dict[str, tuple[int, int]] | None,
-    n: int,
-    limit: int,
-) -> CosetTable:
-    """The regular table of G_n.  With phi's images, G_n = D_n and its
-    table is written; the table is incomplete when its 2n cosets exceed
-    `limit`, where the enumeration of G_n stops too.  Otherwise G_n is
-    enumerated, and only then is the power relator c^n built."""
-    if images is None:
-        filled = quotient(analysis.presentation, [m.relator for m in meridians])
-        return todd_coxeter(filled, limit)
+    images = _dihedral_certificate(analysis, meridians)
     if 2 * n > limit:
-        return CosetTable(analysis.presentation.generators, (), False)
-    return dihedral_table(analysis.presentation.generators, images, n)
-
-
-def _cyclic_table(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CosetTable]:
-    """The regular table of G_n, the fundamental group filled along the
-    default meridians with the distinguished one raised to the n-th power."""
-    analysis, meridians, images = _cyclic_family(code, n, limit)
-    return analysis, _family_table(analysis, meridians, images, n, limit)
-
-
-def _cyclic_spin(code: str, n: int) -> str:
-    """The spin status of the n-th cover: the double cover's when n is odd."""
-    return "spin" if DOUBLE_COVER_SPIN.get(code, False) and n % 2 == 1 else "unknown"
-
-
-def _cyclic_record(analysis: CodeAnalysis, n: int, table: CosetTable) -> CoverRecord:
-    """The n-th cover's record read off G_n's table, incomplete with it."""
-    if not table.complete:
-        return CoverRecord(code=analysis.code, complete=False, spin_status="unknown")
-    return cover_record_from_table(analysis, table, _cyclic_spin(analysis.code, n))
-
-
-def _cyclic_cover(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CoverRecord]:
-    """The analysis and the n-th cover's record: read off phi when the
-    certificate holds and the 2n cosets fit in `limit`, and otherwise
-    off the table of G_n, which is then enumerated or incomplete."""
-    analysis, meridians, images = _cyclic_family(code, n, limit)
-    if images is not None and 2 * n <= limit:
-        spin = _cyclic_spin(code, n)
-        return analysis, cover_record_from_dihedral_map(analysis, images, n, spin)
-    table = _family_table(analysis, meridians, images, n, limit)
-    return analysis, _cyclic_record(analysis, n, table)
+        return analysis, CoverRecord(code=code, complete=False)
+    return analysis, cover_record_from_dihedral_map(analysis, images, n, _cyclic_spin(code, n))
 
 
 def cyclic_cover(code: str, n: int, limit: int = DEFAULT_COSET_LIMIT) -> CoverRecord:

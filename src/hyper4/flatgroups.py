@@ -7,8 +7,10 @@ shift of each transversal element, with no affine product or inverse;
 the walk's Schreier translations and the holonomy images of the other
 generators' translations span the rank-3 translation lattice (a Hermite
 basis).  The first homology is the cokernel of the exponent-sum rows of
-the group's presentation as a lattice extension, and a Hermite lattice
-membership test per holonomy element shows the group torsion free.
+a presentation on the lattice basis and the kept generators: their
+action on the lattice, and one relator per closing edge of the walk,
+whose letters the walk counts.  A Hermite lattice membership test per
+holonomy element shows the group torsion free.
 Torsion-free groups are matched against the ten closed flat 3-manifold
 types A..J (Hantzsche-Wendt order: A..F orientable, G..J not) by the
 invariant triple (orientability, holonomy type, first homology), with
@@ -218,24 +220,33 @@ class FlatGroup:
 
         # the walk over the finite group of linear parts, on the kept
         # generators, carries the shift b_sigma of each right-coset
-        # transversal element x_sigma: an edge sigma -> tau = sigma r has
-        # the Schreier element x_sigma r x_tau^-1, the translation by
+        # transversal element x_sigma and the letter count of its word in
+        # the kept generators: an edge sigma -> tau = sigma r has the
+        # Schreier element x_sigma r x_tau^-1, the translation by
         # sigma r.shift + b_sigma - b_tau
+        parts = list(kept.items())
+
         def steps(sigma):
-            return ((shift, _mat_mul(sigma, linear)) for linear, shift in kept.items())
+            return ((i, _mat_mul(sigma, linear)) for i, (linear, _) in enumerate(parts))
 
         hol: dict[Mat3, Vec3] = {_ID3: (0, 0, 0)}
-        vectors = []
-        for sigma, shift, tau, new in orbit_edges(_ID3, steps):
-            moved = _vec_add(_mat_vec(sigma, shift), hol[sigma])
+        counts: dict[Mat3, list[int]] = {_ID3: [0] * len(parts)}
+        closing = []
+        for sigma, i, tau, new in orbit_edges(_ID3, steps):
+            moved = _vec_add(_mat_vec(sigma, parts[i][1]), hol[sigma])
+            count = counts[sigma][:]
+            count[i] += 1
             if not new:
-                vectors.append(_vec_sub(moved, hol[tau]))
+                letters = [a - b for a, b in zip(count, counts[tau])]
+                closing.append((letters, _vec_sub(moved, hol[tau])))
             elif len(hol) >= HOLONOMY_CAP:
                 raise StructuralError(
                     f"holonomy exceeds {HOLONOMY_CAP} elements; not finite"
                 )
             else:
                 hol[tau] = moved
+                counts[tau] = count
+        vectors = [t for _, t in closing]
         # the Schreier element x_sigma t x_sigma^-1 of a translation t is
         # the translation by sigma t
         vectors += [_mat_vec(sigma, t) for sigma in hol for t in shifts]
@@ -278,7 +289,7 @@ class FlatGroup:
                 )
             self._linear[s] = tuple(map(tuple, rows))  # type: ignore[arg-type]
 
-        self.h1: AbelianInvariants = self._first_homology()
+        self.h1: AbelianInvariants = self._first_homology(list(kept), closing)
         self._check_torsion_free()
         self.orientable = all(_det3(s) == 1 for s in self.holonomy)
         self.holonomy_type = self._holonomy_type()
@@ -290,43 +301,29 @@ class FlatGroup:
         is not a lattice vector."""
         return _quotients(_mat_vec(self._coords_mat, vec), self._det)
 
-    def _first_homology(self) -> AbelianInvariants:
+    def _first_homology(
+        self, kept: list[Mat3], closing: list[tuple[list[int], Vec3]]
+    ) -> AbelianInvariants:
         """The cokernel of the exponent-sum rows of the group's presentation
         as a lattice extension, over the generators e1, e2, e3 (the
-        lattice basis) and one x per non-identity holonomy element.
+        lattice basis) and the kept generators r.
 
         The relators are the commutators of the e_j, whose rows are zero;
-        x e_j x^-1 = e^(column j of x's linear part in lattice
-        coordinates); and x_s x_t = x_st e^c, with x_st absent when st is
-        the identity and c the lattice coordinates of the residue
-        translation."""
-        column = {s: 3 + i for i, s in enumerate(self._sigmas)}
-        width = 3 + len(self._sigmas)
+        r e_j r^-1 = e^(column j of r's linear part in lattice
+        coordinates); and, for each closing edge of the holonomy walk,
+        x_sigma r x_tau^-1 = e^c, with the walk's letter counts and c the
+        lattice coordinates of the edge's translation.  The closing edges'
+        relators present the holonomy group on the kept generators
+        (Reidemeister-Schreier)."""
+        width = 3 + len(kept)
         rows = []
-        for s in self._sigmas:
-            lin = self._linear[s]
+        for linear in kept:
+            lin = self._linear[linear]
             for j in range(3):
                 rows.append([int(i == j) - lin[i][j] for i in range(3)] + [0] * (width - 3))
-        hol = self._hol
-        for s in self._sigmas:
-            for t in self._sigmas:
-                product = _mat_mul(s, t)
-                # the translation part of x_s x_t, in input coordinates
-                shift = _vec_add(_mat_vec(s, hol[t]), hol[s])
-                row = [0] * width
-                row[column[s]] += 1
-                row[column[t]] += 1
-                if product != _ID3:
-                    # x_s x_t shares its linear part with x_product, so
-                    # the residue x_s x_t x_product^-1 is the translation
-                    # by the difference of the shifts
-                    shift = _vec_sub(shift, hol[product])
-                    row[column[product]] -= 1
-                coeffs = self._lattice_coords(shift)
-                if coeffs is None:
-                    raise StructuralError("translation outside the lattice")
-                row[:3] = [-c for c in coeffs]
-                rows.append(row)
+        for letters, t in closing:
+            # t is one of the vectors the lattice is the span of
+            rows.append([-c for c in self._lattice_coords(t)] + letters)  # type: ignore[union-attr]
         return cokernel_invariants(rows, width)
 
     # -- torsion -------------------------------------------------------------

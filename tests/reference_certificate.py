@@ -21,9 +21,10 @@ elements of a transversal: they are the references for
 
 import operator
 
+from reference_covers import enumerated_table, table_record
+
+from hyper4.analysis import CodeAnalysis
 from hyper4.filling import (
-    _cyclic_record,
-    _cyclic_table,
     _rebased_meridian,
     classify_homeo,
     conditional_verdicts,
@@ -113,11 +114,12 @@ def filled_cover(analysis, table, code):
 
 
 def classify_by_enumeration(code, n, limit=DEFAULT_COSET_LIMIT):
-    """What `classify_filled_cover` returns, certified by enumeration:
-    "presentation" counts the simplified filled presentation in place of
-    "certificate"."""
-    analysis, table = _cyclic_table(code, n, limit)
-    record = _cyclic_record(analysis, n, table)
+    """What `classify_filled_cover` returns, certified by enumeration,
+    with G_n enumerated too: "presentation" counts the simplified filled
+    presentation in place of "certificate"."""
+    analysis = CodeAnalysis(code)
+    table = enumerated_table(analysis, n, limit)
+    record = table_record(analysis, n, table)
     if not table.complete:
         return {
             "cover": record,

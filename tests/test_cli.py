@@ -330,8 +330,8 @@ def test_cover_classify_filling_incomplete_enumeration():
 
 @pytest.mark.parametrize("limit, degree", [("102", 102), ("101", None)])
 def test_max_cosets_bounds_the_simplified_enumeration(limit, degree):
-    # the filled group of n = 51 is dihedral of order 102 once simplified,
-    # and its enumeration there defines exactly the index
+    # the filled group of n = 51 is dihedral of order 102: the limit bounds
+    # the cover's degree, where an enumeration of it would stop too
     code, doc = run_json("cover", "14FF28", "--cyclic", "51", "--max-cosets", limit)
     assert code == 0
     rec = doc["records"][0]

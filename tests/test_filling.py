@@ -1,5 +1,9 @@
 """Dehn fillings, cyclic covers, and the homeomorphism classifier."""
 
+import contextlib
+import io
+import json
+import re
 from collections import Counter
 from dataclasses import fields
 from functools import cache
@@ -12,9 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_certificate
+import reference_covers
+from reference_covers import written_table
 import hyper4.filling as filling_module
 import hyper4.grouppres as grouppres_module
 from hyper4.analysis import CodeAnalysis
+from hyper4.cli import main
 from hyper4.cusp import horospherical_action, vertex_classes
 from hyper4.filling import (
     DEFAULT_MERIDIANS,
@@ -23,8 +30,6 @@ from hyper4.filling import (
     CoverRecord,
     Meridian,
     _cusp_intersection_group,
-    _cyclic_family,
-    _cyclic_table,
     _dihedral_certificate,
     _kernel_generators,
     _orientable,
@@ -46,10 +51,13 @@ from hyper4.filling import (
 )
 from hyper4.flatgroups import AffineMap, FlatGroup, _reference_affine_data
 from hyper4.grouppres import (
+    DEFAULT_COSET_LIMIT,
     CosetTable,
+    _enumerate,
     abelianization,
     character_coset_table,
     dihedral_image,
+    quotient,
     reidemeister_schreier,
     todd_coxeter,
 )
@@ -196,16 +204,23 @@ def test_cyclic_cover_respects_limit():
     assert rec.degree is None
 
 
+# the certificate's enumeration: the cosets of <c> in K = pi / <<Eg, a, k, j>>
+CERTIFICATE_ENUMERATION = (DEFAULT_COSET_LIMIT, ("c",))
+
+
 @pytest.fixture
 def enumerations(monkeypatch):
-    """The number of `todd_coxeter` calls `_cyclic_table` makes."""
+    """The (limit, subgroup words) of every coset enumeration made, by
+    `todd_coxeter` or by the certificate; G_n's has no subgroup words."""
     calls = []
+    enumerate_ = grouppres_module._enumerate
 
-    def counted(pres, limit):
-        calls.append(limit)
-        return todd_coxeter(pres, limit)
+    def counted(pres, limit, subgroup=()):
+        calls.append((limit, tuple(str(w) for w in subgroup)))
+        return enumerate_(pres, limit, subgroup)
 
-    monkeypatch.setattr(filling_module, "todd_coxeter", counted)
+    for module in (filling_module, grouppres_module):
+        monkeypatch.setattr(module, "_enumerate", counted)
     return calls
 
 
@@ -213,8 +228,8 @@ def enumerations(monkeypatch):
 def test_written_dihedral_table_is_the_enumerated_one(n, enumerations):
     # a standardized table is unique, so D_n's written table is the
     # enumeration's, and every record built on it stays the same
-    _, table = _cyclic_table("14FF28", n, 10**6)
-    assert enumerations == []
+    _, table = written_table("14FF28", n)
+    assert enumerations == [CERTIFICATE_ENUMERATION]
     assert table == todd_coxeter(fill(ANALYSIS, _default_with_power(n)))
 
 
@@ -297,50 +312,105 @@ def test_naive_enumeration_finds_two_cosets_of_the_meridian():
     assert _naive_coset_count(words + [parse_word("ccc").letters], []) == 6
 
 
-def test_dihedral_certificate_holds_on_the_interim_map():
-    images = _dihedral_certificate(ANALYSIS, default_meridians("14FF28"), 10**6)
+def test_dihedral_certificate_holds_on_the_interim_map(enumerations):
+    images = _dihedral_certificate(ANALYSIS, default_meridians("14FF28"))
     assert images == {x: DIHEDRAL_MAPS["14FF28"].get(x, (0, 0)) for x in "abcdefghijkl"}
+    assert enumerations == [CERTIFICATE_ENUMERATION]
     # the subgroup enumeration completes within 34 cosets and not fewer
-    assert _dihedral_certificate(ANALYSIS, default_meridians("14FF28"), 34) == images
-    assert _dihedral_certificate(ANALYSIS, default_meridians("14FF28"), 33) is None
+    others = quotient(ANALYSIS.presentation, [parse_word(w) for w in ("Eg", "a", "k", "j")])
+    subgroup = [parse_word("c")]
+    assert len(_enumerate(others, 34, subgroup).rows) == 2
+    assert not _enumerate(others, 33, subgroup).complete
+
+
+def _refusal(message):
+    return pytest.raises(ValueError, match="^" + re.escape(message) + "$")
 
 
 @pytest.mark.parametrize(
-    "mutation",
-    [{"e": (0, 0)}, {"c": (2, 0)}, {"a": (1, 0)}],
+    "mutation, message",
+    [
+        ({"e": (0, 0)}, "meridian Eg to (0, 1), not (0, 0)"),
+        ({"c": (2, 0)}, "meridian c to (2, 0), not (1, 0)"),
+        ({"a": (1, 0)}, "meridian a to (1, 0), not (0, 0)"),
+    ],
     ids=["e-to-1", "c-to-r2", "a-to-r"],
 )
-def test_a_wrong_map_falls_back_to_enumeration(mutation, monkeypatch, enumerations):
-    expected = {n: cyclic_cover("14FF28", n) for n in (3, 8)}
-    assert enumerations == []
+def test_a_wrong_map_is_refused_by_name(mutation, message, monkeypatch, enumerations):
+    # a map that fails the certificate gives no record, and no enumeration
+    # of G_n stands in for it
     monkeypatch.setitem(DIHEDRAL_MAPS, "14FF28", {**DIHEDRAL_MAPS["14FF28"], **mutation})
-    assert _dihedral_certificate(ANALYSIS, default_meridians("14FF28"), 10**6) is None
-    for n, record in expected.items():
-        assert cyclic_cover("14FF28", n) == record
-    assert enumerations == [10**6, 10**6]
+    message = f"the map onto D_inf sends {message}"
+    with _refusal(message):
+        _dihedral_certificate(ANALYSIS, default_meridians("14FF28"))
+    for n in (3, 8):
+        for limit in (10, 10**6):
+            with _refusal(message):
+                cyclic_cover("14FF28", n, limit)
+            with _refusal(message):
+                classify_filled_cover("14FF28", n, limit)
+    assert enumerations == []
 
 
-def test_a_code_without_a_map_falls_back_to_enumeration(monkeypatch, enumerations):
-    expected = cyclic_cover("14FF28", 5)
+def test_a_code_without_a_map_is_refused(monkeypatch, enumerations):
     monkeypatch.delitem(DIHEDRAL_MAPS, "14FF28")
-    assert cyclic_cover("14FF28", 5) == expected
-    assert enumerations == [10**6]
+    message = "no map onto D_inf is on record for code 14FF28"
+    with _refusal(message):
+        cyclic_cover("14FF28", 5)
+    with _refusal(message):
+        classify_filled_cover("14FF28", 5, limit=5)
+    assert enumerations == []
+    # the command line reports it in the error envelope
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(["cover", "14FF28", "--cyclic", "5"]) == 1
+    out = json.loads(buffer.getvalue())
+    assert out["records"] == [] and out["errors"] == [{"message": message}]
+
+
+def test_each_certificate_condition_is_named(monkeypatch):
+    meridians = default_meridians("14FF28")
+    cases = [
+        ({"c": (1, 0), "d": (1, 0)}, "the map onto D_inf sends no letter to a reflection"),
+        ({**IMAGES, "b": (1, 0)}, "the map onto D_inf does not kill relator Ebea"),
+        ({**IMAGES, "l": (0, 1)}, "the map onto D_inf does not kill relator KClc"),
+    ]
+    for entries, message in cases:
+        monkeypatch.setitem(DIHEDRAL_MAPS, "14FF28", entries)
+        with _refusal(message):
+            _dihedral_certificate(ANALYSIS, meridians)
+    monkeypatch.setitem(DIHEDRAL_MAPS, "14FF28", IMAGES)
+    # without one of the other meridians, <c> has more than two cosets:
+    # bounded here so that the enumeration stops early
+    monkeypatch.setattr(filling_module, "DEFAULT_COSET_LIMIT", 40)
+    message = (
+        "meridian c does not generate a subgroup of index 2 once the other "
+        "meridians are killed, by an enumeration within 40 cosets"
+    )
+    for dropped in (0, 2, 3, 4):
+        with _refusal(message):
+            _dihedral_certificate(ANALYSIS, [m for m in meridians if m.cusp_index != dropped])
 
 
 @pytest.mark.parametrize("n", [*range(1, 61), 101])
 def test_max_cosets_boundary_is_twice_n(n, enumerations):
-    # the enumeration completes exactly when its 2n cosets fit; below the
-    # certificate's 34 cosets the enumeration itself decides
+    # the record is complete exactly when its 2n cosets fit, and the
+    # certificate's enumeration runs within the default limit, whatever
+    # the caller's
     assert cyclic_cover("14FF28", n, limit=2 * n).degree == 2 * n
     assert not cyclic_cover("14FF28", n, limit=2 * n - 1).complete
-    assert len(enumerations) == (0 if 2 * n - 1 >= 34 else 1 if 2 * n >= 34 else 2)
+    assert enumerations == [CERTIFICATE_ENUMERATION] * 2
 
 
 def test_limits_below_the_certificate_give_the_enumeration(enumerations):
+    # below the 34 cosets the certificate defines, the limit still bounds
+    # only the degree 2n and the meridian exponent, so the record is the
+    # one of G_n's enumeration within the limit, which the certificate
+    # stands in for
     rec = cyclic_cover("14FF28", 1, limit=5)
     assert (rec.complete, rec.degree, rec.cusp_types) == (True, 2, "AAAAA")
     assert not cyclic_cover("14FF28", 3, limit=5).complete
-    assert enumerations == [5, 5]
+    assert enumerations == [CERTIFICATE_ENUMERATION] * 2
     message = r"^meridian c \^ 7: the exponent exceeds the coset limit 5$"
     with pytest.raises(ValueError, match=message):
         cyclic_cover("14FF28", 7, limit=5)
@@ -349,9 +419,12 @@ def test_limits_below_the_certificate_give_the_enumeration(enumerations):
     assert len(enumerations) == 2
     out = classify_filled_cover("14FF28", 3, limit=5)
     assert out["reason"] == "coset enumeration did not complete within 5 cosets"
+    for n, record in ((1, rec), (3, out["cover"])):
+        table = reference_covers.enumerated_table(ANALYSIS, n, 5)
+        assert reference_covers.table_record(ANALYSIS, n, table) == record
 
 
-def test_the_power_relator_is_built_only_on_the_fallback(monkeypatch):
+def test_the_power_relator_is_never_built(monkeypatch):
     power = Meridian.relator.fget
     built = []
 
@@ -363,8 +436,57 @@ def test_the_power_relator_is_built_only_on_the_fallback(monkeypatch):
     cyclic_cover("14FF28", 51)
     assert built == []
     monkeypatch.delitem(DIHEDRAL_MAPS, "14FF28")
-    cyclic_cover("14FF28", 51)
-    assert built == [1, 51, 1, 1, 1]
+    with pytest.raises(ValueError, match="^no map onto D_inf is on record"):
+        cyclic_cover("14FF28", 51)
+    assert built == []
+
+
+def test_cover_grid_matches_the_enumerated_table(monkeypatch):
+    # n = 1-19 and limits 1-40: where G_n's enumeration completes within
+    # the limit, the record is its table's; otherwise it is incomplete,
+    # and a power beyond the limit is refused alike.  No call enumerates
+    # G_n or builds a meridian relator.
+    cases = []
+    for n in range(1, 20):
+        for limit in range(1, 41):
+            try:
+                table = reference_covers.enumerated_table(ANALYSIS, n, limit)
+            except ValueError as exc:
+                expected = ("ValueError", str(exc))
+            else:
+                expected = reference_covers.table_record(ANALYSIS, n, table)
+            cases.append((n, limit, expected))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("G_n was enumerated or a meridian relator built")
+
+    monkeypatch.setattr(filling_module, "CodeAnalysis", lambda code: ANALYSIS)
+    monkeypatch.setattr(grouppres_module, "todd_coxeter", refuse)
+    monkeypatch.setattr(Meridian, "relator", property(refuse))
+    enumerate_ = grouppres_module._enumerate
+
+    def certificate_only(pres, limit, subgroup=()):
+        assert (limit, [str(w) for w in subgroup]) == (DEFAULT_COSET_LIMIT, ["c"])
+        return enumerate_(pres, limit, subgroup)
+
+    monkeypatch.setattr(filling_module, "_enumerate", certificate_only)
+    outcomes = Counter()
+    for n, limit, expected in cases:
+        if isinstance(expected, tuple):
+            with _refusal(expected[1]):
+                cyclic_cover("14FF28", n, limit)
+            with _refusal(expected[1]):
+                classify_filled_cover("14FF28", n, limit)
+            outcomes["refused"] += 1
+            continue
+        assert cyclic_cover("14FF28", n, limit) == expected, (n, limit)
+        out = classify_filled_cover("14FF28", n, limit)
+        assert out["cover"] == expected, (n, limit)
+        if not expected.complete:
+            reason = f"coset enumeration did not complete within {limit} cosets"
+            assert out == {"cover": expected, "status": "unverified", "reason": reason}
+        outcomes[expected.complete] += 1
+    assert outcomes == {"refused": 171, True: 399, False: 190}
 
 
 def test_classify_homeo_sphere():
@@ -457,19 +579,32 @@ def test_peripheral_certificate_matches_enumeration(n):
 
 def test_peripheral_failure_names_the_generator(monkeypatch):
     # aG fixes cusp 1's vertex, but its stabilizer generator d conjugates
-    # it to neither itself nor its inverse
+    # it to neither itself nor its inverse; phi sends aG to a reflection,
+    # so the cover is refused before the peripheral check
     meridians = ((0, "Eg"), (1, "aG"), (2, "a"), (3, "k"), (4, "j"))
+    monkeypatch.setitem(DEFAULT_MERIDIANS, "14FF28", meridians)
+    assert _peripheral_failure(ANALYSIS, default_meridians("14FF28")) == (
+        "generator d of cusp 1 conjugates meridian aG to neither itself nor its inverse"
+    )
+    with _refusal("the map onto D_inf sends meridian aG to (0, 1), not (1, 0)"):
+        classify_filled_cover("14FF28", 1)
+    # the enumeration does not reach index 1 on this filling either
+    old = reference_certificate.classify_by_enumeration("14FF28", 1, limit=10**4)
+    assert old["status"] == "unverified"
+    # daB passes the certificate, and its generator aG breaks the condition
+    meridians = ((0, "Eg"), (1, "daB"), (2, "a"), (3, "k"), (4, "j"))
     monkeypatch.setitem(DEFAULT_MERIDIANS, "14FF28", meridians)
     out = classify_filled_cover("14FF28", 1)
     assert out["cover"].complete
     assert out["status"] == "unverified"
     assert out["reason"] == (
-        "generator d of cusp 1 conjugates meridian aG to neither itself nor its inverse"
+        "generator aG of cusp 1 conjugates meridian daB to neither itself nor its inverse"
     )
     assert "simply_connected" not in out and "verdict" not in out
-    # the enumeration does not reach index 1 on this filling either
+    # the condition is sufficient, not necessary: enumeration certifies
+    # this filling simply connected
     old = reference_certificate.classify_by_enumeration("14FF28", 1, limit=10**4)
-    assert old["status"] == "unverified"
+    assert old["status"] == "certified"
 
 
 def _rebased_matrices():
@@ -605,7 +740,7 @@ def _orientation_cases():
     for table in OTHER_CHARACTER_TABLES:
         yield "14FF28 other character", ANALYSIS, table
     for n in (*range(1, 16), 51):
-        yield f"14FF28 cyclic {n}", *_cyclic_table("14FF28", n, 10**6)
+        yield f"14FF28 cyclic {n}", *written_table("14FF28", n)
     for analysis in _pool_analyses():
         code = analysis.code
         # an orientable code has no orientation double cover
@@ -634,7 +769,7 @@ IMAGES = {x: DIHEDRAL_MAPS["14FF28"].get(x, (0, 0)) for x in "abcdefghijkl"}
 
 @pytest.mark.parametrize("n", [*range(1, 201), 1001, 3001])
 def test_record_off_the_map_is_the_table_record(n, enumerations):
-    analysis, table = _cyclic_table("14FF28", n, 10**6)
+    analysis, table = written_table("14FF28", n)
     expected = cover_record_from_table(analysis, table, "spin" if n % 2 else "unknown")
     record = cyclic_cover("14FF28", n)
     for field in fields(CoverRecord):
@@ -648,7 +783,7 @@ def test_record_off_the_map_is_the_table_record(n, enumerations):
     else:
         assert out["status"] == "conditional"
         assert out["verdicts"] == conditional_verdicts(expected.chi, expected.sigma)
-    assert enumerations == []
+    assert enumerations == [CERTIFICATE_ENUMERATION] * 3
 
 
 class _Tracked:
@@ -818,14 +953,14 @@ def _count_affine_products(monkeypatch) -> Counter:
 
 
 def test_record_off_the_map_takes_the_same_products_at_any_n(monkeypatch):
-    analysis, _, images = _cyclic_family("14FF28", 1, 10**6)
+    analysis = ANALYSIS
+    images = _dihedral_certificate(analysis, default_meridians("14FF28"))
     assert images == IMAGES
 
     def refuse(*args, **kwargs):
         raise AssertionError("a coset table was built")
 
-    for module in (filling_module, grouppres_module):
-        monkeypatch.setattr(module, "dihedral_table", refuse)
+    monkeypatch.setattr(grouppres_module, "dihedral_table", refuse)
     monkeypatch.setattr(CosetTable, "permutation", refuse)
     # the whole op writes no table; the certificate's 2-coset table is n-free
     record = cyclic_cover("14FF28", 100001)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyper4 import filling
+from hyper4 import filling, flatgroups
 from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import cusp_flat_group, horospherical_action, vertex_classes
 from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, reference_flat_groups
@@ -300,7 +300,7 @@ def test_cyclic_cover_kernel_groups_agree(monkeypatch):
     # the cusp groups K_n that the record of the n-th cyclic cover of
     # 14FF28 classifies, read off its certified map onto D_n
     analysis = CodeAnalysis("14FF28")
-    images = filling._dihedral_certificate(analysis, filling.default_meridians("14FF28"), 10**6)
+    images = filling._dihedral_certificate(analysis, filling.default_meridians("14FF28"))
     kernels = []
 
     def recording(generators):
@@ -336,6 +336,28 @@ def test_pool_cusp_groups_make_no_fraction(monkeypatch):
     groups = [cusp_flat_group(vclass) for vclass in classes]
     assert made == []
     assert len(groups) == len(classes) > 10
+
+
+def test_first_homology_takes_a_row_per_closing_edge(monkeypatch):
+    # three conjugation rows per kept generator and one row per closing
+    # edge of the holonomy walk, over the lattice basis and the kept
+    # generators: Z2xZ2 on two kept generators closes 2 * 4 - 3 edges
+    references = reference_flat_groups()
+    shapes = {}
+    original = flatgroups.cokernel_invariants
+
+    def recording(rows, n):
+        shapes[tag] = (len(rows), n)
+        return original(rows, n)
+
+    monkeypatch.setattr(flatgroups, "cokernel_invariants", recording)
+    for tag, group in references.items():
+        assert _assert_agree(group.generators)[0] == "group", tag
+    assert shapes == {
+        "A": (0, 3),
+        **{tag: (4, 4) for tag in "BCDEGH"},
+        **{tag: (11, 5) for tag in "FIJ"},
+    }
 
 
 def test_translation_lattice_takes_the_holonomy_images():

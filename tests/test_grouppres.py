@@ -6,15 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_certificate
+from reference_covers import power_meridians, written_table
 from hyper4 import grouppres
 from hyper4.analysis import CodeAnalysis
-from hyper4.filling import (
-    DISTINGUISHED_CUSP,
-    Meridian,
-    _cyclic_table,
-    default_meridians,
-    fill,
-)
+from hyper4.filling import fill
 from hyper4.grouppres import (
     GroupPresentation,
     _cyclic_canonical,
@@ -159,10 +154,7 @@ def test_lifted_table_matches_direct_enumeration(text):
 def test_lifted_table_matches_direct_enumeration_on_the_cyclic_fills():
     analysis = CodeAnalysis("14FF28")
     for n in range(1, 16):
-        meridians = [
-            Meridian(m.cusp_index, m.word, n if m.cusp_index == DISTINGUISHED_CUSP["14FF28"] else 1)
-            for m in default_meridians("14FF28")
-        ]
+        meridians = power_meridians("14FF28", n)
         table = _assert_lifted_table_is_direct(fill(analysis, meridians), 10**6)
         assert table.index == 2 * n
 
@@ -433,7 +425,7 @@ def _word_tietze(pres):
 
 def _filled_cover(n):
     """The filled presentation of `cover 14FF28 --cyclic n --classify-filling`."""
-    analysis, table = _cyclic_table("14FF28", n, 10**6)
+    analysis, table = written_table("14FF28", n)
     return reference_certificate.filled_cover(analysis, table, "14FF28")[0]
 
 

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_certificate import orbit_partition
+from reference_covers import written_table
 
 from hyper4 import analysis as analysis_module
 from hyper4 import cusp as cusp_module
@@ -34,7 +35,6 @@ from hyper4.cusp import _kernel_basis, cusp_flat_group, horospherical_action, ve
 from hyper4.filling import (
     _cover_face_counts,
     _cusp_intersection_group,
-    _cyclic_table,
     cover_record_from_table,
 )
 from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, classify_flat_group
@@ -114,7 +114,7 @@ def _reference_action(matrix: LorentzMatrix, vertex: LorentzVector) -> AffineMap
 
 def _cover_tables():
     for n in CYCLIC_N:
-        yield f"14FF28 --cyclic {n}", *_cyclic_table("14FF28", n, 10**6)
+        yield f"14FF28 --cyclic {n}", *written_table("14FF28", n)
     for code in DOUBLE_COVER_CODES:
         analysis = CodeAnalysis(code)
         table = character_coset_table(analysis.presentation, analysis.signs)
@@ -338,7 +338,7 @@ def test_cover_cusp_groups_are_the_actions_of_the_lorentz_walk():
 
 def _lift_count_tables():
     for n in (*range(1, 16), 51):
-        yield f"14FF28 --cyclic {n}", *_cyclic_table("14FF28", n, 10**6)
+        yield f"14FF28 --cyclic {n}", *written_table("14FF28", n)
     for code in _pool_manifold_codes():
         analysis = CodeAnalysis(code)
         # an orientable code has no orientation double cover
@@ -385,7 +385,7 @@ def _count_affine_inverses(monkeypatch) -> Counter:
 def test_cover_cusp_walk_inverts_each_generator_once(monkeypatch):
     # the transversal inverts a generator the first time a tree edge uses
     # it, not each of the tree edges: cusp 1 of the n = 51 cover has 101
-    analysis, table = _cyclic_table("14FF28", 51, 10**6)
+    analysis, table = written_table("14FF28", 51)
     calls = _count_affine_inverses(monkeypatch)
     counts = []
     for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
@@ -420,7 +420,7 @@ def test_flat_group_makes_no_affine_product_or_inverse(monkeypatch):
 
 
 def test_cover_record_does_no_lorentz_arithmetic(monkeypatch):
-    analysis, table = _cyclic_table("14FF28", 5, 10**6)
+    analysis, table = written_table("14FF28", 5)
     calls = _count_lorentz_arithmetic(monkeypatch)
     record = cover_record_from_table(analysis, table, "spin")
     assert record.cusp_types == "A" * 21

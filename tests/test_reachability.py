@@ -32,12 +32,17 @@ LIBRARY_ONLY = {
     "words.Word.__len__": "word length for library users; the Tietze pass counts integer letters, and the Word-based Tietze oracles of the group tests read it",
     "words.Word.is_identity": "the identity test for library users; the Tietze pass tests integer words, and the Word-based Tietze oracles of the group tests read it",
     "words.Word.cyclic_reduce": "cyclic reduction for library users; the Tietze pass reduces integer words, and the Word-based Tietze oracles of the group tests read it",
-    "filling._cyclic_table": "G_n's table, written through the certified map onto D_n or enumerated: the oracle of the record that cover reads off the map, and the tables the cover-layer tests walk",
-    "grouppres.dihedral_table": "D_n's regular table, written in O(n): _cyclic_table's certified branch and character_coset_table, the tables of the cover records' oracles",
+    "filling.cover_record_from_table": "the record of a regular coset table: the oracle of the record that cover reads off the certified map onto D_n, on D_n's written or enumerated table, and of the orientation double cover; the benchmark tracer binds it by name",
+    "filling._cusp_intersection_group": "a cusp class's orbit and lifted flat group over a coset table: cover_record_from_table's part of the oracle of the record read off the map",
+    "filling._cusp_intersection_group.steps": "the Schreier walk's edges in _cusp_intersection_group",
+    "filling._orientable": "a cover's orientability by signing the cosets of a table: cover_record_from_table's part of the oracle of the record read off the map",
+    "grouppres.dihedral_table": "D_n's regular table, written in O(n): the tables of the cyclic cover's record oracle, and character_coset_table's",
+    "grouppres.CosetTable.permutation": "a word's permutation of a complete table's cosets: cover_record_from_table, the oracle of the record read off the map, takes it for each cusp generator",
     "grouppres.dihedral_table.column": "one column of dihedral_table",
     "grouppres.character_coset_table": "the two-coset table of a Z/2 character, exported by the package: the oracle of the orientation double cover, which verify reads off the determinant as a map onto D_1",
     "grouppres.CosetTable.follow": "a word's trace from a coset, for library users: character_coset_table checks each relator with it, and the group tests read it",
     "grouppres.CosetTable.step": "one table entry by letter: follow and schreier_rewrite take it, and the orientation oracle of the cover tests reads it",
+    "grouppres.CosetTable.column": "the column index of a letter: step and the orientation walk of cover_record_from_table, the oracle of the record read off the map, take it",
     "intmat.solve_integer": "one integer solution of a linear system by Smith form with both transforms: the torsion oracle of the flat-group reference in the group tests, which FlatGroup's Hermite membership test is checked against",
     "lorentz.LorentzVector.__str__": "the coordinate form of a vector for library users; the walks read vertex maps, so no message prints one",
 }
@@ -95,7 +100,7 @@ def _sweep_calls(tmp_path: Path) -> list[list[str]]:
         ["cover", "14FF28", "--cyclic", "5"],
         ["cover", "14FF28", "--cyclic", "3", "--classify-filling"],
         ["cover", "14FF28", "--cyclic", "2", "--classify-filling"],
-        # below the certificate's 34 cosets: the enumerated table's record
+        # below the certificate's 34 cosets: the limit bounds the degree 2n
         ["cover", "14FF28", "--cyclic", "3", "--max-cosets", "10"],
         ["classify", "--chi", "6", "--sigma", "0", "--spin"],
         ["classify", "--record", str(record)],
