@@ -11,7 +11,8 @@ Besides its faces, the complex keeps integer tables for the edge and
 vertex walks: each vertex's index and its side indices, each edge's end
 and side indices, and the edge at a pair of end indices.  A walk then
 moves a face by a side's vertex permutation and looks its image up by
-integers, with no `LorentzVector` hashed.
+integers, with no `LorentzVector` hashed.  Each ideal vertex's link is a
+cube, and its chart, checked here, names each side's face (axis, sign).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
+from operator import add
 
-from .lorentz import LorentzMatrix, LorentzVector, reflection_matrix
+from .lorentz import LorentzMatrix, LorentzVector, lorentz_product, reflection_matrix
 
 __all__ = [
     "Side",
@@ -115,6 +117,23 @@ def _all_lights() -> tuple[LorentzVector, ...]:
     return tuple(sorted(lights, key=lambda v: v.coords))
 
 
+def _cube_chart(u: tuple[int, ...], sides) -> dict[int, tuple[int, int]]:
+    """The face (axis, sign) at the vertex u of each of its sides, given
+    as (index, center) pairs.  At (+-e_i, 1) axis a is the a-th
+    coordinate j != i, and a side's sign is its center's entry j.  At
+    (+-1, +-1, +-1, +-1, 2) axis a is the pairing {1, a + 2} | rest, and
+    the side through coordinate 1 has sign +1."""
+    axes = [j for j in range(4) if not u[j]]
+    faces = {}
+    for s, c in sides:
+        p, q = (j for j in range(4) if c[j])
+        j = q if u[p] else p
+        # at the 16, a support {0, q} is on axis q - 1; one without 0 is on
+        # the axis of the coordinate it leaves out, 6 - p - q
+        faces[s] = (axes.index(j), c[j]) if axes else (q - 1, 1) if p == 0 else (5 - p - q, -1)
+    return faces
+
+
 class Cell24Complex:
     """Face lattice of the ideal 24-cell, with lookup tables.
 
@@ -205,6 +224,23 @@ class Cell24Complex:
             tuple(side_index[label] for label in self.sides_of_vertex(v))
             for v in self.vertices
         )
+        # each vertex's cube chart x_a = 1/2 + <x, n_a> / (lam <-x, u>) on
+        # the light cone, n_a the normal of face (a, +1), puts face (a, s)
+        # at x_a = s/2: opposite normals sum to lam u, lam = 1 or 2, and
+        # adjacent ones are orthogonal
+        self.vertex_faces: tuple[dict[int, tuple[int, int]], ...] = tuple(
+            _cube_chart(v.coords, [(s, self.sides[s].center) for s in sides])
+            for v, sides in zip(self.vertices, self.vertex_sides)
+        )
+        for v, faces in zip(self.vertices, self.vertex_faces):
+            normal = {face: self.sides[s].normal.coords for s, face in faces.items()}
+            if sorted(normal) != [(a, s) for a in range(3) for s in (-1, 1)]:
+                raise AssertionError(f"the sides of vertex {v} are not the faces of a cube")
+            sums = (v.coords, tuple(2 * c for c in v.coords))
+            for (a, x), (b, y) in combinations(normal.items(), 2):
+                holds = tuple(map(add, x, y)) in sums if a[0] == b[0] else not lorentz_product(x, y)
+                if not holds:
+                    raise AssertionError(f"faces {a} and {b} at {v} are not opposite or orthogonal")
         self.edge_ends: tuple[tuple[int, int], ...] = tuple(
             (self.vertex_index[e.vertices[0].coords], self.vertex_index[e.vertices[1].coords])
             for e in self.edges

@@ -3,29 +3,26 @@
 A cusp of the quotient manifold corresponds to an orbit of the 24 ideal
 vertices under the side pairings; the walk runs on vertex indices, leaves
 a vertex through its 6 sides by the cell's integer table, and moves it by
-each side's vertex permutation; it multiplies matrices once for each
-pair of an edge of the orbit graph and its reverse, and builds a word
-only for a tree edge and for a stabilizer element it keeps; the kept
-elements whose inverse comes later generate the stabilizer.  The
-stabilizer of a class representative acts on a horosphere as a group of
-exact rational affine isometries of Euclidean 3-space; classifying that
-action among the ten closed flat 3-manifolds gives the cusp type, and
-the eta table turns orientable cusp types into the signature.
+each side's vertex permutation.  In the cube charts of the vertex links,
+a side pairing acts by x -> D x + t, D diagonal +-1 and t integral, and
+the walk composes these maps with no Lorentz product; it builds a word
+only for a tree edge and for a stabilizer element it keeps.  The kept
+maps are the stabilizer's action on a horosphere; classifying it among
+the ten closed flat 3-manifolds gives the cusp type, and the eta table
+turns orientable cusp types into the signature.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .cell24 import the_24_cell
-from .flatgroups import AffineMap, FlatGroup, StructuralError, _adjugate3, _det3, _mat_mul
+from .flatgroups import _ID3, AffineMap, FlatGroup, StructuralError, _mat_mul
 from .grouppres import orbit_edges
-from .intmat import smith_normal_form
-from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, _unchecked_inverse, lorentz_product
+from .lorentz import LorentzMatrix, LorentzVector
 from .pairing import SidePairingSet
 from .words import Word
 
@@ -44,24 +41,61 @@ __all__ = [
 class VertexClass:
     """One orbit of ideal vertices with its parabolic stabilizer.
 
-    Stabilizer generators come from non-tree loops of the orbit graph
-    over a breadth-first spanning tree; each matrix fixes the class
-    representative's light vector exactly.  `stabilizer` lists every
-    distinct element the walk meets, closed under inverses, and
-    `generators` the half of them whose inverse comes later: the half
-    generates the same group, and the cusp group's consumers read only it.
+    Stabilizer elements come from non-tree loops of the orbit graph over
+    a breadth-first spanning tree, each with its action in the
+    representative's cube chart.  `stabilizer` lists every distinct
+    element the walk meets, closed under inverses, and `generators` the
+    half of them whose inverse comes later: the half generates the same
+    group, and the cusp group's consumers read only it.
     """
 
     index: int
     members: tuple[LorentzVector, ...]
     representative: LorentzVector
-    stabilizer: tuple[tuple[Word, LorentzMatrix], ...]
-    generators: tuple[tuple[Word, LorentzMatrix], ...]
+    stabilizer: tuple[tuple[Word, AffineMap], ...]
+    generators: tuple[tuple[Word, AffineMap], ...]
     transversals: tuple[Word, ...]
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+
+# a cube map x -> D x + t as (D11, D22, D33, t1, t2, t3)
+_IDENTITY = (1, 1, 1, 0, 0, 0)
+
+
+def _compose(f: tuple, g: tuple) -> tuple:
+    """The cube map f after g."""
+    d0, d1, d2, s0, s1, s2 = f
+    e0, e1, e2, t0, t1, t2 = g
+    return (d0 * e0, d1 * e1, d2 * e2, d0 * t0 + s0, d1 * t1 + s1, d2 * t2 + s2)
+
+
+def _invert(f: tuple) -> tuple:
+    d0, d1, d2, t0, t1, t2 = f
+    return (d0, d1, d2, -d0 * t0, -d1 * t1, -d2 * t2)
+
+
+def _cube_steps(pairing_set: SidePairingSet) -> list[dict[int, tuple]]:
+    """moves[s][v], the cube map of leaving vertex index v through side s.
+    Leaving v through the source side of a letter R diag(k, 1) is the
+    sign map diag(k_j) over the j with v_j = 0 (none at the 16 vertices
+    (+-1, +-1, +-1, +-1, 2)), then x_a -> s - x_a, (a, s) the face of the
+    target side at the image w; leaving w through the target side is the
+    inverse, the reflection and then the sign map."""
+    cell = pairing_set.cell
+    moves: list = [{} for _ in cell.sides]
+    for p in pairing_set.pairings:
+        source, target = cell.side_index[p.source.label], cell.side_index[p.target.label]
+        for v, w in enumerate(pairing_set.vertex_permutations[source]):
+            if w >= 0:
+                d = [k for k, x in zip(p.kpart, cell.vertices[v].coords) if not x] or [1, 1, 1]
+                a, s = cell.vertex_faces[w][target]
+                d[a] = -d[a]
+                moves[source][v] = (*d, *(s * (b == a) for b in range(3)))
+                moves[target][w] = (*d, *(-d[a] * s * (b == a) for b in range(3)))
+    return moves
 
 
 def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
@@ -70,27 +104,26 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     Classes are ordered (and representatives chosen) by lexicographically
     least light vector.  The walk runs on vertex indices, which follow
     that order, and moves a vertex by the permutation of each side it
-    lies on, in label order.  It keeps the transversal matrix T[p] and
-    its inverse; a tree edge sets T[image] = g T[p] and the word
-    T[image] = letter T[p], and another edge carries the Schreier element
-    T[image]^-1 g T[p], at two products, and its inverse, which the
-    reverse edge (image, letter^-1, p) carries; the reverse of a tree
-    edge carries the identity, so the walk multiplies each pair of edges
-    once.  A stabilizer element kept for a new matrix gets the word
-    T[image]^-1 letter T[p], and is a generator when its inverse has not
-    been kept before it.  The kept elements are closed under inverses,
-    and the group is torsion free, so they pair off with their inverses
-    and the generators are the first of each pair.
+    lies on, in label order.  It keeps the transversal's cube map T[p]
+    from the representative's chart to p's; a tree edge sets
+    T[image] = g T[p] and the word T[image] = letter T[p], and another
+    edge carries the Schreier element T[image]^-1 g T[p], whose word
+    T[image]^-1 letter T[p] is built only when its map is new.  A kept
+    element is a generator when its inverse has not been kept before it.
+    The action on a cusp is faithful and the group torsion free, so the
+    kept maps pair off with their inverses and the generators are the
+    first of each pair.
     """
     cell = the_24_cell()
     perms = pairing_set.vertex_permutations
-    # (letter, exponent, matrix) of leaving through each side, in side order
-    letters = [pairing_set.transition(side.label)[:3] for side in cell.sides]
+    # the (letter, exponent) and the cube maps of leaving through each side
+    letters = [pairing_set.transition(side.label)[:2] for side in cell.sides]
+    moves = _cube_steps(pairing_set)
     vertex_sides = cell.vertex_sides
 
     def steps(current):
         for s in vertex_sides[current]:
-            yield letters[s], perms[s][current]
+            yield s, perms[s][current]
 
     seen: set[int] = set()
     classes = []
@@ -98,42 +131,26 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
         if rep in seen:
             continue
         words = {rep: Word(())}
-        trans = {rep: (IDENTITY, IDENTITY)}
-        # the element each reverse edge still ahead carries, keyed by
-        # (point, letter, exponent): the inverse of its first edge's, with
-        # None for the identity
-        ahead: dict[tuple, LorentzMatrix | None] = {}
-        stabilizer: list[tuple[Word, LorentzMatrix]] = []
-        generators: list[tuple[Word, LorentzMatrix]] = []
-        seen_matrices = {IDENTITY}
-        for p, (letter, exp, g), image, new in orbit_edges(rep, steps):
+        trans = {rep: (_IDENTITY, _IDENTITY)}
+        stabilizer: list[tuple[Word, AffineMap]] = []
+        generators: list[tuple[Word, AffineMap]] = []
+        seen_maps = {_IDENTITY}
+        for p, s, image, new in orbit_edges(rep, steps):
+            moved = _compose(moves[s][p], trans[p][0])
             if new:
-                # a product of letters checked at decoding is Lorentzian,
-                # so J M^T J needs no second check
-                matrix = g @ trans[p][0]
-                trans[image] = (matrix, _unchecked_inverse(matrix))
-                words[image] = Word(((letter, exp),)) * words[p]
-                ahead[image, letter, -exp] = None
+                trans[image] = (moved, _invert(moved))
+                words[image] = Word((letters[s],)) * words[p]
                 continue
-            if (p, letter, exp) in ahead:
-                matrix = ahead.pop((p, letter, exp))
-                if matrix is None:
-                    continue
-                # its inverse, the first edge's element, was met before
-                generator = False
-            else:
-                matrix = trans[image][1] @ (g @ trans[p][0])
-                inverse = _unchecked_inverse(matrix)
-                ahead[image, letter, -exp] = inverse
-                generator = inverse not in seen_matrices
-            # the vertex maps bring a loop back to rep; `horospherical_action`
-            # checks that each generator fixes it
-            if matrix not in seen_matrices:
-                seen_matrices.add(matrix)
-                element = (words[image].inverse() * Word(((letter, exp),)) * words[p], matrix)
-                stabilizer.append(element)
+            element = _compose(trans[image][1], moved)
+            if element not in seen_maps:
+                generator = _invert(element) not in seen_maps
+                seen_maps.add(element)
+                word = words[image].inverse() * Word((letters[s],)) * words[p]
+                d0, d1, d2, *shift = element
+                kept = (word, AffineMap(((d0, 0, 0), (0, d1, 0), (0, 0, d2)), tuple(shift)))
+                stabilizer.append(kept)
                 if generator:
-                    generators.append(element)
+                    generators.append(kept)
         members = sorted(words.items())
         seen.update(words)
         classes.append(
@@ -149,75 +166,44 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     return classes
 
 
-def _kernel_basis(spatial: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
-    """Basis of the integer vectors orthogonal (Euclidean) to the given
-    spatial vector, embedded in the x5 = 0 hyperplane."""
-    d, _, v = smith_normal_form([list(spatial)])
-    if d[0][0] == 0 or any(d[0][j] != 0 for j in (1, 2, 3)):
-        raise StructuralError(f"spatial vector {spatial} has no rank-3 integer complement")
-    return [tuple(v[i][j] for i in range(4)) + (0,) for j in (1, 2, 3)]
-
-
-@functools.lru_cache(maxsize=24)
-def _cusp_basis(vertex: LorentzVector) -> tuple:
-    """The integer frame ((z', w), W, adj(W), det W) at a vertex, built
-    on first use; the 24-cell has 24 ideal vertices, and no entry
-    depends on the code.
-
-    u is the vertex light vector and z' = (-u1, -u2, -u3, -u4, u5), with
-    <u, z'> = -2 u5^2; the w_j are an integer basis of the space-like
-    complement, Lorentz-orthogonal to u and z', with Gram matrix W.
-    """
-    u = vertex.coords
-    w = tuple(_kernel_basis(u[:4]))
-    g = tuple(tuple(lorentz_product(a, b) for b in w) for a in w)
-    z = tuple(-c for c in u[:4]) + (u[4],)
-    return tuple(map(LorentzVector, (z, *w))), g, _adjugate3(g), _det3(g)
-
-
 def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> AffineMap:
-    """The exact affine action of a vertex stabilizer element on the
-    horosphere at the vertex.
+    """The exact affine action of a vertex stabilizer element in the
+    vertex's cube chart.
 
-    In the basis (u, z, w1, w2, w3), with z = z' / u5^2, the matrix is
-    block triangular, and the w-block with the z-column give the affine
-    map.  span(u, z) and span(w) are Lorentz-orthogonal, so the
-    w-coordinates of a vector v are W^-1 (<v, w_l>); every entry is an
-    integer over den = det W * u5^2, and an integral entry stays an int.
+    The normals n_a of the chart's "+" faces are orthonormal and span
+    u^perp with u, so M n_b = sum_a L_ab n_a + g_b u, with
+    L_ab = <n_a, M n_b>.  On x_a = 1/2 + <x, n_a> / (lam <-x, u>), M acts
+    by x -> L x + (1 - L 1) / 2 + L g / lam; an integral entry is an int.
     """
     if matrix.apply(vertex) != vertex:
         raise ValueError("matrix does not fix the vertex")
-    frame, gram, adjugate, det = _cusp_basis(vertex)
-    images = [matrix.apply(b).coords for b in frame]
-    # J u = -z' and J w_l = w_l, so the Lorentz products of an image with
-    # u and the w_l are its Euclidean products with -z' and the w_l
-    products = [[sum(map(mul, image, b.coords)) for b in frame] for image in images]
-    scale = vertex.coords[4] ** 2
-    # <M z', u> = <z', u> = -2 u5^2 and <M w_j, u> = 0
-    if products[0][0] != 2 * scale or any(p[0] for p in products[1:]):
-        raise StructuralError("the stabilizer matrix is not block triangular in the cusp basis")
-    # the w-coordinates of M z' and of the M w_j: adj(W) (<., w_l>)_l / det W
-    solved = [[sum(map(mul, row, p[1:])) for p in products] for row in adjugate]
-    linear = [[scale * x for x in r[1:]] for r in solved]
-    den = det * scale
-    # L^T W L = den^2 W, with W L formed once
-    metric = _mat_mul(tuple(zip(*linear)), _mat_mul(gram, linear))
-    if metric != tuple(tuple(den * den * x for x in row) for row in gram):
+    cell = the_24_cell()
+    u = vertex.coords
+    plus = {a: s for s, (a, sign) in cell.vertex_faces[cell.vertex_index[u]].items() if sign == 1}
+    normals = [cell.sides[plus[a]].normal for a in range(3)]
+    images = [matrix.apply(n) for n in normals]
+    frame = [n.coords for n in normals]
+    linear = tuple(tuple(n.dot(image) for image in images) for n in normals)
+    lifts = []
+    for column, image in zip(zip(*linear), images):
+        rest = [x - sum(map(mul, column, c)) for x, c in zip(image.coords, zip(*frame))]
+        lifts.append(rest[4] // u[4])
+        if rest != [lifts[-1] * c for c in u]:
+            raise StructuralError("the stabilizer matrix is not block triangular in the cusp basis")
+    if _mat_mul(linear, tuple(zip(*linear))) != _ID3:
         raise StructuralError("affine part does not preserve the cusp metric")
-    return AffineMap.scaled(linear, [r[0] for r in solved], den)
+    lam = 2 // u[4]
+    shift = [Fraction(1 - sum(row), 2) + Fraction(sum(map(mul, row, lifts)), lam) for row in linear]
+    return AffineMap.of(linear, shift)
 
 
 def cusp_flat_group(vclass: VertexClass) -> FlatGroup:
     """The stabilizer as an exact flat crystallographic group, on the
-    actions of its generators: the half of the stabilizer elements that
+    cube maps of its generators: the half of the stabilizer elements that
     generates it."""
     if not vclass.generators:
         raise ValueError(f"vertex class {vclass.index} has an empty stabilizer")
-    maps = [
-        horospherical_action(matrix, vclass.representative)
-        for _, matrix in vclass.generators
-    ]
-    return FlatGroup(maps)
+    return FlatGroup(m for _, m in vclass.generators)
 
 
 ETA_TABLE: dict[str, Fraction] = {

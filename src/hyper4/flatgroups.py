@@ -142,8 +142,8 @@ def _inv3(a: Mat3) -> Mat3:
 
 
 class AffineMap(NamedTuple):
-    """v :-> linear v + shift, all entries exact rationals; `of` and
-    `scaled` store each integral entry as an int."""
+    """v :-> linear v + shift, all entries exact rationals; `of` stores
+    each integral entry as an int."""
 
     linear: Mat3
     shift: Vec3
@@ -151,14 +151,6 @@ class AffineMap(NamedTuple):
     @classmethod
     def of(cls, linear, shift) -> "AffineMap":
         return cls(_exact_rows(linear), _exact_vec(shift))
-
-    @classmethod
-    def scaled(cls, linear, shift, den: int) -> "AffineMap":
-        """The map (linear / den, shift / den), from integer entries."""
-        return cls(
-            tuple(tuple(_div(x, den) for x in row) for row in linear),  # type: ignore[arg-type]
-            tuple(_div(x, den) for x in shift),  # type: ignore[arg-type]
-        )
 
     @classmethod
     def translation(cls, shift) -> "AffineMap":

@@ -12,8 +12,9 @@ index 1 proves the filled cover simply connected for that one n.
 cover cusp; it is also the reference for a cover record's lift counts,
 which read coset 0's orbit alone.
 
-`peripheral_failure` checks the peripheral condition on every element of
-each cusp stabilizer, not on its generating half, and `schreier_orientable`
+`peripheral_failure` checks the peripheral condition on the matrix of
+every element of each cusp stabilizer, not on the cube maps of its
+generating half, and `schreier_orientable`
 reads a cover's orientability off the determinants of the Schreier
 elements of a transversal: they are the references for
 `hyper4.filling._peripheral_failure` and `hyper4.filling._orientable`.
@@ -51,7 +52,8 @@ def peripheral_failure(analysis, meridians):
             _rebased_meridian(analysis.pairing_set, vclass, m)
         )
         inverse = matrix.inverse()
-        for word, g in vclass.stabilizer:
+        for word, _ in vclass.stabilizer:
+            g = analysis.pairing_set.evaluate(word)
             conjugated = g @ matrix
             if conjugated != matrix @ g and conjugated != inverse @ g:
                 return (

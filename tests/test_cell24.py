@@ -1,5 +1,7 @@
 """Combinatorics of the ideal 24-cell."""
 
+from itertools import combinations, product
+
 from hyper4.cell24 import SIDE_LABELS, the_24_cell
 from hyper4.lorentz import lorentz_product
 
@@ -82,3 +84,35 @@ def test_index_tables_follow_the_vector_tables():
         assert tuple(CELL.sides[s].label for s in CELL.edge_sides[k]) == edge.sides
         assert CELL.edge_by_ends[i, j] == CELL.edge_by_ends[j, i] == k
     assert len(CELL.edge_by_ends) == 2 * len(CELL.edges)
+
+
+def test_cube_chart_of_every_vertex():
+    # at each of the 24 vertices: one side per axis and sign; opposite
+    # sides meet at product -1 and their normals sum to (2 / u5) u, and
+    # other sides are orthogonal
+    for i, v in enumerate(CELL.vertices):
+        u = v.coords
+        faces = CELL.vertex_faces[i]
+        assert set(faces) == set(CELL.vertex_sides[i])
+        assert sorted(faces.values()) == [(a, s) for a in range(3) for s in (-1, 1)]
+        normal = {face: CELL.sides[s].normal.coords for s, face in faces.items()}
+        for (a, s), (b, t) in combinations(normal, 2):
+            product = lorentz_product(normal[a, s], normal[b, t])
+            assert product == (-1 if a == b else 0), (u, a, b)
+        for a in range(3):
+            total = [x + y for x, y in zip(normal[a, 1], normal[a, -1])]
+            assert total == [2 // u[4] * c for c in u]
+
+
+def test_k_parts_act_on_the_charts_by_their_sign_maps():
+    # diag(k, 1) carries the side with center c through v to the side
+    # with center k c through k v; in the charts that is the sign map
+    # x_a -> d_a x_a, d the k_j with v_j = 0 at (+-e_i, 1), all +1 at the 16
+    for k in product((1, -1), repeat=4):
+        for i, v in enumerate(CELL.vertices):
+            image = CELL.vertex_index[tuple(x * y for x, y in zip(k + (1,), v.coords))]
+            signs = [x for x, c in zip(k, v.coords) if c == 0] or [1, 1, 1]
+            for s, (a, sign) in CELL.vertex_faces[i].items():
+                center = tuple(x * y for x, y in zip(k, CELL.sides[s].center))
+                moved = CELL.side_index[CELL.by_center[center].label]
+                assert CELL.vertex_faces[image][moved] == (a, signs[a] * sign), (k, v, s)

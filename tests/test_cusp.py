@@ -16,9 +16,10 @@ from hyper4.cusp import (
     signature,
     vertex_classes,
 )
-from hyper4.flatgroups import FlatGroup, classify_flat_group
+from hyper4.cell24 import the_24_cell
+from hyper4.flatgroups import AffineMap, FlatGroup, classify_flat_group
 from hyper4.lorentz import LorentzVector
-from hyper4.pairing import build_side_pairings
+from hyper4.pairing import CODE_ALPHABET, CodeError, build_side_pairings
 from hyper4.words import parse_word
 
 
@@ -57,9 +58,12 @@ def test_stabilizer_generator_counts():
 def test_stabilizers_fix_their_representative(code):
     pairings = build_side_pairings(code)
     for vc in vertex_classes(pairings):
-        for word, matrix in vc.stabilizer:
-            assert pairings.evaluate(word) == matrix
+        for word, action in vc.stabilizer:
+            matrix = pairings.evaluate(word)
             assert matrix.apply(vc.representative) == vc.representative
+            assert reference_walks.chart_map(matrix, vc.representative, vc.representative) == (
+                action
+            )
 
 
 @pytest.mark.parametrize("code", ORACLE_CODES)
@@ -88,6 +92,68 @@ def test_vertex_classes_match_the_word_and_matrix_walk():
         assert vertex_classes(pairings) == reference_walks.vertex_classes(pairings), code
 
 
+def test_walk_maps_are_the_actions_of_the_stabilizer_words():
+    # every kept stabilizer element of every pool manifold: the cube map
+    # the walk composed is the action of its word's matrix
+    elements = 0
+    for code in _pool_manifold_codes():
+        pairings = build_side_pairings(code)
+        for vc in vertex_classes(pairings):
+            for word, action in vc.stabilizer:
+                matrix = pairings.evaluate(word)
+                assert horospherical_action(matrix, vc.representative) == action, (code, str(word))
+                elements += 1
+    assert elements == 8300
+
+
+def test_step_maps_are_the_chart_maps_of_the_letters():
+    # every (position, character) entry that decodes, with F at the other
+    # five positions, covers every letter of every decodable code: leaving
+    # each vertex of a letter's source side, and of its target side, is
+    # the letter's map between the two vertices' cube charts
+    cell = the_24_cell()
+    entries = steps = 0
+    for position in range(1, 7):
+        for ch in CODE_ALPHABET:
+            code = "F" * (position - 1) + ch + "F" * (6 - position)
+            try:
+                pairings = build_side_pairings(code)
+            except CodeError:
+                continue
+            entries += 1
+            moves = cusp_module._cube_steps(pairings)
+            for p in pairings.pairings[2 * position - 2 : 2 * position]:
+                for side, g in ((p.source, p.matrix), (p.target, p.matrix.inverse())):
+                    s = cell.side_index[side.label]
+                    for v in cell.vertices_of_side(side.label):
+                        d0, d1, d2, *shift = moves[s][cell.vertex_index[v.coords]]
+                        step = AffineMap(((d0, 0, 0), (0, d1, 0), (0, 0, d2)), tuple(shift))
+                        assert reference_walks.chart_map(g, v, g.apply(v)) == step, (code, side)
+                        steps += 1
+    assert (entries, steps) == (72, 72 * 2 * 2 * 6)
+
+
+def test_both_charts_give_the_same_flat_invariants():
+    # the cube chart and the w-frame of `reference_walks` are conjugate
+    # charts of one horosphere, over every cusp of every pool manifold
+    def invariants(group):
+        return (group.holonomy_order, group.holonomy_type, group.orientable, group.h1)
+
+    cusps = 0
+    for code in _pool_manifold_codes():
+        pairings = build_side_pairings(code)
+        for vc in vertex_classes(pairings):
+            frame = FlatGroup(
+                reference_walks.w_frame_action(pairings.evaluate(w), vc.representative)
+                for w, _ in vc.generators
+            )
+            group = cusp_flat_group(vc)
+            assert invariants(group) == invariants(frame), code
+            assert classify_flat_group(group) == classify_flat_group(frame), code
+            cusps += 1
+    assert cusps == 928
+
+
 def test_generators_give_the_stabilizer_flat_group():
     # every stabilizer element that is not a generator is the inverse of
     # an earlier one, and the flat group on the generators is the one on
@@ -104,14 +170,14 @@ def test_generators_give_the_stabilizer_flat_group():
     counts = [0, 0]
     for code in _pool_manifold_codes():
         for vc in vertex_classes(build_side_pairings(code)):
-            matrices = [m for _, m in vc.stabilizer]
+            maps = [m for _, m in vc.stabilizer]
             assert set(vc.generators) <= set(vc.stabilizer), code
-            for i, (word, matrix) in enumerate(vc.stabilizer):
-                if (word, matrix) not in vc.generators:
-                    assert matrix.inverse() in matrices[:i], (code, vc.index, str(word))
+            for i, (word, action) in enumerate(vc.stabilizer):
+                if (word, action) not in vc.generators:
+                    assert action.inverse() in maps[:i], (code, vc.index, str(word))
 
-            def group(elements, vc=vc):
-                return FlatGroup(horospherical_action(m, vc.representative) for _, m in elements)
+            def group(elements):
+                return FlatGroup(m for _, m in elements)
 
             assert invariants(group(vc.generators)) == invariants(group(vc.stabilizer)), code
             counts[0] += len(vc.generators)
@@ -120,6 +186,8 @@ def test_generators_give_the_stabilizer_flat_group():
 
 
 def test_code_analysis_acts_on_the_generators_alone(monkeypatch):
+    # the flat groups take the walk's cube maps of the generators, and
+    # read no action off a matrix
     calls = []
     action = cusp_module.horospherical_action
 
@@ -130,8 +198,10 @@ def test_code_analysis_acts_on_the_generators_alone(monkeypatch):
     monkeypatch.setattr(cusp_module, "horospherical_action", counted)
     analysis = CodeAnalysis("14FF28")
     assert [len(vc.generators) for vc in analysis.classes] == [7, 4, 4, 4, 4]
-    assert calls == [m for vc in analysis.classes for _, m in vc.generators]
-    assert len(calls) == 23
+    assert [list(group.generators) for group, _ in analysis.cusps] == [
+        [m for _, m in vc.generators] for vc in analysis.classes
+    ]
+    assert calls == []
 
 
 # words known to generate each cusp cross-section group, with a vertex
@@ -158,16 +228,13 @@ def test_parabolic_words_fix_class_members():
 
 
 def test_horospherical_action_of_c():
-    # c translates the horosphere at (1,0,0,0,1): no rotation, one
-    # lattice step along the third coordinate axis
+    # c translates the horosphere at (1,0,0,0,1): no rotation, one cube
+    # step down the chart's second axis, the coordinate 3 of the cell
     vertex = LorentzVector((1, 0, 0, 0, 1))
     matrix = PAIRINGS.evaluate(parse_word("c"))
     act = horospherical_action(matrix, vertex)
-    identity = tuple(
-        tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)
-    )
-    assert act.linear == identity
-    assert act.shift == (Fraction(0), Fraction(-4), Fraction(0))
+    assert act == AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, -1, 0))
+    assert act == reference_walks.chart_map(matrix, vertex, vertex)
 
 
 def test_horospherical_action_requires_fixed_vertex():

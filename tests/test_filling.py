@@ -583,7 +583,9 @@ def test_peripheral_failure_names_the_generator(monkeypatch):
     # so the cover is refused before the peripheral check
     meridians = ((0, "Eg"), (1, "aG"), (2, "a"), (3, "k"), (4, "j"))
     monkeypatch.setitem(DEFAULT_MERIDIANS, "14FF28", meridians)
-    assert _peripheral_failure(ANALYSIS, default_meridians("14FF28")) == (
+    meridians = default_meridians("14FF28")
+    rebased = validate_meridians(PAIRINGS, CLASSES, meridians)
+    assert _peripheral_failure(ANALYSIS, meridians, rebased) == (
         "generator d of cusp 1 conjugates meridian aG to neither itself nor its inverse"
     )
     with _refusal("the map onto D_inf sends meridian aG to (0, 1), not (1, 0)"):
@@ -624,7 +626,8 @@ def test_peripheral_condition_needs_the_inverse():
     # check that accepted only p M p^-1 = M would certify no cover
     fixes = inverts = 0
     for vclass, matrix, inverse in REBASED:
-        for _, g in vclass.stabilizer:
+        for word, _ in vclass.stabilizer:
+            g = PAIRINGS.evaluate(word)
             conjugated = g @ matrix @ g.inverse()
             fixes += conjugated == matrix
             inverts += conjugated == inverse
@@ -654,8 +657,17 @@ PERIPHERAL_CODES = ("14FF28", "1428BD", "E1BB86")
 PERIPHERAL_ANALYSES = {code: CodeAnalysis(code) for code in PERIPHERAL_CODES}
 
 
+def _rebased_peripheral_failure(analysis, meridians):
+    """`_peripheral_failure` on the words that `validate_meridians` rebases."""
+    rebased = validate_meridians(analysis.pairing_set, analysis.classes, meridians)
+    return _peripheral_failure(analysis, meridians, rebased)
+
+
 def _peripheral_outcome(check, analysis, meridians):
+    # every meridian is validated before the peripheral check, as
+    # `_check_fill` does in `classify_filled_cover`
     try:
+        validate_meridians(analysis.pairing_set, analysis.classes, meridians)
         return check(analysis, meridians)
     except ValueError as exc:
         return ("ValueError", str(exc))
@@ -679,7 +691,7 @@ def test_peripheral_failure_on_the_generators_matches_the_full_stabilizer(data):
         for w, sign in factors:
             word = word * (w if sign == 1 else w.inverse())
         meridians.append(Meridian(vclass.index, word))
-    assert _peripheral_outcome(_peripheral_failure, analysis, meridians) == (
+    assert _peripheral_outcome(_rebased_peripheral_failure, analysis, meridians) == (
         _peripheral_outcome(reference_certificate.peripheral_failure, analysis, meridians)
     )
 
@@ -691,7 +703,7 @@ def test_peripheral_failure_on_each_stabilizer_element():
     for vclass in ANALYSIS.classes:
         for word, _ in vclass.stabilizer:
             meridians = [Meridian(vclass.index, word)]
-            failure = _peripheral_failure(ANALYSIS, meridians)
+            failure = _rebased_peripheral_failure(ANALYSIS, meridians)
             assert failure == reference_certificate.peripheral_failure(ANALYSIS, meridians)
             outcomes[failure is None] += 1
     assert sum(outcomes.values()) == 46 and outcomes[False] > 0 and outcomes[True] > 0
@@ -820,8 +832,8 @@ def test_rotation_half_carries_the_dihedral_value_of_each_word(name):
     for vclass in ANALYSIS.classes:
         rep = vclass.representative
         pairs = [
-            (_Tracked(horospherical_action(matrix, rep), word), dihedral_image(images, word))
-            for word, matrix in vclass.stabilizer
+            (_Tracked(action, word), dihedral_image(images, word))
+            for word, action in vclass.stabilizer
         ]
         identity = _Tracked(AffineMap.identity(), Word(()))
         rotations, reflected = _rotation_half(pairs, identity)
@@ -839,13 +851,9 @@ def test_generating_half_gives_the_rotation_subgroup_of_the_stabilizer():
     # phi is a homomorphism on pi, so the generating half of each cusp's
     # stabilizer and the whole of it give the same P+ and psi(P+) = mZ
     for vclass in ANALYSIS.classes:
-        rep = vclass.representative
         found = []
         for elements in (vclass.generators, vclass.stabilizer):
-            pairs = [
-                (horospherical_action(matrix, rep), dihedral_image(IMAGES, word))
-                for word, matrix in elements
-            ]
+            pairs = [(action, dihedral_image(IMAGES, word)) for word, action in elements]
             rotations, reflected = _rotation_half(pairs, AffineMap.identity())
             m = gcd(*(k for _, k in rotations))
             lattice = FlatGroup(_kernel_generators(rotations, m, 7)).lattice

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from hyper4 import filling, flatgroups
 from hyper4.analysis import CodeAnalysis
-from hyper4.cusp import cusp_flat_group, horospherical_action, vertex_classes
+from hyper4.cusp import cusp_flat_group, vertex_classes
 from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, reference_flat_groups
 from hyper4.grouppres import GroupPresentation, abelianization, orbit_edges
 from hyper4.intmat import hermite_row_basis, solve_integer
@@ -270,7 +270,7 @@ def _assert_agree(generators) -> tuple:
 
 def _cusp_generators(code: str):
     for vclass in vertex_classes(build_side_pairings(code)):
-        yield [horospherical_action(m, vclass.representative) for _, m in vclass.stabilizer]
+        yield [m for _, m in vclass.stabilizer]
 
 
 def _pool_manifolds(count: int) -> list[str]:

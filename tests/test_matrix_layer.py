@@ -3,11 +3,12 @@
 `SidePairingSet.evaluate` (one product per letter) is the reference for
 the transversal matrices of a cover's Schreier elements; the actions of
 those Lorentz Schreier elements are the reference for a cover's cusp
-groups, which walk the base cusp group's affine maps instead; five
-`Fraction` solves over the basis (u, z, w1, w2, w3), by a Gaussian
-elimination held in this file, are the reference for
+groups, which walk the base cusp group's affine maps instead; the map
+between cube charts that `reference_walks.chart_map` solves through the
+chart points of the cell's other ideal vertices is the reference for
 `horospherical_action`, which reads the action off Lorentz products with
-a per-vertex orthogonal frame and inverts no basis; a linear scan over the
+the vertex's three "+" face normals, and the w-frame action of
+`reference_walks` raises its guards' messages too; a linear scan over the
 pairings, applying each matrix to the side's vertices, is the reference
 for the transition table and its vertex maps; orbit counting over
 the cosets is the reference for a cover's face counts, which are d times
@@ -24,14 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_walks
 from reference_certificate import orbit_partition
 from reference_covers import written_table
 
 from hyper4 import analysis as analysis_module
-from hyper4 import cusp as cusp_module
 from hyper4 import lorentz as lorentz_module
 from hyper4.analysis import CodeAnalysis
-from hyper4.cusp import _kernel_basis, cusp_flat_group, horospherical_action, vertex_classes
+from hyper4.cusp import cusp_flat_group, horospherical_action, vertex_classes
 from hyper4.filling import (
     _cover_face_counts,
     _cusp_intersection_group,
@@ -39,7 +40,7 @@ from hyper4.filling import (
 )
 from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, classify_flat_group
 from hyper4.grouppres import character_coset_table, orbit_edges, schreier_transversal
-from hyper4.lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
+from hyper4.lorentz import IDENTITY, LorentzMatrix, LorentzVector
 from hyper4.pairing import GENERATOR_LETTERS, build_side_pairings
 from hyper4.words import Word
 
@@ -55,61 +56,12 @@ DOUBLE_COVER_CODES = ("14FF28",) + POOL_MANIFOLDS[:3]
 ACTION_CODES = ("14FF28", "1428BD") + POOL_MANIFOLDS
 
 
-def _solve_fraction(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals (unique solution expected)."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
 def _reference_action(matrix: LorentzMatrix, vertex: LorentzVector) -> AffineMap:
-    """The horospherical action by five Fraction solves, one per basis
-    vector, with the basis (u, z, w1, w2, w3) rebuilt on every call."""
-    u = vertex.coords
+    """The horospherical action as the map of the vertex's cube chart to
+    itself, solved through the chart points of the other ideal vertices."""
     if matrix.apply(vertex) != vertex:
         raise ValueError("matrix does not fix the vertex")
-    half = Fraction(1, 2 * u[4] * u[4])
-    z = tuple(Fraction(-c) * 2 * half for c in u[:4]) + (Fraction(u[4]) * 2 * half,)
-    w = _kernel_basis(u[:4])
-    columns = [tuple(Fraction(c) for c in u), z] + [
-        tuple(Fraction(c) for c in vec) for vec in w
-    ]
-    b_matrix = [[columns[j][i] for j in range(5)] for i in range(5)]
-    conj = []
-    for j in range(5):
-        image = [
-            sum(Fraction(matrix.rows[i][k]) * columns[j][k] for k in range(5))
-            for i in range(5)
-        ]
-        conj.append(_solve_fraction(b_matrix, image))
-    if (
-        conj[0] != [1, 0, 0, 0, 0]
-        or conj[1][1] != 1
-        or any(conj[j][1] != 0 for j in (2, 3, 4))
-    ):
-        raise StructuralError("the stabilizer matrix is not block triangular in the cusp basis")
-    linear = tuple(tuple(conj[j][i] for j in (2, 3, 4)) for i in (2, 3, 4))
-    shift = tuple(conj[1][i] for i in (2, 3, 4))
-    gram = [[lorentz_product(w[i], w[j]) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            lhs = sum(
-                linear[k][i] * gram[k][l] * linear[l][j]
-                for k in range(3)
-                for l in range(3)
-            )
-            if lhs != gram[i][j]:
-                raise StructuralError("affine part does not preserve the cusp metric")
-    return AffineMap(linear, shift)
+    return reference_walks.chart_map(matrix, vertex, vertex)
 
 
 def _cover_tables():
@@ -136,8 +88,10 @@ def _schreier_cases() -> tuple:
             def steps(c, perms=perms):
                 return ((i, perm[c]) for i, perm in enumerate(perms))
 
-            def matrix_steps(c, perms=perms, vclass=vclass):
-                return ((i, m, perms[i][c]) for i, (_, m) in enumerate(vclass.generators))
+            matrices = [analysis.pairing_set.evaluate(w) for w, _ in vclass.generators]
+
+            def matrix_steps(c, perms=perms, matrices=matrices):
+                return ((i, m, perms[i][c]) for i, m in enumerate(matrices))
 
             for c, i, d, new in orbit_edges(0, steps):
                 if new:
@@ -171,9 +125,10 @@ def _assert_same_action(matrix: LorentzMatrix, vertex: LorentzVector) -> None:
 
 def test_horospherical_action_matches_reference_on_stabilizers():
     for code in ACTION_CODES:
-        for vclass in vertex_classes(build_side_pairings(code)):
-            for _, matrix in vclass.stabilizer:
-                _assert_same_action(matrix, vclass.representative)
+        pairing_set = build_side_pairings(code)
+        for vclass in vertex_classes(pairing_set):
+            for word, _ in vclass.stabilizer:
+                _assert_same_action(pairing_set.evaluate(word), vclass.representative)
 
 
 def test_horospherical_action_matches_reference_on_schreier_elements():
@@ -216,7 +171,7 @@ _GUARD_CASES = (
 @pytest.mark.parametrize("matrix, message", _GUARD_CASES, ids=("triangular", "metric"))
 def test_horospherical_action_guards_match_reference(matrix, message):
     assert matrix.apply(_GUARD_VERTEX) == _GUARD_VERTEX
-    for action in (horospherical_action, _reference_action):
+    for action in (horospherical_action, reference_walks.w_frame_action):
         with pytest.raises(StructuralError) as excinfo:
             action(matrix, _GUARD_VERTEX)
         assert str(excinfo.value) == message, action.__name__
@@ -241,14 +196,13 @@ def _count_lorentz_arithmetic(monkeypatch) -> Counter:
         calls["_unchecked_inverse"] += 1
         return kernel(m)
 
-    for module in (lorentz_module, cusp_module):
-        monkeypatch.setattr(module, "_unchecked_inverse", counted_kernel)
+    monkeypatch.setattr(lorentz_module, "_unchecked_inverse", counted_kernel)
     return calls
 
 
 def test_values_are_checked_only_where_they_enter(monkeypatch):
-    # each vertex's cusp frame is checked when it is first built, once
-    # per process, like the 24-cell's vertices and normals
+    # each vertex's cube chart is checked when the 24-cell is built, once
+    # per process, with the cell's vertices and normals
     CodeAnalysis("14FF28")
     checks = Counter()
     for cls in (LorentzMatrix, LorentzVector):
@@ -274,12 +228,10 @@ def test_values_are_checked_only_where_they_enter(monkeypatch):
     # decoding checks each letter's reflection, the target normal it is
     # built from, and its k-part
     assert at_decoding == {"LorentzMatrix": 24, "LorentzVector": 12}
-    # the walks after it multiply, apply and invert, and check nothing:
-    # the vertex walk's transversal inverses are products of checked
-    # letters, so they take the unchecked kernel, not `inverse`
+    # the walks after it check nothing, and multiply or invert no
+    # matrix: the vertex walk composes cube maps
     (calls,) = arithmetic
-    assert calls["__matmul__"] > 0 and calls["_unchecked_inverse"] > 0
-    assert calls["inverse"] == 0
+    assert calls == {}
     assert checks == {}
 
 
@@ -293,26 +245,21 @@ def test_code_analysis_product_budget(monkeypatch):
 
     monkeypatch.setattr(Word, "__mul__", counted)
     CodeAnalysis("14FF28")
-    # decoding: a product and a checked inverse per letter.  The ridge and
-    # edge gates count faces and multiply nothing.  The vertex walk: the
-    # orbit graph has 144 directed edges, and each comes with its reverse.
-    # Each of the 19 tree edges takes a product and an unchecked inverse,
-    # and its reverse carries the identity at no cost.  The other 106
-    # edges form 53 pairs: the first of a pair takes two products, and
-    # its reverse the unchecked inverse of that.  Word products are made
-    # only for the tree edges and, two each, for the 46 stabilizer
-    # elements kept
+    # decoding: a product and a checked inverse per letter, whose J M^T J
+    # kernel counts under both.  The ridge and edge gates count faces and
+    # multiply nothing, and the vertex walk composes cube maps.  Word
+    # products are made only for the 19 tree edges and, two each, for
+    # the 46 stabilizer elements kept
     assert calls == {
-        "__matmul__": 12 + 19 + 2 * 53,
+        "__matmul__": 12,
         "inverse": 12,
-        "_unchecked_inverse": 12 + 19 + 53,
+        "_unchecked_inverse": 12,
         "Word.__mul__": 19 + 2 * 46,
     }
 
 
 def test_cusp_flat_groups_do_no_lorentz_arithmetic(monkeypatch):
     classes = vertex_classes(build_side_pairings("14FF28"))
-    cusp_module._cusp_basis.cache_clear()
     calls = _count_lorentz_arithmetic(monkeypatch)
     assert [classify_flat_group(cusp_flat_group(vclass)) for vclass in classes] == ["G"] * 5
     assert calls == {}
@@ -411,7 +358,7 @@ def test_flat_group_makes_no_affine_product_or_inverse(monkeypatch):
     groups = 0
     for code in _pool_manifold_codes():
         for vclass in vertex_classes(build_side_pairings(code)):
-            maps = [horospherical_action(m, vclass.representative) for _, m in vclass.generators]
+            maps = [m for _, m in vclass.generators]
             calls.clear()
             FlatGroup(maps)
             assert calls == {}, code
@@ -493,17 +440,3 @@ def _pool_manifold_codes() -> list[str]:
         for line in POOL.read_text().splitlines()
         if not line.startswith("#") and line.split()[1] == "M"
     ]
-
-
-def test_cusp_basis_table_is_per_vertex():
-    codes = _pool_manifold_codes()
-    assert len(codes) == 183
-    cusp_module._cusp_basis.cache_clear()
-    for code in codes:
-        for vclass in vertex_classes(build_side_pairings(code)):
-            for _, matrix in vclass.stabilizer:
-                horospherical_action(matrix, vclass.representative)
-    info = cusp_module._cusp_basis.cache_info()
-    # every basis was built once, and the table stays within the 24 vertices
-    assert 0 < info.currsize == info.misses <= 24
-    assert info.hits > len(codes)
