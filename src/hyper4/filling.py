@@ -157,18 +157,15 @@ def validate_meridians(
     pairing_set: SidePairingSet,
     classes: list[VertexClass],
     meridians: list[Meridian],
-) -> list[Word]:
+) -> None:
     """Every meridian word must lie in the stabilizer of its cusp: its
-    matrix has to fix some ideal vertex of the class.  Returns the words
-    rebased into the stabilizer of the class representative."""
-    rebased = []
+    matrix has to fix some ideal vertex of the class."""
     for m in meridians:
         if not 0 <= m.cusp_index < len(classes):
             raise ValueError(
                 f"meridian {m.word}: cusp index {m.cusp_index} out of range"
             )
-        rebased.append(_rebased_meridian(pairing_set, classes[m.cusp_index], m))
-    return rebased
+        _rebased_meridian(pairing_set, classes[m.cusp_index], m)
 
 
 def fill(
@@ -183,10 +180,9 @@ def fill(
     return quotient(analysis.presentation, [m.relator for m in meridians])
 
 
-def _check_fill(analysis: CodeAnalysis, meridians: list[Meridian], limit: int) -> list[Word]:
-    """`fill`'s checks, in order, without building the presentation; the
-    rebased meridian words of `validate_meridians`."""
-    rebased = validate_meridians(analysis.pairing_set, analysis.classes, meridians)
+def _check_fill(analysis: CodeAnalysis, meridians: list[Meridian], limit: int) -> None:
+    """`fill`'s checks, in order, without building the presentation."""
+    validate_meridians(analysis.pairing_set, analysis.classes, meridians)
     if limit <= 0:
         raise ValueError("coset limit must be positive")
     for m in meridians:
@@ -194,7 +190,6 @@ def _check_fill(analysis: CodeAnalysis, meridians: list[Meridian], limit: int) -
             raise ValueError(
                 f"meridian {m.word} ^ {m.exponent}: the exponent exceeds the coset limit {limit}"
             )
-    return rebased
 
 
 def _cusp_intersection_group(base: FlatGroup, perms) -> tuple[int, FlatGroup]:
@@ -514,15 +509,13 @@ def _cyclic_spin(code: str, n: int) -> str:
     return "spin" if DOUBLE_COVER_SPIN.get(code, False) and n % 2 == 1 else "unknown"
 
 
-def _cyclic_cover(
-    code: str, n: int, limit: int
-) -> tuple[CodeAnalysis, list[Meridian], list[Word], CoverRecord]:
-    """The analysis, the meridians, their rebased words and the record of
-    the n-th cover, whose deck group G_n is the fundamental group filled
-    along the default meridians with the distinguished one raised to the
-    n-th power.  `fill`'s checks run first, then `_dihedral_certificate`,
-    which shows G_n = D_n; the record is read off phi, and is incomplete
-    when the cover's 2n cosets exceed `limit`."""
+def _cyclic_cover(code: str, n: int, limit: int) -> tuple[CodeAnalysis, CoverRecord]:
+    """The analysis and the record of the n-th cover, whose deck group
+    G_n is the fundamental group filled along the default meridians with
+    the distinguished one raised to the n-th power.  `fill`'s checks run
+    first, then `_dihedral_certificate`, which shows G_n = D_n; the
+    record is read off phi, and is incomplete when the cover's 2n cosets
+    exceed `limit`."""
     if n < 1:
         raise ValueError("the cyclic parameter must be a positive integer")
     analysis = CodeAnalysis(code)
@@ -530,18 +523,17 @@ def _cyclic_cover(
         Meridian(m.cusp_index, m.word, n if m.cusp_index == DISTINGUISHED_CUSP[code] else 1)
         for m in default_meridians(code)
     ]
-    rebased = _check_fill(analysis, meridians, limit)
+    _check_fill(analysis, meridians, limit)
     images = _dihedral_certificate(analysis, meridians)
     if 2 * n > limit:
-        return analysis, meridians, rebased, CoverRecord(code=code, complete=False)
-    record = cover_record_from_dihedral_map(analysis, images, n, _cyclic_spin(code, n))
-    return analysis, meridians, rebased, record
+        return analysis, CoverRecord(code=code, complete=False)
+    return analysis, cover_record_from_dihedral_map(analysis, images, n, _cyclic_spin(code, n))
 
 
 def cyclic_cover(code: str, n: int, limit: int = DEFAULT_COSET_LIMIT) -> CoverRecord:
     """The regular cover attached to killing the default meridians with
     the distinguished one raised to the n-th power."""
-    return _cyclic_cover(code, n, limit)[3]
+    return _cyclic_cover(code, n, limit)[1]
 
 
 def double_cover_record(analysis: CodeAnalysis) -> CoverRecord:
@@ -656,18 +648,18 @@ def _rebased_meridian(
     )
 
 
-def _peripheral_failure(
-    analysis: CodeAnalysis, meridians: list[Meridian], rebased: list[Word]
-) -> str | None:
-    """Why some generator p of a meridian's cusp conjugates its rebased
-    word m, from `validate_meridians`, to neither m nor m^-1, or None.
-    Compared on cube maps: A_p A_m = A_m A_p or A_p A_m = A_m^-1 A_p.
-    The p that pass form a subgroup, so the first stabilizer element
-    that fails is a generator, and the message is the one a walk over
-    every stabilizer element would give."""
-    for m, rebased_word in zip(meridians, rebased):
+def _peripheral_failure(analysis: CodeAnalysis, meridians: list[Meridian]) -> str | None:
+    """Why some generator p of a meridian's cusp conjugates the rebased
+    meridian m to neither m nor m^-1, or None.  Compared on cube maps:
+    A_p A_m = A_m A_p or A_p A_m = A_m^-1 A_p.  The p that pass form a
+    subgroup, so the first stabilizer element that fails is a generator,
+    and the message is the one a walk over every stabilizer element
+    would give."""
+    for m in meridians:
         vclass = analysis.classes[m.cusp_index]
-        matrix = analysis.pairing_set.evaluate(rebased_word)
+        matrix = analysis.pairing_set.evaluate(
+            _rebased_meridian(analysis.pairing_set, vclass, m)
+        )
         action = horospherical_action(matrix, vclass.representative)
         inverse = action.inverse()
         for word, g in vclass.generators:
@@ -700,7 +692,7 @@ def classify_filled_cover(code: str, n: int, limit: int = DEFAULT_COSET_LIMIT) -
     The side pairings present pi faithfully (Ratcliffe & Tschantz,
     Experiment. Math. 9, 2000), and a cusp group acts faithfully on its
     cube chart, so equal cube maps are equal elements."""
-    analysis, meridians, rebased, record = _cyclic_cover(code, n, limit)
+    analysis, record = _cyclic_cover(code, n, limit)
     if not record.complete:
         return {
             "cover": record,
@@ -708,7 +700,7 @@ def classify_filled_cover(code: str, n: int, limit: int = DEFAULT_COSET_LIMIT) -
             "reason": f"coset enumeration did not complete within {limit} cosets",
         }
     out = {"cover": record, "filled_cusps": record.cusp_count, "certificate": "peripheral"}
-    failure = _peripheral_failure(analysis, meridians, rebased)
+    failure = _peripheral_failure(analysis, default_meridians(code))
     if failure is not None:
         out["status"] = "unverified"
         out["reason"] = failure

@@ -8,8 +8,6 @@ lists of lists of Python ints; all arithmetic is exact.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
 from typing import Sequence
 
 __all__ = [
@@ -147,32 +145,28 @@ def eliminate_unit_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
     """(k, rest): Z^n modulo the span of rows is Z^(n - k - c) plus
     Z^c modulo the span of rest, where rest has c columns.
 
-    Each step pivots on a +-1 entry: the row expresses its pivot
-    column's generator in the others, so the other rows substitute it
-    and the pivot row and column go (Kaczynski, Mischaikow & Mrozek,
-    Computational Homology, ch. 3).  The pivot has the least Markowitz
-    cost (row nonzeros - 1)(column nonzeros - 1), the most entries the
-    step can fill in; ties go to the shortest row, then the first row
-    and column.  Rows are kept sparse, and no transform is built.  rest
-    holds the remaining nonzero rows, densely, over the columns that
-    still carry an entry; none of its entries is +-1.
+    Each step pivots on a +-1 entry of a shortest row that has one: the
+    row expresses its pivot column's generator in the others, so the
+    other rows substitute it and the pivot row and column go (Kaczynski,
+    Mischaikow & Mrozek, Computational Homology, ch. 3).  Rows are kept
+    sparse, and no transform is built.  rest holds the remaining
+    nonzero rows, densely, over the columns that still carry an entry;
+    none of its entries is +-1.
     """
     live = [r for r in ({j: x for j, x in enumerate(row) if x} for row in rows) if r]
     units = 0
     while True:
-        counts = Counter(chain.from_iterable(live))
-        best = None
+        pivot = None
         for i, row in enumerate(live):
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    key = ((len(row) - 1) * (counts[j] - 1), len(row), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+            if (pivot is None or len(row) < len(live[pivot])) and (
+                1 in row.values() or -1 in row.values()
+            ):
+                pivot = i
+        if pivot is None:
             break
         units += 1
-        *_, pivot, col = best
         prow = live.pop(pivot)
+        col = next(j for j, x in prow.items() if x == 1 or x == -1)
         unit = prow.pop(col)
         kept = []
         for row in live:

@@ -242,22 +242,10 @@ def test_cokernel_matches_the_dense_and_sympy_smith_forms(rows, cols, data):
     assert all(any(row) for row in rest) and all(any(col) for col in zip(*rest))
 
 
-def test_unit_pivots_take_the_least_markowitz_cost():
-    # the second row is the shortest with a unit, at x1, and a shortest-row
-    # order pivots there and then on x0 of the fourth row, whose column
-    # meets every row: it leaves [[-2, 10], [2, -8], [-3, 12]] over x0, x3.
-    # The fourth row's x2 is alone in its column, at Markowitz cost 0, and
-    # after it the x1 of the second row is too, so nothing fills in
-    a = [[2, 0, 0, 2], [0, 1, 0, 2], [-2, 0, 0, 0], [-1, -1, -1, 2], [3, 0, 0, 0]]
-    assert eliminate_unit_pivots(a) == (2, [[2, 2], [-2, 0], [3, 0]])
-    sm = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
-    assert cokernel_invariants(a, 4) == _invariants([sm[i, i] for i in range(4)], 4)
-
-
 def test_seeded_dense_matrix_matches_sympy():
     # a 30 x 15 matrix drawn like `sparse_entries`, mostly 0 and +-1 with
-    # some entries up to +-6: its remainder after the unit pivots holds
-    # entries in the tens of thousands, and its invariants are sympy's
+    # some entries up to +-6: the unit pivots fill its remainder in, with
+    # entries in the thousands, and its invariants are still sympy's
     rng = random.Random(3)
     a = [
         [rng.choice((0, 0, 0, 1, -1)) if rng.random() < 0.5 else rng.randint(-6, 6)
