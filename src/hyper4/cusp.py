@@ -4,12 +4,16 @@ A cusp of the quotient manifold corresponds to an orbit of the 24 ideal
 vertices under the side pairings; the walk runs on vertex indices, leaves
 a vertex through its 6 sides by the cell's integer table, and moves it by
 each side's vertex permutation.  In the cube charts of the vertex links,
-a side pairing acts by x -> D x + t, D diagonal +-1 and t integral, and
-the walk composes these maps with no Lorentz product; it builds a word
-only for a tree edge and for a stabilizer element it keeps.  The kept
-maps are the stabilizer's action on a horosphere; classifying it among
-the ten closed flat 3-manifolds gives the cusp type, and the eta table
-turns orientable cusp types into the signature.
+a side pairing acts by x -> D x + t, D diagonal +-1 and t integral: a
+cube map, six integers, whose step maps depend only on the letter and
+its k-part and are kept in one table per process.  The walk composes
+them with no Lorentz product; it builds a word only for a tree edge and
+for a stabilizer element it keeps.  The kept maps are the stabilizer's
+action on a horosphere, handed out as `AffineMap`s; the cover records
+and the peripheral check read them back as cube maps and compose them by
+the same kernel.  Classifying the action among the ten closed flat
+3-manifolds gives the cusp type, and the eta table turns orientable cusp
+types into the signature.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ class VertexClass:
 # a cube map x -> D x + t as (D11, D22, D33, t1, t2, t3)
 _IDENTITY = (1, 1, 1, 0, 0, 0)
 
+# the diagonal of each linear part diag(D11, D22, D33), D diagonal +-1
+_DIAGONALS = {
+    ((d0, 0, 0), (0, d1, 0), (0, 0, d2)): (d0, d1, d2)
+    for d0 in (1, -1)
+    for d1 in (1, -1)
+    for d2 in (1, -1)
+}
+
 
 def _compose(f: tuple, g: tuple) -> tuple:
     """The cube map f after g."""
@@ -77,24 +89,55 @@ def _invert(f: tuple) -> tuple:
     return (d0, d1, d2, -d0 * t0, -d1 * t1, -d2 * t2)
 
 
+def _affine(f: tuple) -> AffineMap:
+    """The cube map f as an affine map."""
+    d0, d1, d2, *shift = f
+    return AffineMap(((d0, 0, 0), (0, d1, 0), (0, 0, d2)), tuple(shift))
+
+
+def _cube_map(action: AffineMap) -> tuple:
+    """The cube map of an affine map whose linear part is diagonal +-1
+    and whose shift is integral."""
+    diagonal = _DIAGONALS.get(action.linear)
+    if diagonal is None:
+        raise StructuralError("the action's linear part is not diagonal +-1")
+    if any(x.denominator != 1 for x in action.shift):
+        raise StructuralError("the action's shift is not integral")
+    return (*diagonal, *map(int, action.shift))
+
+
+# (letter, k-part) -> (source side, its step maps, target side, its step
+# maps): a letter's sides and vertex map follow from its k-part alone, so
+# at most 12 letters times 12 decodable k-parts
+_STEP_MAPS: dict[tuple[str, tuple[int, ...]], tuple] = {}
+
+
 def _cube_steps(pairing_set: SidePairingSet) -> list[dict[int, tuple]]:
-    """moves[s][v], the cube map of leaving vertex index v through side s.
+    """moves[s][v], the cube map of leaving vertex index v through side s,
+    from the table of each letter's step maps, filled on first use of a
+    (letter, k-part); the maps are shared, so read them only.
     Leaving v through the source side of a letter R diag(k, 1) is the
     sign map diag(k_j) over the j with v_j = 0 (none at the 16 vertices
     (+-1, +-1, +-1, +-1, 2)), then x_a -> s - x_a, (a, s) the face of the
     target side at the image w; leaving w through the target side is the
     inverse, the reflection and then the sign map."""
     cell = pairing_set.cell
-    moves: list = [{} for _ in cell.sides]
+    moves: list = [None] * len(cell.sides)
     for p in pairing_set.pairings:
-        source, target = cell.side_index[p.source.label], cell.side_index[p.target.label]
-        for v, w in enumerate(pairing_set.vertex_permutations[source]):
-            if w >= 0:
-                d = [k for k, x in zip(p.kpart, cell.vertices[v].coords) if not x] or [1, 1, 1]
-                a, s = cell.vertex_faces[w][target]
-                d[a] = -d[a]
-                moves[source][v] = (*d, *(s * (b == a) for b in range(3)))
-                moves[target][w] = (*d, *(-d[a] * s * (b == a) for b in range(3)))
+        entry = _STEP_MAPS.get((p.letter, p.kpart))
+        if entry is None:
+            source, target = cell.side_index[p.source.label], cell.side_index[p.target.label]
+            forward, backward = {}, {}
+            for v, w in enumerate(pairing_set.vertex_permutations[source]):
+                if w >= 0:
+                    d = [k for k, x in zip(p.kpart, cell.vertices[v].coords) if not x] or [1, 1, 1]
+                    a, s = cell.vertex_faces[w][target]
+                    d[a] = -d[a]
+                    forward[v] = (*d, *(s * (b == a) for b in range(3)))
+                    backward[w] = (*d, *(-d[a] * s * (b == a) for b in range(3)))
+            entry = _STEP_MAPS[p.letter, p.kpart] = (source, forward, target, backward)
+        source, forward, target, backward = entry
+        moves[source], moves[target] = forward, backward
     return moves
 
 
@@ -146,8 +189,7 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
                 generator = _invert(element) not in seen_maps
                 seen_maps.add(element)
                 word = words[image].inverse() * Word((letters[s],)) * words[p]
-                d0, d1, d2, *shift = element
-                kept = (word, AffineMap(((d0, 0, 0), (0, d1, 0), (0, 0, d2)), tuple(shift)))
+                kept = (word, _affine(element))
                 stabilizer.append(kept)
                 if generator:
                     generators.append(kept)

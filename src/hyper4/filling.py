@@ -9,34 +9,38 @@ map phi onto the infinite dihedral group, checked once per call by a
 certificate that does not depend on n, shows G_n = D_n.  The record is
 then read off phi, with no coset table: each cusp group's image in D_n
 gives its lift count, and the part of the cusp group that phi sends into
-<r^n>, generated by a number of affine maps that does not depend on n,
-gives the lifts' flat type.  The orientation double cover is the n = 1
-case of the map that sends each orientation-reversing letter to a
-reflection.  A code whose map fails the certificate gets no record, and
-the error names the failed condition.  The filled cover is certified
-simply connected when each cusp stabilizer conjugates its meridian to
-itself or its inverse, a check on the cusp groups' cube maps that does
-not depend on the cover.
+<r^n>, generated by a number of cube maps that does not depend on n,
+gives the lifts' flat type.  Every cusp group element is a cube map
+x -> D x + t, D diagonal +-1 and t integral, composed by the kernel of
+`cusp`, and becomes an affine map only where a flat group is
+classified.  The orientation double cover is the n = 1 case of the map
+that sends each orientation-reversing letter to a reflection.  A code
+whose map fails the certificate gets no record, and the error names the
+failed condition.  The filled cover is certified simply connected when
+each cusp stabilizer conjugates its meridian to itself or its inverse, a
+check on the cusp groups' cube maps that does not depend on the cover.
 Closed invariant triples are matched against the Freedman-Donaldson
 classification of closed simply connected 4-manifolds.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import gcd
 
 from .analysis import CodeAnalysis
-from .cusp import VertexClass, horospherical_action, signature
-from .flatgroups import (
-    AffineMap,
-    FlatGroup,
-    _mat_vec,
-    _matrix_order,
-    _vec_add,
-    _vec_sub,
-    classify_flat_group,
+from .cusp import (
+    _IDENTITY,
+    VertexClass,
+    _affine,
+    _compose,
+    _cube_map,
+    _invert,
+    horospherical_action,
+    signature,
 )
+from .flatgroups import FlatGroup, classify_flat_group
 from .grouppres import (
     DEFAULT_COSET_LIMIT,
     CosetTable,
@@ -198,21 +202,22 @@ def _cusp_intersection_group(base: FlatGroup, perms) -> tuple[int, FlatGroup]:
     distinct nontrivial Schreier elements of that orbit's walk, in
     discovery order; perms[i] is the coset permutation of
     base.generators[i], the action of the cusp's i-th generator (the
-    half of its stabilizer elements that are kept before their inverse)."""
+    half of its stabilizer elements that are kept before their inverse).
+    The walk composes the generators' cube maps."""
+    generators = [_cube_map(g) for g in base.generators]
 
     def steps(c):
-        return ((i, g, perms[i][c]) for i, g in enumerate(base.generators))
+        return ((i, g, perms[i][c]) for i, g in enumerate(generators))
 
-    one = AffineMap.identity()
     size = 1
-    elements: dict[AffineMap, None] = {}
-    walk = schreier_transversal(0, steps, one, AffineMap.__matmul__, AffineMap.inverse)
+    elements: dict[tuple, None] = {}
+    walk = schreier_transversal(0, steps, _IDENTITY, _compose, _invert)
     for *_, new, g in walk:
         if new:
             size += 1
-        elif g != one:
+        elif g != _IDENTITY:
             elements[g] = None
-    return size, FlatGroup(elements)
+    return size, FlatGroup(map(_affine, elements))
 
 
 def _cover_face_counts(analysis: CodeAnalysis, d: int) -> dict:
@@ -305,6 +310,9 @@ def _cover_record(
 ) -> CoverRecord:
     """The record of a degree-d regular cover from its lift counts, the
     cusp type of each class's lifts and its orientability."""
+    count = sum(lift_counts)
+    if count > sys.maxsize:
+        raise ValueError(f"the cover has {count} cusps, too many to list their types")
     all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
     sigma = signature(all_cusps) if orientable else None
     face = _cover_face_counts(analysis, d)
@@ -319,7 +327,7 @@ def _cover_record(
         cusp_lift_counts=tuple(lift_counts),
         cusp_types_by_class=tuple(tags),
         cusp_types=all_cusps,
-        cusp_count=sum(lift_counts),
+        cusp_count=count,
         orientable=orientable,
         sigma=sigma,
         spin_status=spin_status,
@@ -327,29 +335,29 @@ def _cover_record(
     )
 
 
-def _rotation_half(pairs, identity) -> tuple[list[tuple], bool]:
+def _rotation_half(pairs) -> tuple[list[tuple], bool]:
     """Generators of P+, the elements of a cusp group P that phi sends to
     rotations, each with its rotation exponent psi, and whether P has an
     element that phi sends to a reflection.
 
-    `pairs` are P's generators (g, phi(g)), phi(g) = (k, e) in D_inf, and
-    P+ has index 1 or 2.  The Schreier walk runs over the parity e of
-    the images, from 0, and carries each element's D_inf value beside it
-    by the same products; a Schreier element returns to parity 0, so it
-    is a rotation r^k.  The elements need only `@` and `inverse`."""
+    `pairs` are P's generators (g, phi(g)), g a cube map and
+    phi(g) = (k, e) in D_inf, and P+ has index 1 or 2.  The Schreier walk
+    runs over the parity e of the images, from 0, and carries each
+    element's D_inf value beside its cube map by the same products; a
+    Schreier element returns to parity 0, so it is a rotation r^k."""
 
     def product(x, y):
-        return x[0] @ y[0], dihedral_product(x[1], y[1])
+        return _compose(x[0], y[0]), dihedral_product(x[1], y[1])
 
     def inverse(x):
-        return x[0].inverse(), dihedral_inverse(x[1])
+        return _invert(x[0]), dihedral_inverse(x[1])
 
     def steps(e):
         return ((i, pair, e ^ pair[1][1]) for i, pair in enumerate(pairs))
 
     rotations = []
     reflected = False
-    walk = schreier_transversal(0, steps, (identity, (0, 0)), product, inverse)
+    walk = schreier_transversal(0, steps, (_IDENTITY, (0, 0)), product, inverse)
     for *_, new, (g, (k, _)) in walk:
         if new:
             reflected = True
@@ -358,61 +366,57 @@ def _rotation_half(pairs, identity) -> tuple[list[tuple], bool]:
     return rotations, reflected
 
 
-def _kernel_generators(
-    rotations: list[tuple[AffineMap, int]], m: int, n: int
-) -> list[AffineMap]:
-    """The distinct nontrivial elements of a generating set of
+def _kernel_generators(rotations: list[tuple[tuple, int]], m: int, n: int) -> list[tuple]:
+    """The distinct nontrivial cube maps of a generating set of
     K_n = psi^-1(nZ), where the pairs (g, psi(g)) generate P+ and
-    psi(P+) = mZ, by a number of affine products that does not depend
-    on n.
+    psi(P+) = mZ, by a number of compositions that does not depend on n.
 
     When m = 0, K_n = P+.  Otherwise Euclid's algorithm on the pairs
-    gives t with psi(t) = m; its linear part has some order o, and
-    T = t^o is the translation by a vector v.  Reidemeister-Schreier over
-    the transversal t^i, i in Z, generates ker psi by the t^i q t^-i,
-    q = s t^-a for each pair (s, a m).  With i = l o + j, 0 <= j < o, that
-    is T^l g T^-l = c^l g, where g = t^j q t^-j and c is the translation
-    by v - A v, A the linear part of g.  So the g and the c generate
-    ker psi, and K_n = ker psi x| <t^i> with i = n / gcd(m, n); a power
-    t^i is t^(i mod o) shifted by (i div o) v, with no product."""
+    gives t with psi(t) = m; its linear part is diagonal +-1, of order
+    o = 1 or 2, and T = t^o is the translation by a vector v.
+    Reidemeister-Schreier over the transversal t^i, i in Z, generates
+    ker psi by the t^i q t^-i, q = s t^-a for each pair (s, a m).  With
+    i = l o + j, 0 <= j < o, that is T^l g T^-l = c^l g, where
+    g = t^j q t^-j and c is the translation by v - D v, D the linear part
+    of g.  So the g and the c generate ker psi, and
+    K_n = ker psi x| <t^i> with i = n / gcd(m, n); a power t^i is
+    t^(i mod o) shifted by (i div o) v, with no composition."""
     if not m:
         elements = [g for g, _ in rotations]
     else:
         t = _euclid(rotations)
-        order = _matrix_order(t.linear)
-        powers = [AffineMap.identity()]
-        for _ in range(order):
-            powers.append(powers[-1] @ t)
-        v = powers.pop().shift
+        powers = [_IDENTITY] if t[:3] == (1, 1, 1) else [_IDENTITY, t]
+        order = len(powers)
+        v = _compose(powers[-1], t)[3:]
 
-        def power(i: int) -> AffineMap:
+        def power(i: int) -> tuple:
             q, r = divmod(i, order)
-            return AffineMap(powers[r].linear, _vec_add(powers[r].shift, [q * x for x in v]))
+            d0, d1, d2, s0, s1, s2 = powers[r]
+            return (d0, d1, d2, s0 + q * v[0], s1 + q * v[1], s2 + q * v[2])
 
         elements = [power(n // gcd(m, n))]
         for s, k in rotations:
-            q = s @ power(-k // m)
+            q = _compose(s, power(-k // m))
             for j in range(order):
-                g = powers[j] @ q @ power(-j)
+                g = _compose(_compose(powers[j], q), power(-j))
                 elements.append(g)
-                elements.append(AffineMap.translation(_vec_sub(v, _mat_vec(g.linear, v))))
-    one = AffineMap.identity()
-    return [g for g in dict.fromkeys(elements) if g != one]
+                elements.append((1, 1, 1, *(x - d * x for d, x in zip(g, v))))
+    return [g for g in dict.fromkeys(elements) if g != _IDENTITY]
 
 
-def _euclid(rotations: list[tuple[AffineMap, int]]) -> AffineMap:
-    """An element t with psi(t) = m > 0, the gcd of the exponents psi(s)
+def _euclid(rotations: list[tuple[tuple, int]]) -> tuple:
+    """A cube map t with psi(t) = m > 0, the gcd of the exponents psi(s)
     of the pairs (s, psi(s)), by Euclid's algorithm on the elements: a
     pair (t, a) with (s, b) gives (s, b) and (t s^-q, a - q b)."""
-    t, a = AffineMap.identity(), 0
+    t, a = _IDENTITY, 0
     for s, b in rotations:
         while b:
             q, r = divmod(a, b)
-            step = s.inverse() if q > 0 else s
+            step = _invert(s) if q > 0 else s
             for _ in range(abs(q)):
-                t = t @ step
+                t = _compose(t, step)
             t, a, s, b = s, b, t, r
-    return t if a > 0 else t.inverse()
+    return t if a > 0 else _invert(t)
 
 
 def _pulls_back(signs: dict[str, int], images: dict[str, tuple[int, int]], n: int) -> bool:
@@ -435,7 +439,7 @@ def cover_record_from_dihedral_map(
     map phi of the fundamental group onto D_inf, each letter x going to
     images[x] = (k, e), that is r^k s^e, followed by D_inf -> D_n.  It is
     the record `cover_record_from_table` gives on D_n's table, and the
-    number of affine products does not depend on n.
+    number of cube-map compositions does not depend on n.
 
     The cover's subgroup is N = phi^-1(<r^n>).  A cusp group P acts on the
     2n cosets through its image in D_n, so its class lifts to 2n over
@@ -447,15 +451,13 @@ def cover_record_from_dihedral_map(
     pulled back by phi."""
     lift_counts = []
     tags = []
-    identity = AffineMap.identity()
-    for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
-        pairs = [
-            (g, dihedral_image(images, w)) for g, (w, _) in zip(base.generators, vclass.generators)
-        ]
-        rotations, reflected = _rotation_half(pairs, identity)
+    for vclass in analysis.classes:
+        pairs = [(_cube_map(g), dihedral_image(images, w)) for w, g in vclass.generators]
+        rotations, reflected = _rotation_half(pairs)
         m = gcd(*(k for _, k in rotations))
         lift_counts.append(gcd(m, n) * (1 if reflected else 2))
-        tags.append(classify_flat_group(FlatGroup(_kernel_generators(rotations, m, n))))
+        kernel = _kernel_generators(rotations, m, n)
+        tags.append(classify_flat_group(FlatGroup(map(_affine, kernel))))
     orientable = _pulls_back(analysis.signs, images, n)
     return _cover_record(analysis, 2 * n, lift_counts, tags, orientable, spin_status)
 
@@ -660,11 +662,12 @@ def _peripheral_failure(analysis: CodeAnalysis, meridians: list[Meridian]) -> st
         matrix = analysis.pairing_set.evaluate(
             _rebased_meridian(analysis.pairing_set, vclass, m)
         )
-        action = horospherical_action(matrix, vclass.representative)
-        inverse = action.inverse()
+        action = _cube_map(horospherical_action(matrix, vclass.representative))
+        inverse = _invert(action)
         for word, g in vclass.generators:
-            conjugated = g @ action
-            if conjugated != action @ g and conjugated != inverse @ g:
+            g = _cube_map(g)
+            conjugated = _compose(g, action)
+            if conjugated != _compose(action, g) and conjugated != _compose(inverse, g):
                 return (
                     f"generator {word} of cusp {m.cusp_index} conjugates meridian "
                     f"{m.word} to neither itself nor its inverse"

@@ -10,7 +10,17 @@ two ways: `written_table` writes D_n's table through phi with
 unique, so the two agree wherever the enumeration completes, and
 `table_record` reads the record off either with
 `hyper4.filling.cover_record_from_table`.
+
+`rotation_half`, `kernel_generators`, `euclid` and
+`cusp_intersection_group` are the records' helpers on general affine
+maps, composed as `reference_walks.Affine`: the package runs them on the
+cube maps x -> D x + t of the cusp groups, D diagonal +-1 and t
+integral, and these are their oracle, also on the reference flat groups,
+whose linear parts need not be diagonal and whose shifts need not be
+integral.
 """
+
+from math import gcd
 
 from hyper4.analysis import CodeAnalysis
 from hyper4.filling import (
@@ -24,7 +34,16 @@ from hyper4.filling import (
     default_meridians,
     fill,
 )
-from hyper4.grouppres import dihedral_table, todd_coxeter
+from reference_walks import Affine
+
+from hyper4.flatgroups import _ID3, AffineMap, FlatGroup, _mat_mul, _mat_vec
+from hyper4.grouppres import (
+    dihedral_inverse,
+    dihedral_product,
+    dihedral_table,
+    schreier_transversal,
+    todd_coxeter,
+)
 
 
 def power_meridians(code, n):
@@ -54,3 +73,109 @@ def table_record(analysis, n, table):
     if not table.complete:
         return CoverRecord(code=analysis.code, complete=False)
     return cover_record_from_table(analysis, table, _cyclic_spin(analysis.code, n))
+
+
+def rotation_half(pairs, identity):
+    """Generators of P+ with their rotation exponents, and whether P has
+    an element that phi sends to a reflection, from P's generators
+    (g, phi(g)): the Schreier walk over the parity of phi, carrying each
+    element's D_inf value beside it.  The elements need only `@` and
+    `inverse`."""
+
+    def product(x, y):
+        return x[0] @ y[0], dihedral_product(x[1], y[1])
+
+    def inverse(x):
+        return x[0].inverse(), dihedral_inverse(x[1])
+
+    def steps(e):
+        return ((i, pair, e ^ pair[1][1]) for i, pair in enumerate(pairs))
+
+    rotations = []
+    reflected = False
+    walk = schreier_transversal(0, steps, (identity, (0, 0)), product, inverse)
+    for *_, new, (g, (k, _)) in walk:
+        if new:
+            reflected = True
+        else:
+            rotations.append((g, k))
+    return rotations, reflected
+
+
+def matrix_order(a, cap=48):
+    power = a
+    for n in range(1, cap + 1):
+        if power == _ID3:
+            return n
+        power = _mat_mul(power, a)
+    raise AssertionError(f"linear part does not have finite order <= {cap}")
+
+
+def kernel_generators(rotations, m, n):
+    """The distinct nontrivial affine maps of a generating set of
+    psi^-1(nZ), where the pairs (g, psi(g)) generate P+ and psi(P+) = mZ:
+    t from Euclid's algorithm, its order o and t^o the translation by v,
+    t^(n / gcd(m, n)), and for each pair (s, a m) and 0 <= j < o the map
+    g = t^j s t^-a t^-j and the translation by v - A v."""
+    rotations = [(Affine(*g), k) for g, k in rotations]
+    if not m:
+        elements = [g for g, _ in rotations]
+    else:
+        t = euclid(rotations)
+        order = matrix_order(t.linear)
+        powers = [Affine.identity()]
+        for _ in range(order):
+            powers.append(powers[-1] @ t)
+        v = powers.pop().shift
+
+        def power(i):
+            q, r = divmod(i, order)
+            return Affine(powers[r].linear, tuple(a + q * x for a, x in zip(powers[r].shift, v)))
+
+        elements = [power(n // gcd(m, n))]
+        for s, k in rotations:
+            q = s @ power(-k // m)
+            for j in range(order):
+                g = powers[j] @ q @ power(-j)
+                elements.append(g)
+                moved = _mat_vec(g.linear, v)
+                elements.append(AffineMap.translation([a - b for a, b in zip(v, moved)]))
+    one = Affine.identity()
+    return [g for g in dict.fromkeys(elements) if g != one]
+
+
+def euclid(rotations):
+    """An element t with psi(t) = m > 0, the gcd of the exponents, by
+    Euclid's algorithm on the pairs (s, psi(s))."""
+    t, a = Affine.identity(), 0
+    for s, b in rotations:
+        s = Affine(*s)
+        while b:
+            q, r = divmod(a, b)
+            step = s.inverse() if q > 0 else s
+            for _ in range(abs(q)):
+                t = t @ step
+            t, a, s, b = s, b, t, r
+    return t if a > 0 else t.inverse()
+
+
+def cusp_intersection_group(base, perms):
+    """The size of coset 0's orbit under the flat group `base`, and the
+    flat group of the distinct nontrivial Schreier elements of its walk,
+    in discovery order; perms[i] is the coset permutation of
+    base.generators[i]."""
+    generators = [Affine(*g) for g in base.generators]
+
+    def steps(c):
+        return ((i, g, perms[i][c]) for i, g in enumerate(generators))
+
+    one = Affine.identity()
+    size = 1
+    elements = {}
+    walk = schreier_transversal(0, steps, one, Affine.__matmul__, Affine.inverse)
+    for *_, new, g in walk:
+        if new:
+            size += 1
+        elif g != one:
+            elements[g] = None
+    return size, FlatGroup(elements)

@@ -490,6 +490,20 @@ def test_meridian_power_beyond_the_coset_limit_is_refused(verb, monkeypatch, tmp
     ]
 
 
+@pytest.mark.parametrize("extra", [(), ("--classify-filling",)], ids=["cover", "classify-filling"])
+def test_a_cover_with_more_cusps_than_a_string_holds_is_refused(extra):
+    # 4n + 1 cusps exceed sys.maxsize, the longest cusp type string; the
+    # count is refused by name before the string is built
+    n = 10**20
+    code, doc = run_json("cover", "14FF28", "--cyclic", str(n), "--max-cosets", str(10**24), *extra)
+    assert 4 * n + 1 > sys.maxsize
+    assert code == 1
+    assert doc["records"] == []
+    assert doc["errors"] == [
+        {"message": f"the cover has {4 * n + 1} cusps, too many to list their types"}
+    ]
+
+
 def test_classify_unknown_spin_reports_both():
     code, doc = run_json("classify", "--chi", "4", "--sigma", "0", "--spin-unknown")
     assert code == 0

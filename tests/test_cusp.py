@@ -17,7 +17,7 @@ from hyper4.cusp import (
     vertex_classes,
 )
 from hyper4.cell24 import the_24_cell
-from hyper4.flatgroups import AffineMap, FlatGroup, classify_flat_group
+from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, classify_flat_group
 from hyper4.lorentz import LorentzVector
 from hyper4.pairing import CODE_ALPHABET, CodeError, build_side_pairings
 from hyper4.words import parse_word
@@ -106,13 +106,18 @@ def test_walk_maps_are_the_actions_of_the_stabilizer_words():
     assert elements == 8300
 
 
-def test_step_maps_are_the_chart_maps_of_the_letters():
+def test_step_maps_are_the_chart_maps_of_the_letters(monkeypatch):
     # every (position, character) entry that decodes, with F at the other
-    # five positions, covers every letter of every decodable code: leaving
-    # each vertex of a letter's source side, and of its target side, is
-    # the letter's map between the two vertices' cube charts
+    # five positions, covers every letter of every decodable code: on an
+    # empty table, the entries they fill are the 12 letters times the 12
+    # decodable k-parts, each met as a letter of its own position, and
+    # each entry's map of leaving a vertex of the letter's source side, or
+    # of its target side, is the letter's map between the two vertices'
+    # cube charts
+    monkeypatch.setattr(cusp_module, "_STEP_MAPS", {})
     cell = the_24_cell()
     entries = steps = 0
+    checked = set()
     for position in range(1, 7):
         for ch in CODE_ALPHABET:
             code = "F" * (position - 1) + ch + "F" * (6 - position)
@@ -123,14 +128,73 @@ def test_step_maps_are_the_chart_maps_of_the_letters():
             entries += 1
             moves = cusp_module._cube_steps(pairings)
             for p in pairings.pairings[2 * position - 2 : 2 * position]:
-                for side, g in ((p.source, p.matrix), (p.target, p.matrix.inverse())):
-                    s = cell.side_index[side.label]
-                    for v in cell.vertices_of_side(side.label):
-                        d0, d1, d2, *shift = moves[s][cell.vertex_index[v.coords]]
+                source, forward, target, backward = cusp_module._STEP_MAPS[p.letter, p.kpart]
+                assert (source, target) == (
+                    cell.side_index[p.source.label],
+                    cell.side_index[p.target.label],
+                )
+                assert moves[source] is forward and moves[target] is backward, code
+                checked.add((p.letter, p.kpart))
+                for side, g, maps in ((p.source, p.matrix, forward), (p.target, p.matrix.inverse(), backward)):
+                    vertices = cell.vertices_of_side(side.label)
+                    assert sorted(maps) == sorted(cell.vertex_index[v.coords] for v in vertices)
+                    for v in vertices:
+                        d0, d1, d2, *shift = maps[cell.vertex_index[v.coords]]
                         step = AffineMap(((d0, 0, 0), (0, d1, 0), (0, 0, d2)), tuple(shift))
                         assert reference_walks.chart_map(g, v, g.apply(v)) == step, (code, side)
                         steps += 1
-    assert (entries, steps) == (72, 72 * 2 * 2 * 6)
+    assert entries == 72
+    assert checked == cusp_module._STEP_MAPS.keys() and len(checked) == 12 * 12
+    assert steps == 72 * 2 * 2 * 6
+
+
+def test_step_table_is_history_independent_and_bounded(monkeypatch):
+    # each pool manifold's vertex classes are the same on an empty table
+    # and on one filled by all 183, and the table holds one entry per
+    # (letter, k-part) of the codes decoded so far
+    codes = _pool_manifold_codes()
+    monkeypatch.setattr(cusp_module, "_STEP_MAPS", {})
+    fresh = {}
+    for code in codes:
+        cusp_module._STEP_MAPS.clear()
+        fresh[code] = vertex_classes(build_side_pairings(code))
+        assert len(cusp_module._STEP_MAPS) == 12, code
+    cusp_module._STEP_MAPS.clear()
+    seen = set()
+    for code in codes:
+        pairings = build_side_pairings(code)
+        seen.update((p.letter, p.kpart) for p in pairings.pairings)
+        vertex_classes(pairings)
+        assert cusp_module._STEP_MAPS.keys() == seen, code
+    assert len(seen) <= 12 * 12
+    for code in codes:
+        assert vertex_classes(build_side_pairings(code)) == fresh[code], code
+    assert cusp_module._STEP_MAPS.keys() == seen
+    assert len(codes) == 183
+
+
+@pytest.mark.parametrize(
+    "linear, shift, message",
+    [
+        (((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0, 0, 0), "the action's linear part is not diagonal +-1"),
+        (((2, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0), "the action's linear part is not diagonal +-1"),
+        (((1, 0, 0), (0, -1, 0), (0, 0, 1)), (0, Fraction(1, 2), 0), "the action's shift is not integral"),
+    ],
+    ids=["swap", "scaled", "half-shift"],
+)
+def test_cube_map_refuses_an_affine_map_off_the_cube_symmetries(linear, shift, message):
+    with pytest.raises(StructuralError) as excinfo:
+        cusp_module._cube_map(AffineMap(linear, shift))
+    assert str(excinfo.value) == message
+
+
+def test_cube_map_is_the_inverse_of_affine():
+    for vc in CLASSES:
+        for _, action in vc.stabilizer:
+            assert cusp_module._affine(cusp_module._cube_map(action)) == action
+    assert cusp_module._cube_map(AffineMap.of(((-1, 0, 0), (0, 1, 0), (0, 0, -1)), (Fraction(4, 2), 0, 1))) == (
+        -1, 1, -1, 2, 0, 1
+    )
 
 
 def test_both_charts_give_the_same_flat_invariants():
@@ -174,7 +238,11 @@ def test_generators_give_the_stabilizer_flat_group():
             assert set(vc.generators) <= set(vc.stabilizer), code
             for i, (word, action) in enumerate(vc.stabilizer):
                 if (word, action) not in vc.generators:
-                    assert action.inverse() in maps[:i], (code, vc.index, str(word))
+                    assert reference_walks.Affine(*action).inverse() in maps[:i], (
+                        code,
+                        vc.index,
+                        str(word),
+                    )
 
             def group(elements):
                 return FlatGroup(m for _, m in elements)

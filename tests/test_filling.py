@@ -18,11 +18,12 @@ from hypothesis import given, settings, strategies as st
 import reference_certificate
 import reference_covers
 from reference_covers import written_table
+from reference_walks import Affine
 import hyper4.filling as filling_module
 import hyper4.grouppres as grouppres_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cli import main
-from hyper4.cusp import horospherical_action, vertex_classes
+from hyper4.cusp import _affine, _cube_map, horospherical_action, vertex_classes
 from hyper4.filling import (
     DEFAULT_MERIDIANS,
     DIHEDRAL_MAPS,
@@ -31,6 +32,7 @@ from hyper4.filling import (
     Meridian,
     _cusp_intersection_group,
     _dihedral_certificate,
+    _euclid,
     _kernel_generators,
     _orientable,
     _peripheral_failure,
@@ -49,7 +51,7 @@ from hyper4.filling import (
     parse_meridian_lines,
     validate_meridians,
 )
-from hyper4.flatgroups import AffineMap, FlatGroup, _reference_affine_data
+from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, _reference_affine_data
 from hyper4.grouppres import (
     DEFAULT_COSET_LIMIT,
     CosetTable,
@@ -815,21 +817,27 @@ LETTER_IMAGES = {
 def test_rotation_half_carries_the_dihedral_value_of_each_word(name):
     # walked on every kept stabilizer element of each cusp: each Schreier
     # element is a rotation whose exponent is the dihedral image of its
-    # word, and its affine map is that word's action
+    # word, and its affine map is that word's action; the walk on cube
+    # maps gives the affine oracle's rotations
     images = LETTER_IMAGES[name]
     elements = 0
     for vclass in ANALYSIS.classes:
         rep = vclass.representative
         pairs = [
-            (_Tracked(action, word), dihedral_image(images, word))
+            (_Tracked(Affine(*action), word), dihedral_image(images, word))
             for word, action in vclass.stabilizer
         ]
-        identity = _Tracked(AffineMap.identity(), Word(()))
-        rotations, reflected = _rotation_half(pairs, identity)
+        identity = _Tracked(Affine.identity(), Word(()))
+        rotations, reflected = reference_covers.rotation_half(pairs, identity)
         assert reflected == any(e for _, (_, e) in pairs)
         for x, k in rotations:
             assert dihedral_image(images, x.word) == (k, 0), (vclass.index, str(x.word))
             assert x.affine == horospherical_action(PAIRINGS.evaluate(x.word), rep)
+        cubes = [(_cube_map(x.affine), value) for x, value in pairs]
+        assert _rotation_half(cubes) == (
+            [(_cube_map(x.affine), k) for x, k in rotations],
+            reflected,
+        ), vclass.index
         elements += len(rotations)
     if name == "phi":
         # every cusp has a reflection under phi: two parities, one tree edge
@@ -842,12 +850,35 @@ def test_generating_half_gives_the_rotation_subgroup_of_the_stabilizer():
     for vclass in ANALYSIS.classes:
         found = []
         for elements in (vclass.generators, vclass.stabilizer):
-            pairs = [(action, dihedral_image(IMAGES, word)) for word, action in elements]
-            rotations, reflected = _rotation_half(pairs, AffineMap.identity())
+            pairs = [(_cube_map(action), dihedral_image(IMAGES, word)) for word, action in elements]
+            rotations, reflected = _rotation_half(pairs)
             m = gcd(*(k for _, k in rotations))
-            lattice = FlatGroup(_kernel_generators(rotations, m, 7)).lattice
+            lattice = FlatGroup(map(_affine, _kernel_generators(rotations, m, 7))).lattice
             found.append((reflected, m, lattice))
         assert found[0] == found[1], vclass.index
+
+
+def test_record_helpers_on_cube_maps_are_the_affine_oracle():
+    # every cusp of the pool manifolds, under maps onto D_inf with several
+    # exponents: the rotations, Euclid's element and the kernel generators
+    # composed as cube maps are the affine oracle's, element by element
+    cusps = 0
+    for analysis in _pool_analyses():
+        for vclass in analysis.classes:
+            for images in LETTER_IMAGES.values():
+                pairs = [(Affine(*g), dihedral_image(images, w)) for w, g in vclass.generators]
+                rotations, reflected = reference_covers.rotation_half(pairs, Affine.identity())
+                cubes = [(_cube_map(g), k) for g, k in rotations]
+                assert _rotation_half([(_cube_map(g), x) for g, x in pairs]) == (cubes, reflected)
+                m = gcd(*(k for _, k in rotations))
+                if m:
+                    assert _affine(_euclid(cubes)) == reference_covers.euclid(rotations)
+                for n in (6, 10**20 + 1):
+                    assert [_affine(g) for g in _kernel_generators(cubes, m, n)] == (
+                        reference_covers.kernel_generators(rotations, m, n)
+                    ), (analysis.code, vclass.index, n)
+                cusps += 1
+    assert cusps == 928 * len(LETTER_IMAGES)
 
 
 def test_orientation_character_is_the_table_double_cover():
@@ -906,20 +937,38 @@ KERNEL_CASES = (
 @pytest.mark.parametrize("case", range(len(KERNEL_CASES)))
 def test_kernel_generators_give_the_stabilizer_of_the_orbit_walk(case):
     # psi^-1(nZ) is the stabilizer of 0 when each generator g adds psi(g)
-    # on Z/n; the walk over that orbit is the table record's construction
+    # on Z/n; the walk over that orbit is the table record's construction.
+    # The affine oracle takes every case; the cube maps take the cases
+    # whose linear parts are diagonal +-1, conjugated by x -> 2x so that
+    # their shifts are integral
     maps, mu = KERNEL_CASES[case]
     generators = REFERENCE_MAPS[maps] if isinstance(maps, str) else maps
     rotations = [(g, int(Fraction(mu(g.shift)))) for g in generators]
     m = gcd(*(k for _, k in rotations))
     base = FlatGroup(generators)
+    doubled = [AffineMap.of(g.linear, [2 * x for x in g.shift]) for g in generators]
+    try:
+        cubes = [(_cube_map(g), k) for g, (_, k) in zip(doubled, rotations)]
+    except StructuralError as exc:
+        assert str(exc) == "the action's linear part is not diagonal +-1"
+        cubes = None
+    assert (cubes is None) == (maps in ("C", "D", "E", "H"))
     for n in range(1, 14):
         perms = [tuple((c + k) % n for c in range(n)) for _, k in rotations]
-        size, expected = _cusp_intersection_group(base, perms)
+        size, expected = reference_covers.cusp_intersection_group(base, perms)
         assert size == n // gcd(m, n)
-        group = FlatGroup(_kernel_generators(rotations, m, n))
+        group = FlatGroup(reference_covers.kernel_generators(rotations, m, n))
         assert group.lattice == expected.lattice, (case, n)
         assert group.holonomy == expected.holonomy, (case, n)
         assert group.invariants() == expected.invariants(), (case, n)
+        if cubes is not None:
+            size, expected = reference_covers.cusp_intersection_group(FlatGroup(doubled), perms)
+            walked = _cusp_intersection_group(FlatGroup(doubled), perms)
+            assert walked[0] == size and walked[1].generators == expected.generators, (case, n)
+            group = FlatGroup(map(_affine, _kernel_generators(cubes, m, n)))
+            assert group.lattice == expected.lattice, (case, n)
+            assert group.holonomy == expected.holonomy, (case, n)
+            assert group.invariants() == expected.invariants(), (case, n)
 
 
 def test_orientability_reads_the_characters_of_d_n():
@@ -936,22 +985,23 @@ def test_orientability_reads_the_characters_of_d_n():
     assert not any(_pulls_back(signs, images, n) for n in (1, 2, 3, 4))
 
 
-def _count_affine_products(monkeypatch) -> Counter:
+def _count_compositions(monkeypatch) -> Counter:
+    """Counts of the cube-map compositions of `filling` made from now on."""
     calls = Counter()
-    for name in ("__matmul__", "inverse"):
-        original = getattr(AffineMap, name)
+    compose = filling_module._compose
 
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+    def counted(f, g):
+        calls["_compose"] += 1
+        return compose(f, g)
 
-        monkeypatch.setattr(AffineMap, name, counted)
+    monkeypatch.setattr(filling_module, "_compose", counted)
     return calls
 
 
 def test_record_off_the_map_takes_the_same_products_at_any_n(monkeypatch):
     analysis = ANALYSIS
-    images = _dihedral_certificate(analysis, default_meridians("14FF28"))
+    meridians = default_meridians("14FF28")
+    images = _dihedral_certificate(analysis, meridians)
     assert images == IMAGES
 
     def refuse(*args, **kwargs):
@@ -964,13 +1014,17 @@ def test_record_off_the_map_takes_the_same_products_at_any_n(monkeypatch):
     assert record.cusp_lift_counts == (100001, 1, 100001, 100001, 100001)
     assert classify_filled_cover("14FF28", 100001)["verdict"].verdict == "#_100000(S^2xS^2)"
     monkeypatch.setattr(CosetTable, "__init__", refuse)
-    calls = _count_affine_products(monkeypatch)
+    calls = _count_compositions(monkeypatch)
     counts = []
-    for n in (51, 100001):
+    for n in (3, 51, 100001):
         calls.clear()
         record = cover_record_from_dihedral_map(analysis, images, n, "spin")
         assert record.cusp_lift_counts == (n, 1, n, n, n)
         assert record.cusp_types == "A" * (4 * n + 1)
+        assert _peripheral_failure(analysis, meridians) is None
         counts.append(dict(calls))
-    assert counts[0] == counts[1]
-    assert counts[0]["__matmul__"] > 0
+    # the record and the peripheral check compose cube maps: 115 for the
+    # record, 58 for the check; the package's affine maps have no product
+    # or inverse to form
+    assert counts[0] == counts[1] == counts[2] == {"_compose": 115 + 58}
+    assert not hasattr(AffineMap, "__matmul__") and not hasattr(AffineMap, "inverse")

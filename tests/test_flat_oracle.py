@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_walks import Affine
+
 from hyper4 import filling, flatgroups
 from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import cusp_flat_group, vertex_classes
@@ -443,7 +445,7 @@ def test_conjugated_reference_groups_agree(tag, change, order, repeat):
             type(x) is int or (type(x) is Fraction and x.denominator > 1) for x in entries
         )
     # a redundant generator sharing the linear part of an earlier one
-    generators.append(generators[repeat % len(generators)] @ generators[0])
+    generators.append(Affine(*generators[repeat % len(generators)]) @ generators[0])
     order.shuffle(generators)
     fast = _assert_agree(generators)
     assert fast[0] == "group"

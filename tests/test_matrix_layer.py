@@ -30,6 +30,7 @@ from reference_certificate import orbit_partition
 from reference_covers import written_table
 
 from hyper4 import analysis as analysis_module
+from hyper4 import filling as filling_module
 from hyper4 import lorentz as lorentz_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cusp import cusp_flat_group, horospherical_action, vertex_classes
@@ -317,48 +318,46 @@ def test_lift_counts_are_the_orbit_counts():
     assert double_cover_orbit_sizes == {1, 2}
 
 
-def _count_affine_inverses(monkeypatch) -> Counter:
+def _count_arithmetic(monkeypatch, owner, names) -> Counter:
+    """Counts of the calls of owner's named functions made from now on."""
     calls = Counter()
-    original = AffineMap.inverse
+    for name in names:
+        original = getattr(owner, name)
 
-    def counted(self):
-        calls["inverse"] += 1
-        return original(self)
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(AffineMap, "inverse", counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_cover_cusp_walk_inverts_each_generator_once(monkeypatch):
-    # the transversal inverts a generator the first time a tree edge uses
-    # it, not each of the tree edges: cusp 1 of the n = 51 cover has 101
+    # the transversal inverts a generator's cube map the first time a tree
+    # edge uses it, not each of the tree edges: cusp 1 of the n = 51 cover
+    # has 101
     analysis, table = written_table("14FF28", 51)
-    calls = _count_affine_inverses(monkeypatch)
+    calls = _count_arithmetic(monkeypatch, filling_module, ["_invert"])
     counts = []
     for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
         perms = [table.permutation(w) for w, _ in vclass.generators]
         calls.clear()
         orbit, _ = _cusp_intersection_group(base, perms)
-        assert calls["inverse"] <= len(base.generators)
-        counts.append((orbit, calls["inverse"]))
+        assert calls["_invert"] <= len(base.generators)
+        counts.append((orbit, calls["_invert"]))
     assert counts == [(2, 1), (102, 2), (2, 1), (2, 1), (2, 1)]
 
 
 def test_flat_group_makes_no_affine_product_or_inverse(monkeypatch):
-    # the holonomy walk carries only each transversal element's shift, so
-    # no cusp group of the pool forms an AffineMap product or inverse
-    calls = _count_affine_inverses(monkeypatch)
-    original = AffineMap.__matmul__
-
-    def counted(self, other):
-        calls["product"] += 1
-        return original(self, other)
-
-    monkeypatch.setattr(AffineMap, "__matmul__", counted)
+    # the holonomy walk carries only each transversal element's shift: the
+    # package's affine maps have no product or inverse, and no cusp group
+    # of the pool forms one on generators that have them
+    assert not hasattr(AffineMap, "__matmul__") and not hasattr(AffineMap, "inverse")
+    calls = _count_arithmetic(monkeypatch, reference_walks.Affine, ["__matmul__", "inverse"])
     groups = 0
     for code in _pool_manifold_codes():
         for vclass in vertex_classes(build_side_pairings(code)):
-            maps = [m for _, m in vclass.generators]
+            maps = [reference_walks.Affine(*m) for _, m in vclass.generators]
             calls.clear()
             FlatGroup(maps)
             assert calls == {}, code
