@@ -5,15 +5,14 @@ vertices under the side pairings; the walk runs on vertex indices, leaves
 a vertex through its 6 sides by the cell's integer table, and moves it by
 each side's vertex permutation.  In the cube charts of the vertex links,
 a side pairing acts by x -> D x + t, D diagonal +-1 and t integral: a
-cube map, six integers, whose step maps depend only on the letter and
-its k-part and are kept in one table per process.  The walk composes
-them with no Lorentz product; it builds a word only for a tree edge and
-for a stabilizer element it keeps.  The kept maps are the stabilizer's
-action on a horosphere, handed out as `AffineMap`s; the cover records
-and the peripheral check read them back as cube maps and compose them by
-the same kernel.  Classifying the action among the ten closed flat
-3-manifolds gives the cusp type, and the eta table turns orientable cusp
-types into the signature.
+cube map, six integers.  The walk composes the step maps of the code's
+letters with no Lorentz product; it builds a word only for a tree edge
+and for a stabilizer element it keeps.  The kept elements carry their
+cube maps, the stabilizer's action on a horosphere, which the cover
+records and the peripheral check compose by the same kernel; a flat
+group is built on their affine maps.  Classifying it among the ten closed
+flat 3-manifolds gives the cusp type, and the eta table turns orientable
+cusp types into the signature.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ class VertexClass:
 
     Stabilizer elements come from non-tree loops of the orbit graph over
     a breadth-first spanning tree, each with its action in the
-    representative's cube chart.  `stabilizer` lists every distinct
+    representative's cube chart, the cube map x -> D x + t kept as
+    (D11, D22, D33, t1, t2, t3).  `stabilizer` lists every distinct
     element the walk meets, closed under inverses, and `generators` the
     half of them whose inverse comes later: the half generates the same
     group, and the cusp group's consumers read only it.
@@ -56,8 +56,8 @@ class VertexClass:
     index: int
     members: tuple[LorentzVector, ...]
     representative: LorentzVector
-    stabilizer: tuple[tuple[Word, AffineMap], ...]
-    generators: tuple[tuple[Word, AffineMap], ...]
+    stabilizer: tuple[tuple[Word, tuple], ...]
+    generators: tuple[tuple[Word, tuple], ...]
     transversals: tuple[Word, ...]
 
     @property
@@ -67,14 +67,6 @@ class VertexClass:
 
 # a cube map x -> D x + t as (D11, D22, D33, t1, t2, t3)
 _IDENTITY = (1, 1, 1, 0, 0, 0)
-
-# the diagonal of each linear part diag(D11, D22, D33), D diagonal +-1
-_DIAGONALS = {
-    ((d0, 0, 0), (0, d1, 0), (0, 0, d2)): (d0, d1, d2)
-    for d0 in (1, -1)
-    for d1 in (1, -1)
-    for d2 in (1, -1)
-}
 
 
 def _compose(f: tuple, g: tuple) -> tuple:
@@ -95,50 +87,44 @@ def _affine(f: tuple) -> AffineMap:
     return AffineMap(((d0, 0, 0), (0, d1, 0), (0, 0, d2)), tuple(shift))
 
 
-def _cube_map(action: AffineMap) -> tuple:
-    """The cube map of an affine map whose linear part is diagonal +-1
-    and whose shift is integral."""
-    diagonal = _DIAGONALS.get(action.linear)
-    if diagonal is None:
-        raise StructuralError("the action's linear part is not diagonal +-1")
-    if any(x.denominator != 1 for x in action.shift):
-        raise StructuralError("the action's shift is not integral")
-    return (*diagonal, *map(int, action.shift))
-
-
-# (letter, k-part) -> (source side, its step maps, target side, its step
-# maps): a letter's sides and vertex map follow from its k-part alone, so
-# at most 12 letters times 12 decodable k-parts
-_STEP_MAPS: dict[tuple[str, tuple[int, ...]], tuple] = {}
-
-
 def _cube_steps(pairing_set: SidePairingSet) -> list[dict[int, tuple]]:
-    """moves[s][v], the cube map of leaving vertex index v through side s,
-    from the table of each letter's step maps, filled on first use of a
-    (letter, k-part); the maps are shared, so read them only.
+    """moves[s][v], the cube map of leaving vertex index v through side s.
     Leaving v through the source side of a letter R diag(k, 1) is the
     sign map diag(k_j) over the j with v_j = 0 (none at the 16 vertices
     (+-1, +-1, +-1, +-1, 2)), then x_a -> s - x_a, (a, s) the face of the
     target side at the image w; leaving w through the target side is the
     inverse, the reflection and then the sign map."""
     cell = pairing_set.cell
-    moves: list = [None] * len(cell.sides)
+    moves: list = [{} for _ in cell.sides]
     for p in pairing_set.pairings:
-        entry = _STEP_MAPS.get((p.letter, p.kpart))
-        if entry is None:
-            source, target = cell.side_index[p.source.label], cell.side_index[p.target.label]
-            forward, backward = {}, {}
-            for v, w in enumerate(pairing_set.vertex_permutations[source]):
-                if w >= 0:
-                    d = [k for k, x in zip(p.kpart, cell.vertices[v].coords) if not x] or [1, 1, 1]
-                    a, s = cell.vertex_faces[w][target]
-                    d[a] = -d[a]
-                    forward[v] = (*d, *(s * (b == a) for b in range(3)))
-                    backward[w] = (*d, *(-d[a] * s * (b == a) for b in range(3)))
-            entry = _STEP_MAPS[p.letter, p.kpart] = (source, forward, target, backward)
-        source, forward, target, backward = entry
-        moves[source], moves[target] = forward, backward
+        source, target = cell.side_index[p.source.label], cell.side_index[p.target.label]
+        for v, w in enumerate(pairing_set.vertex_permutations[source]):
+            if w >= 0:
+                d = [k for k, x in zip(p.kpart, cell.vertices[v].coords) if not x] or [1, 1, 1]
+                a, s = cell.vertex_faces[w][target]
+                d[a] = -d[a]
+                moves[source][v] = (*d, *(s * (b == a) for b in range(3)))
+                moves[target][w] = (*d, *(-d[a] * s * (b == a) for b in range(3)))
     return moves
+
+
+def _loop_cube_map(pairing_set: SidePairingSet, moves: list, vertex: int, word: Word) -> tuple:
+    """The cube map of a word that fixes vertex index `vertex`, composed
+    from the step maps `moves` of `_cube_steps` along the vertex path its
+    letters trace, from the last letter on, as the walk of
+    `vertex_classes` composes a stabilizer element.  A word whose path
+    leaves the cell's vertices is refused."""
+    cell = pairing_set.cell
+    perms = pairing_set.vertex_permutations
+    sides = {pairing_set.transition(side.label)[:2]: s for s, side in enumerate(cell.sides)}
+    element, v = _IDENTITY, vertex
+    for letter in reversed(word.letters):
+        s = sides[letter]
+        if perms[s][v] < 0:
+            raise StructuralError(f"word {word} leaves the cell's ideal vertices")
+        element = _compose(moves[s][v], element)
+        v = perms[s][v]
+    return element
 
 
 def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
@@ -175,8 +161,8 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
             continue
         words = {rep: Word(())}
         trans = {rep: (_IDENTITY, _IDENTITY)}
-        stabilizer: list[tuple[Word, AffineMap]] = []
-        generators: list[tuple[Word, AffineMap]] = []
+        stabilizer: list[tuple[Word, tuple]] = []
+        generators: list[tuple[Word, tuple]] = []
         seen_maps = {_IDENTITY}
         for p, s, image, new in orbit_edges(rep, steps):
             moved = _compose(moves[s][p], trans[p][0])
@@ -189,7 +175,7 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
                 generator = _invert(element) not in seen_maps
                 seen_maps.add(element)
                 word = words[image].inverse() * Word((letters[s],)) * words[p]
-                kept = (word, _affine(element))
+                kept = (word, element)
                 stabilizer.append(kept)
                 if generator:
                     generators.append(kept)
@@ -241,11 +227,11 @@ def horospherical_action(matrix: LorentzMatrix, vertex: LorentzVector) -> Affine
 
 def cusp_flat_group(vclass: VertexClass) -> FlatGroup:
     """The stabilizer as an exact flat crystallographic group, on the
-    cube maps of its generators: the half of the stabilizer elements that
-    generates it."""
+    affine maps of its generators' cube maps: the half of the stabilizer
+    elements that generates it."""
     if not vclass.generators:
         raise ValueError(f"vertex class {vclass.index} has an empty stabilizer")
-    return FlatGroup(m for _, m in vclass.generators)
+    return FlatGroup(_affine(m) for _, m in vclass.generators)
 
 
 ETA_TABLE: dict[str, Fraction] = {

@@ -35,9 +35,9 @@ from .cusp import (
     VertexClass,
     _affine,
     _compose,
-    _cube_map,
+    _cube_steps,
     _invert,
-    horospherical_action,
+    _loop_cube_map,
     signature,
 )
 from .flatgroups import FlatGroup, classify_flat_group
@@ -196,15 +196,13 @@ def _check_fill(analysis: CodeAnalysis, meridians: list[Meridian], limit: int) -
             )
 
 
-def _cusp_intersection_group(base: FlatGroup, perms) -> tuple[int, FlatGroup]:
-    """The size of coset 0's orbit under the base cusp group, and
+def _cusp_intersection_group(generators: list[tuple], perms) -> tuple[int, FlatGroup]:
+    """The size of coset 0's orbit under a cusp group, and
     stabilizer-intersect-kernel as a flat group, generated by the
     distinct nontrivial Schreier elements of that orbit's walk, in
-    discovery order; perms[i] is the coset permutation of
-    base.generators[i], the action of the cusp's i-th generator (the
-    half of its stabilizer elements that are kept before their inverse).
-    The walk composes the generators' cube maps."""
-    generators = [_cube_map(g) for g in base.generators]
+    discovery order.  `generators` are the cube maps of the cusp's
+    generators (the half of its stabilizer elements that are kept before
+    their inverse), and perms[i] is the coset permutation of the i-th."""
 
     def steps(c):
         return ((i, g, perms[i][c]) for i, g in enumerate(generators))
@@ -291,9 +289,9 @@ def cover_record_from_table(
     d = table.index
     lift_counts = []
     tags = []
-    for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
+    for vclass in analysis.classes:
         perms = [table.permutation(w) for w, _ in vclass.generators]
-        orbit, group = _cusp_intersection_group(base, perms)
+        orbit, group = _cusp_intersection_group([g for _, g in vclass.generators], perms)
         lift_counts.append(d // orbit)
         tags.append(classify_flat_group(group))
     orientable = _orientable(analysis.signs, table)
@@ -452,7 +450,7 @@ def cover_record_from_dihedral_map(
     lift_counts = []
     tags = []
     for vclass in analysis.classes:
-        pairs = [(_cube_map(g), dihedral_image(images, w)) for w, g in vclass.generators]
+        pairs = [(g, dihedral_image(images, w)) for w, g in vclass.generators]
         rotations, reflected = _rotation_half(pairs)
         m = gcd(*(k for _, k in rotations))
         lift_counts.append(gcd(m, n) * (1 if reflected else 2))
@@ -653,19 +651,21 @@ def _rebased_meridian(
 def _peripheral_failure(analysis: CodeAnalysis, meridians: list[Meridian]) -> str | None:
     """Why some generator p of a meridian's cusp conjugates the rebased
     meridian m to neither m nor m^-1, or None.  Compared on cube maps:
-    A_p A_m = A_m A_p or A_p A_m = A_m^-1 A_p.  The p that pass form a
+    A_p A_m = A_m A_p or A_p A_m = A_m^-1 A_p, with A_m composed from the
+    step maps along the vertex path of m's letters.  The p that pass form a
     subgroup, so the first stabilizer element that fails is a generator,
     and the message is the one a walk over every stabilizer element
     would give."""
+    pairing_set = analysis.pairing_set
+    moves = _cube_steps(pairing_set)
+    vertex_index = pairing_set.cell.vertex_index
     for m in meridians:
         vclass = analysis.classes[m.cusp_index]
-        matrix = analysis.pairing_set.evaluate(
-            _rebased_meridian(analysis.pairing_set, vclass, m)
-        )
-        action = _cube_map(horospherical_action(matrix, vclass.representative))
+        rebased = _rebased_meridian(pairing_set, vclass, m)
+        rep = vertex_index[vclass.representative.coords]
+        action = _loop_cube_map(pairing_set, moves, rep, rebased)
         inverse = _invert(action)
         for word, g in vclass.generators:
-            g = _cube_map(g)
             conjugated = _compose(g, action)
             if conjugated != _compose(action, g) and conjugated != _compose(inverse, g):
                 return (

@@ -131,6 +131,16 @@ def _adjugate3(a: Mat3) -> Mat3:
     )  # type: ignore[return-value]
 
 
+def _inv3(a: Mat3) -> Mat3:
+    d = _det3(a)
+    if d == 0:
+        raise ZeroDivisionError("singular 3x3 matrix")
+    # inverse = adjugate / det, divided exactly
+    return tuple(
+        tuple(_div(x, d) for x in row) for row in _adjugate3(a)
+    )  # type: ignore[return-value]
+
+
 class AffineMap(NamedTuple):
     """v :-> linear v + shift, all entries exact rationals; `of` stores
     each integral entry as an int."""
@@ -145,6 +155,21 @@ class AffineMap(NamedTuple):
     @classmethod
     def translation(cls, shift) -> "AffineMap":
         return cls(_ID3, _exact_vec(shift))
+
+    @classmethod
+    def identity(cls) -> "AffineMap":
+        return cls(_ID3, (0, 0, 0))
+
+    def __matmul__(self, other: "AffineMap") -> "AffineMap":
+        # composition: (self @ other)(v) = self(other(v))
+        return AffineMap(
+            _mat_mul(self.linear, other.linear),
+            _vec_add(_mat_vec(self.linear, other.shift), self.shift),
+        )
+
+    def inverse(self) -> "AffineMap":
+        inv = _inv3(self.linear)
+        return AffineMap(inv, tuple(-x for x in _mat_vec(inv, self.shift)))  # type: ignore[arg-type]
 
 
 class FlatGroup:

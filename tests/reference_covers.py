@@ -13,11 +13,11 @@ unique, so the two agree wherever the enumeration completes, and
 
 `rotation_half`, `kernel_generators`, `euclid` and
 `cusp_intersection_group` are the records' helpers on general affine
-maps, composed as `reference_walks.Affine`: the package runs them on the
-cube maps x -> D x + t of the cusp groups, D diagonal +-1 and t
-integral, and these are their oracle, also on the reference flat groups,
-whose linear parts need not be diagonal and whose shifts need not be
-integral.
+maps, composed by `AffineMap`'s `@` and `inverse`: the package runs
+them on the cube maps x -> D x + t of the cusp groups, D diagonal +-1
+and t integral, and these are their oracle, also on the reference flat
+groups, whose linear parts need not be diagonal and whose shifts need
+not be integral.
 """
 
 from math import gcd
@@ -34,8 +34,6 @@ from hyper4.filling import (
     default_meridians,
     fill,
 )
-from reference_walks import Affine
-
 from hyper4.flatgroups import _ID3, AffineMap, FlatGroup, _mat_mul, _mat_vec
 from hyper4.grouppres import (
     dihedral_inverse,
@@ -117,20 +115,19 @@ def kernel_generators(rotations, m, n):
     t from Euclid's algorithm, its order o and t^o the translation by v,
     t^(n / gcd(m, n)), and for each pair (s, a m) and 0 <= j < o the map
     g = t^j s t^-a t^-j and the translation by v - A v."""
-    rotations = [(Affine(*g), k) for g, k in rotations]
     if not m:
         elements = [g for g, _ in rotations]
     else:
         t = euclid(rotations)
         order = matrix_order(t.linear)
-        powers = [Affine.identity()]
+        powers = [AffineMap.identity()]
         for _ in range(order):
             powers.append(powers[-1] @ t)
         v = powers.pop().shift
 
         def power(i):
             q, r = divmod(i, order)
-            return Affine(powers[r].linear, tuple(a + q * x for a, x in zip(powers[r].shift, v)))
+            return AffineMap(powers[r].linear, tuple(a + q * x for a, x in zip(powers[r].shift, v)))
 
         elements = [power(n // gcd(m, n))]
         for s, k in rotations:
@@ -140,16 +137,15 @@ def kernel_generators(rotations, m, n):
                 elements.append(g)
                 moved = _mat_vec(g.linear, v)
                 elements.append(AffineMap.translation([a - b for a, b in zip(v, moved)]))
-    one = Affine.identity()
+    one = AffineMap.identity()
     return [g for g in dict.fromkeys(elements) if g != one]
 
 
 def euclid(rotations):
     """An element t with psi(t) = m > 0, the gcd of the exponents, by
     Euclid's algorithm on the pairs (s, psi(s))."""
-    t, a = Affine.identity(), 0
+    t, a = AffineMap.identity(), 0
     for s, b in rotations:
-        s = Affine(*s)
         while b:
             q, r = divmod(a, b)
             step = s.inverse() if q > 0 else s
@@ -164,15 +160,13 @@ def cusp_intersection_group(base, perms):
     flat group of the distinct nontrivial Schreier elements of its walk,
     in discovery order; perms[i] is the coset permutation of
     base.generators[i]."""
-    generators = [Affine(*g) for g in base.generators]
-
     def steps(c):
-        return ((i, g, perms[i][c]) for i, g in enumerate(generators))
+        return ((i, g, perms[i][c]) for i, g in enumerate(base.generators))
 
-    one = Affine.identity()
+    one = AffineMap.identity()
     size = 1
     elements = {}
-    walk = schreier_transversal(0, steps, one, Affine.__matmul__, Affine.inverse)
+    walk = schreier_transversal(0, steps, one, AffineMap.__matmul__, AffineMap.inverse)
     for *_, new, g in walk:
         if new:
             size += 1

@@ -6,9 +6,10 @@ references for the cusp actions.
 `edge_orbits` compares g T[p] with T[image] on every edge of every
 orbit, and `vertex_classes` carries a (word, matrix) pair through the
 whole Schreier transversal, marking as a generator each element it
-keeps before its inverse, and reads each kept matrix's cube map with
-`horospherical_action`.  They return what the package's walks return,
-and raise the same messages.
+keeps before its inverse, and reads each kept matrix's action with
+`horospherical_action`, kept as the six integers of its cube map by
+`cube_map`.  They return what the package's walks return, and raise the
+same messages.
 
 `chart_map` finds a matrix's map between two vertices' cube charts from
 the chart points of the cell's other ideal vertices alone, with no
@@ -16,10 +17,6 @@ frame algebra.  `w_frame_action` is the horospherical action in an
 integer frame (u, z, w1, w2, w3) whose w_l span the integer complement
 of u's spatial part, by a Smith form: a second chart, conjugate to the
 cube chart, whose flat groups must have the same invariants.
-
-`Affine` is an `AffineMap` with the group operations, `@` and
-`inverse`, which the package no longer forms: its cusp groups compose
-cube maps.  The oracles of the tests compose affine maps with it.
 """
 
 import functools
@@ -28,18 +25,8 @@ from itertools import combinations
 from operator import mul
 
 from hyper4.cell24 import the_24_cell
-from hyper4.cusp import VertexClass, horospherical_action
-from hyper4.flatgroups import (
-    _ID3,
-    AffineMap,
-    StructuralError,
-    _adjugate3,
-    _det3,
-    _div,
-    _mat_mul,
-    _mat_vec,
-    _vec_add,
-)
+from hyper4.cusp import VertexClass, _affine, horospherical_action
+from hyper4.flatgroups import AffineMap, StructuralError, _adjugate3, _det3, _inv3, _mat_mul
 from hyper4.grouppres import orbit_edges, schreier_transversal
 from hyper4.intmat import smith_normal_form
 from hyper4.lorentz import IDENTITY, LorentzMatrix, LorentzVector, lorentz_product
@@ -47,34 +34,15 @@ from hyper4.pairing import FaceCycle
 from hyper4.words import Word
 
 
-def inv3(a):
-    """The inverse of a 3x3 matrix: its adjugate over its determinant,
-    each entry divided exactly."""
-    d = _det3(a)
-    if d == 0:
-        raise ZeroDivisionError("singular 3x3 matrix")
-    return tuple(tuple(_div(x, d) for x in row) for row in _adjugate3(a))
-
-
-class Affine(AffineMap):
-    """An affine map v :-> linear v + shift that composes and inverts."""
-
-    __slots__ = ()
-
-    @classmethod
-    def identity(cls) -> "Affine":
-        return cls(_ID3, (0, 0, 0))
-
-    def __matmul__(self, other: AffineMap) -> "Affine":
-        # composition: (self @ other)(v) = self(other(v))
-        return Affine(
-            _mat_mul(self.linear, other.linear),
-            _vec_add(_mat_vec(self.linear, other.shift), self.shift),
-        )
-
-    def inverse(self) -> "Affine":
-        inv = inv3(self.linear)
-        return Affine(inv, tuple(-x for x in _mat_vec(inv, self.shift)))
+def cube_map(action: AffineMap) -> tuple:
+    """The cube map (D11, D22, D33, t1, t2, t3) of an affine map
+    x -> D x + t whose D is diagonal +-1 and whose t is integral."""
+    linear, shift = action
+    diagonal = tuple(linear[a][a] for a in range(3))
+    cube = (*diagonal, *(int(x) for x in shift))
+    if _affine(cube) != action or not {*diagonal} <= {1, -1}:
+        raise AssertionError(f"{action} is not a cube map")
+    return cube
 
 
 def ridge_cycles(pairing_set) -> list[FaceCycle]:
@@ -166,7 +134,7 @@ def vertex_classes(pairing_set) -> list[VertexClass]:
                 members.append((image, word))
             elif matrix not in seen_matrices:
                 seen_matrices.add(matrix)
-                element = (word, horospherical_action(matrix, rep))
+                element = (word, cube_map(horospherical_action(matrix, rep)))
                 stabilizer.append(element)
                 if matrix.inverse() not in seen_matrices:
                     generators.append(element)
@@ -220,7 +188,7 @@ def chart_map(matrix: LorentzMatrix, vertex: LorentzVector, image: LorentzVector
         spread = differences([p for p, _ in chosen])
         if _det3(spread):
             break
-    linear = _mat_mul(differences([q for _, q in chosen]), inv3(spread))
+    linear = _mat_mul(differences([q for _, q in chosen]), _inv3(spread))
     p0, q0 = chosen[0]
     shift = [q - sum(map(mul, row, p0)) for row, q in zip(linear, q0)]
     affine = AffineMap.of(linear, shift)

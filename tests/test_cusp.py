@@ -62,7 +62,7 @@ def test_stabilizers_fix_their_representative(code):
             matrix = pairings.evaluate(word)
             assert matrix.apply(vc.representative) == vc.representative
             assert reference_walks.chart_map(matrix, vc.representative, vc.representative) == (
-                action
+                cusp_module._affine(action)
             )
 
 
@@ -94,30 +94,46 @@ def test_vertex_classes_match_the_word_and_matrix_walk():
 
 def test_walk_maps_are_the_actions_of_the_stabilizer_words():
     # every kept stabilizer element of every pool manifold: the cube map
-    # the walk composed is the action of its word's matrix
+    # the walk composed is the action of its word's matrix, and the one
+    # composed along the vertex path of the word's letters
     elements = 0
+    cell = the_24_cell()
     for code in _pool_manifold_codes():
         pairings = build_side_pairings(code)
+        moves = cusp_module._cube_steps(pairings)
         for vc in vertex_classes(pairings):
+            rep = cell.vertex_index[vc.representative.coords]
             for word, action in vc.stabilizer:
                 matrix = pairings.evaluate(word)
-                assert horospherical_action(matrix, vc.representative) == action, (code, str(word))
+                affine = cusp_module._affine(action)
+                assert horospherical_action(matrix, vc.representative) == affine, (code, str(word))
+                assert cusp_module._loop_cube_map(pairings, moves, rep, word) == action
                 elements += 1
     assert elements == 8300
 
 
-def test_step_maps_are_the_chart_maps_of_the_letters(monkeypatch):
+def test_loop_cube_map_refuses_a_word_that_leaves_the_cell_vertices():
+    # "c" is a loop at (1,0,0,0,1), one step down the chart's second axis;
+    # c fixes that vertex, which lies on no side that G leaves through, so
+    # the path of "Gc" leaves the cell's ideal vertices
+    cell = the_24_cell()
+    moves = cusp_module._cube_steps(PAIRINGS)
+    vertex = cell.vertex_index[(1, 0, 0, 0, 1)]
+    assert cusp_module._loop_cube_map(PAIRINGS, moves, vertex, parse_word("c")) == (
+        1, 1, 1, 0, -1, 0
+    )
+    with pytest.raises(StructuralError) as excinfo:
+        cusp_module._loop_cube_map(PAIRINGS, moves, vertex, parse_word("Gc"))
+    assert str(excinfo.value) == "word Gc leaves the cell's ideal vertices"
+
+
+def test_step_maps_are_the_chart_maps_of_the_letters():
     # every (position, character) entry that decodes, with F at the other
-    # five positions, covers every letter of every decodable code: on an
-    # empty table, the entries they fill are the 12 letters times the 12
-    # decodable k-parts, each met as a letter of its own position, and
-    # each entry's map of leaving a vertex of the letter's source side, or
-    # of its target side, is the letter's map between the two vertices'
-    # cube charts
-    monkeypatch.setattr(cusp_module, "_STEP_MAPS", {})
+    # five positions, covers every letter of every decodable code: leaving
+    # each vertex of a letter's source side, and of its target side, is
+    # the letter's map between the two vertices' cube charts
     cell = the_24_cell()
     entries = steps = 0
-    checked = set()
     for position in range(1, 7):
         for ch in CODE_ALPHABET:
             code = "F" * (position - 1) + ch + "F" * (6 - position)
@@ -128,73 +144,14 @@ def test_step_maps_are_the_chart_maps_of_the_letters(monkeypatch):
             entries += 1
             moves = cusp_module._cube_steps(pairings)
             for p in pairings.pairings[2 * position - 2 : 2 * position]:
-                source, forward, target, backward = cusp_module._STEP_MAPS[p.letter, p.kpart]
-                assert (source, target) == (
-                    cell.side_index[p.source.label],
-                    cell.side_index[p.target.label],
-                )
-                assert moves[source] is forward and moves[target] is backward, code
-                checked.add((p.letter, p.kpart))
-                for side, g, maps in ((p.source, p.matrix, forward), (p.target, p.matrix.inverse(), backward)):
-                    vertices = cell.vertices_of_side(side.label)
-                    assert sorted(maps) == sorted(cell.vertex_index[v.coords] for v in vertices)
-                    for v in vertices:
-                        d0, d1, d2, *shift = maps[cell.vertex_index[v.coords]]
+                for side, g in ((p.source, p.matrix), (p.target, p.matrix.inverse())):
+                    s = cell.side_index[side.label]
+                    for v in cell.vertices_of_side(side.label):
+                        d0, d1, d2, *shift = moves[s][cell.vertex_index[v.coords]]
                         step = AffineMap(((d0, 0, 0), (0, d1, 0), (0, 0, d2)), tuple(shift))
                         assert reference_walks.chart_map(g, v, g.apply(v)) == step, (code, side)
                         steps += 1
-    assert entries == 72
-    assert checked == cusp_module._STEP_MAPS.keys() and len(checked) == 12 * 12
-    assert steps == 72 * 2 * 2 * 6
-
-
-def test_step_table_is_history_independent_and_bounded(monkeypatch):
-    # each pool manifold's vertex classes are the same on an empty table
-    # and on one filled by all 183, and the table holds one entry per
-    # (letter, k-part) of the codes decoded so far
-    codes = _pool_manifold_codes()
-    monkeypatch.setattr(cusp_module, "_STEP_MAPS", {})
-    fresh = {}
-    for code in codes:
-        cusp_module._STEP_MAPS.clear()
-        fresh[code] = vertex_classes(build_side_pairings(code))
-        assert len(cusp_module._STEP_MAPS) == 12, code
-    cusp_module._STEP_MAPS.clear()
-    seen = set()
-    for code in codes:
-        pairings = build_side_pairings(code)
-        seen.update((p.letter, p.kpart) for p in pairings.pairings)
-        vertex_classes(pairings)
-        assert cusp_module._STEP_MAPS.keys() == seen, code
-    assert len(seen) <= 12 * 12
-    for code in codes:
-        assert vertex_classes(build_side_pairings(code)) == fresh[code], code
-    assert cusp_module._STEP_MAPS.keys() == seen
-    assert len(codes) == 183
-
-
-@pytest.mark.parametrize(
-    "linear, shift, message",
-    [
-        (((0, 1, 0), (1, 0, 0), (0, 0, 1)), (0, 0, 0), "the action's linear part is not diagonal +-1"),
-        (((2, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0), "the action's linear part is not diagonal +-1"),
-        (((1, 0, 0), (0, -1, 0), (0, 0, 1)), (0, Fraction(1, 2), 0), "the action's shift is not integral"),
-    ],
-    ids=["swap", "scaled", "half-shift"],
-)
-def test_cube_map_refuses_an_affine_map_off_the_cube_symmetries(linear, shift, message):
-    with pytest.raises(StructuralError) as excinfo:
-        cusp_module._cube_map(AffineMap(linear, shift))
-    assert str(excinfo.value) == message
-
-
-def test_cube_map_is_the_inverse_of_affine():
-    for vc in CLASSES:
-        for _, action in vc.stabilizer:
-            assert cusp_module._affine(cusp_module._cube_map(action)) == action
-    assert cusp_module._cube_map(AffineMap.of(((-1, 0, 0), (0, 1, 0), (0, 0, -1)), (Fraction(4, 2), 0, 1))) == (
-        -1, 1, -1, 2, 0, 1
-    )
+    assert (entries, steps) == (72, 72 * 2 * 2 * 6)
 
 
 def test_both_charts_give_the_same_flat_invariants():
@@ -238,14 +195,10 @@ def test_generators_give_the_stabilizer_flat_group():
             assert set(vc.generators) <= set(vc.stabilizer), code
             for i, (word, action) in enumerate(vc.stabilizer):
                 if (word, action) not in vc.generators:
-                    assert reference_walks.Affine(*action).inverse() in maps[:i], (
-                        code,
-                        vc.index,
-                        str(word),
-                    )
+                    assert cusp_module._invert(action) in maps[:i], (code, vc.index, str(word))
 
             def group(elements):
-                return FlatGroup(m for _, m in elements)
+                return FlatGroup(cusp_module._affine(m) for _, m in elements)
 
             assert invariants(group(vc.generators)) == invariants(group(vc.stabilizer)), code
             counts[0] += len(vc.generators)
@@ -267,7 +220,7 @@ def test_code_analysis_acts_on_the_generators_alone(monkeypatch):
     analysis = CodeAnalysis("14FF28")
     assert [len(vc.generators) for vc in analysis.classes] == [7, 4, 4, 4, 4]
     assert [list(group.generators) for group, _ in analysis.cusps] == [
-        [m for _, m in vc.generators] for vc in analysis.classes
+        [cusp_module._affine(m) for _, m in vc.generators] for vc in analysis.classes
     ]
     assert calls == []
 

@@ -18,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 import reference_certificate
 import reference_covers
 from reference_covers import written_table
-from reference_walks import Affine
+from reference_walks import cube_map
 import hyper4.filling as filling_module
 import hyper4.grouppres as grouppres_module
 from hyper4.analysis import CodeAnalysis
 from hyper4.cli import main
-from hyper4.cusp import _affine, _cube_map, horospherical_action, vertex_classes
+from hyper4 import cusp as cusp_module
+from hyper4.cusp import _affine, horospherical_action, vertex_classes
 from hyper4.filling import (
     DEFAULT_MERIDIANS,
     DIHEDRAL_MAPS,
@@ -51,7 +52,7 @@ from hyper4.filling import (
     parse_meridian_lines,
     validate_meridians,
 )
-from hyper4.flatgroups import AffineMap, FlatGroup, StructuralError, _reference_affine_data
+from hyper4.flatgroups import AffineMap, FlatGroup, _reference_affine_data
 from hyper4.grouppres import (
     DEFAULT_COSET_LIMIT,
     CosetTable,
@@ -621,6 +622,18 @@ def _rebased_matrices():
 REBASED = _rebased_matrices()
 
 
+def test_rebased_meridians_walk_to_their_horospherical_actions():
+    # the peripheral check composes each rebased default meridian's cube
+    # map along the vertex path of its letters: the action of its matrix
+    moves = cusp_module._cube_steps(PAIRINGS)
+    for m, (vclass, matrix, _) in zip(default_meridians("14FF28"), REBASED):
+        rep = PAIRINGS.cell.vertex_index[vclass.representative.coords]
+        word = _rebased_meridian(PAIRINGS, vclass, m)
+        assert cusp_module._loop_cube_map(PAIRINGS, moves, rep, word) == cube_map(
+            horospherical_action(matrix, vclass.representative)
+        ), str(m.word)
+
+
 def test_peripheral_condition_needs_the_inverse():
     # 22 generators fix their cusp's meridian and 24 invert it, so a
     # check that accepted only p M p^-1 = M would certify no cover
@@ -824,18 +837,18 @@ def test_rotation_half_carries_the_dihedral_value_of_each_word(name):
     for vclass in ANALYSIS.classes:
         rep = vclass.representative
         pairs = [
-            (_Tracked(Affine(*action), word), dihedral_image(images, word))
+            (_Tracked(_affine(action), word), dihedral_image(images, word))
             for word, action in vclass.stabilizer
         ]
-        identity = _Tracked(Affine.identity(), Word(()))
+        identity = _Tracked(AffineMap.identity(), Word(()))
         rotations, reflected = reference_covers.rotation_half(pairs, identity)
         assert reflected == any(e for _, (_, e) in pairs)
         for x, k in rotations:
             assert dihedral_image(images, x.word) == (k, 0), (vclass.index, str(x.word))
             assert x.affine == horospherical_action(PAIRINGS.evaluate(x.word), rep)
-        cubes = [(_cube_map(x.affine), value) for x, value in pairs]
+        cubes = [(cube_map(x.affine), value) for x, value in pairs]
         assert _rotation_half(cubes) == (
-            [(_cube_map(x.affine), k) for x, k in rotations],
+            [(cube_map(x.affine), k) for x, k in rotations],
             reflected,
         ), vclass.index
         elements += len(rotations)
@@ -850,7 +863,7 @@ def test_generating_half_gives_the_rotation_subgroup_of_the_stabilizer():
     for vclass in ANALYSIS.classes:
         found = []
         for elements in (vclass.generators, vclass.stabilizer):
-            pairs = [(_cube_map(action), dihedral_image(IMAGES, word)) for word, action in elements]
+            pairs = [(action, dihedral_image(IMAGES, word)) for word, action in elements]
             rotations, reflected = _rotation_half(pairs)
             m = gcd(*(k for _, k in rotations))
             lattice = FlatGroup(map(_affine, _kernel_generators(rotations, m, 7))).lattice
@@ -866,10 +879,11 @@ def test_record_helpers_on_cube_maps_are_the_affine_oracle():
     for analysis in _pool_analyses():
         for vclass in analysis.classes:
             for images in LETTER_IMAGES.values():
-                pairs = [(Affine(*g), dihedral_image(images, w)) for w, g in vclass.generators]
-                rotations, reflected = reference_covers.rotation_half(pairs, Affine.identity())
-                cubes = [(_cube_map(g), k) for g, k in rotations]
-                assert _rotation_half([(_cube_map(g), x) for g, x in pairs]) == (cubes, reflected)
+                pairs = [(g, dihedral_image(images, w)) for w, g in vclass.generators]
+                affine = [(_affine(g), x) for g, x in pairs]
+                rotations, reflected = reference_covers.rotation_half(affine, AffineMap.identity())
+                cubes = [(cube_map(g), k) for g, k in rotations]
+                assert _rotation_half(pairs) == (cubes, reflected)
                 m = gcd(*(k for _, k in rotations))
                 if m:
                     assert _affine(_euclid(cubes)) == reference_covers.euclid(rotations)
@@ -948,9 +962,8 @@ def test_kernel_generators_give_the_stabilizer_of_the_orbit_walk(case):
     base = FlatGroup(generators)
     doubled = [AffineMap.of(g.linear, [2 * x for x in g.shift]) for g in generators]
     try:
-        cubes = [(_cube_map(g), k) for g, (_, k) in zip(doubled, rotations)]
-    except StructuralError as exc:
-        assert str(exc) == "the action's linear part is not diagonal +-1"
+        cubes = [(cube_map(g), k) for g, (_, k) in zip(doubled, rotations)]
+    except AssertionError:
         cubes = None
     assert (cubes is None) == (maps in ("C", "D", "E", "H"))
     for n in range(1, 14):
@@ -963,7 +976,7 @@ def test_kernel_generators_give_the_stabilizer_of_the_orbit_walk(case):
         assert group.invariants() == expected.invariants(), (case, n)
         if cubes is not None:
             size, expected = reference_covers.cusp_intersection_group(FlatGroup(doubled), perms)
-            walked = _cusp_intersection_group(FlatGroup(doubled), perms)
+            walked = _cusp_intersection_group([g for g, _ in cubes], perms)
             assert walked[0] == size and walked[1].generators == expected.generators, (case, n)
             group = FlatGroup(map(_affine, _kernel_generators(cubes, m, n)))
             assert group.lattice == expected.lattice, (case, n)
@@ -985,16 +998,23 @@ def test_orientability_reads_the_characters_of_d_n():
     assert not any(_pulls_back(signs, images, n) for n in (1, 2, 3, 4))
 
 
-def _count_compositions(monkeypatch) -> Counter:
-    """Counts of the cube-map compositions of `filling` made from now on."""
+def _count_products(monkeypatch) -> Counter:
+    """Counts of the cube-map compositions of `filling` and `cusp`, and of
+    the AffineMap products and inverses, made from now on."""
     calls = Counter()
-    compose = filling_module._compose
+    for owner, name in (
+        (filling_module, "_compose"),
+        (cusp_module, "_compose"),
+        (AffineMap, "__matmul__"),
+        (AffineMap, "inverse"),
+    ):
+        original = getattr(owner, name)
 
-    def counted(f, g):
-        calls["_compose"] += 1
-        return compose(f, g)
+        def counted(*args, key=f"{owner.__name__}.{name}", original=original):
+            calls[key] += 1
+            return original(*args)
 
-    monkeypatch.setattr(filling_module, "_compose", counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -1014,7 +1034,7 @@ def test_record_off_the_map_takes_the_same_products_at_any_n(monkeypatch):
     assert record.cusp_lift_counts == (100001, 1, 100001, 100001, 100001)
     assert classify_filled_cover("14FF28", 100001)["verdict"].verdict == "#_100000(S^2xS^2)"
     monkeypatch.setattr(CosetTable, "__init__", refuse)
-    calls = _count_compositions(monkeypatch)
+    calls = _count_products(monkeypatch)
     counts = []
     for n in (3, 51, 100001):
         calls.clear()
@@ -1023,8 +1043,11 @@ def test_record_off_the_map_takes_the_same_products_at_any_n(monkeypatch):
         assert record.cusp_types == "A" * (4 * n + 1)
         assert _peripheral_failure(analysis, meridians) is None
         counts.append(dict(calls))
-    # the record and the peripheral check compose cube maps: 115 for the
-    # record, 58 for the check; the package's affine maps have no product
-    # or inverse to form
-    assert counts[0] == counts[1] == counts[2] == {"_compose": 115 + 58}
-    assert not hasattr(AffineMap, "__matmul__") and not hasattr(AffineMap, "inverse")
+    # the record and the peripheral check compose cube maps and form no
+    # AffineMap product or inverse: 115 compositions for the record, 58
+    # for the conjugations of the check and 12 along the five rebased
+    # meridians' vertex paths
+    assert counts[0] == counts[1] == counts[2] == {
+        "hyper4.filling._compose": 115 + 58,
+        "hyper4.cusp._compose": 12,
+    }

@@ -33,7 +33,7 @@ from hyper4 import analysis as analysis_module
 from hyper4 import filling as filling_module
 from hyper4 import lorentz as lorentz_module
 from hyper4.analysis import CodeAnalysis
-from hyper4.cusp import cusp_flat_group, horospherical_action, vertex_classes
+from hyper4.cusp import _affine, cusp_flat_group, horospherical_action, vertex_classes
 from hyper4.filling import (
     _cover_face_counts,
     _cusp_intersection_group,
@@ -273,9 +273,9 @@ def test_cover_cusp_groups_are_the_actions_of_the_lorentz_walk():
         if matrix != IDENTITY:
             walks.setdefault((label, vclass.index), {})[matrix] = None
     for label, analysis, table in _cover_tables():
-        for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
+        for vclass in analysis.classes:
             perms = [table.permutation(w) for w, _ in vclass.generators]
-            orbit, group = _cusp_intersection_group(base, perms)
+            orbit, group = _cusp_intersection_group([g for _, g in vclass.generators], perms)
             (zeros,) = [o for o in orbit_partition(perms, table.index) if o[0] == 0]
             assert orbit == len(zeros), (label, vclass.index)
             assert list(group.generators) == [
@@ -339,25 +339,23 @@ def test_cover_cusp_walk_inverts_each_generator_once(monkeypatch):
     analysis, table = written_table("14FF28", 51)
     calls = _count_arithmetic(monkeypatch, filling_module, ["_invert"])
     counts = []
-    for vclass, (base, _) in zip(analysis.classes, analysis.cusps):
+    for vclass in analysis.classes:
         perms = [table.permutation(w) for w, _ in vclass.generators]
         calls.clear()
-        orbit, _ = _cusp_intersection_group(base, perms)
-        assert calls["_invert"] <= len(base.generators)
+        orbit, _ = _cusp_intersection_group([g for _, g in vclass.generators], perms)
+        assert calls["_invert"] <= len(vclass.generators)
         counts.append((orbit, calls["_invert"]))
     assert counts == [(2, 1), (102, 2), (2, 1), (2, 1), (2, 1)]
 
 
 def test_flat_group_makes_no_affine_product_or_inverse(monkeypatch):
-    # the holonomy walk carries only each transversal element's shift: the
-    # package's affine maps have no product or inverse, and no cusp group
-    # of the pool forms one on generators that have them
-    assert not hasattr(AffineMap, "__matmul__") and not hasattr(AffineMap, "inverse")
-    calls = _count_arithmetic(monkeypatch, reference_walks.Affine, ["__matmul__", "inverse"])
+    # the holonomy walk carries only each transversal element's shift, so
+    # no cusp group of the pool forms an AffineMap product or inverse
+    calls = _count_arithmetic(monkeypatch, AffineMap, ["__matmul__", "inverse"])
     groups = 0
     for code in _pool_manifold_codes():
         for vclass in vertex_classes(build_side_pairings(code)):
-            maps = [reference_walks.Affine(*m) for _, m in vclass.generators]
+            maps = [_affine(m) for _, m in vclass.generators]
             calls.clear()
             FlatGroup(maps)
             assert calls == {}, code

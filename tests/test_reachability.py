@@ -44,6 +44,11 @@ LIBRARY_ONLY = {
     "grouppres.CosetTable.step": "one table entry by letter: follow and schreier_rewrite take it, and the orientation oracle of the cover tests reads it",
     "grouppres.CosetTable.column": "the column index of a letter: step and the orientation walk of cover_record_from_table, the oracle of the record read off the map, take it",
     "intmat.solve_integer": "one integer solution of a linear system by Smith form with both transforms: the torsion oracle of the flat-group reference in the group tests, which FlatGroup's Hermite membership test is checked against",
+    "cusp.horospherical_action": "the action of a stabilizer matrix in a vertex's cube chart, read off the matrix and exported by the package: the oracle of the cube maps that the vertex walk and the peripheral check compose, and a traced layer of the benchmark, whose smoke run fails on an absent target",
+    "flatgroups.AffineMap.identity": "the identity affine map for library users; the affine oracles of the cover record's helpers start from it",
+    "flatgroups.AffineMap.__matmul__": "composition for library users of the affine maps that horospherical_action, cusp_flat_group and reference_flat_groups return; the cusp groups compose cube maps, and the affine oracles of the cover record's helpers compose with it",
+    "flatgroups.AffineMap.inverse": "the inverse for library users of the affine maps that horospherical_action, cusp_flat_group and reference_flat_groups return; the cusp groups invert cube maps, and the affine oracles of the cover record's helpers invert with it",
+    "flatgroups._inv3": "the exact inverse of a 3x3 matrix, the linear part of AffineMap.inverse",
     "lorentz.LorentzVector.__str__": "the coordinate form of a vector for library users; the walks read vertex maps, so no message prints one",
 }
 
