@@ -7,19 +7,21 @@ sixteen of the form (+-1, +-1, +-1, +-1, 2).  Ridges (codimension 2)
 are orthogonal side pairs; edges (codimension 3) are vertex pairs lying
 on exactly three common sides.
 
-Besides its faces, the complex keeps integer tables for the edge and
-vertex walks: each vertex's index and its side indices, each edge's end
-and side indices, and the edge at a pair of end indices.  A walk then
-moves a face by a side's vertex permutation and looks its image up by
-integers, with no `LorentzVector` hashed.  Each ideal vertex's link is a
-cube, and its chart, checked here, names each side's face (axis, sign).
+Every face is named by integers, in increasing order: a side by its
+index in `sides` (label order), a vertex by its index in `vertices`
+(coordinate order), a ridge by its 2 sides and 3 vertices, an edge by
+its 2 vertices and 3 sides.  Each incidence is one table: `side_vertices`,
+`vertex_sides`, `ridge_by_vertices` and `edge_by_ends`.  A walk moves a
+face by a side's vertex permutation and looks its image up by integers,
+with no `LorentzVector` hashed.  Each ideal vertex's link is a cube, and
+its chart, checked here, names each side's face (axis, sign).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import add
 
 from .lorentz import LorentzMatrix, LorentzVector, lorentz_product, reflection_matrix
@@ -91,18 +93,18 @@ class Side:
 
 @dataclass(frozen=True)
 class Ridge:
-    """Codimension-2 face: intersection of two orthogonal sides."""
+    """Codimension-2 face: two orthogonal sides and their 3 common vertices."""
 
-    sides: tuple[str, str]
-    vertices: tuple[LorentzVector, LorentzVector, LorentzVector]
+    sides: tuple[int, int]
+    vertices: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class Edge:
     """Codimension-3 face: two ideal vertices on exactly three sides."""
 
-    vertices: tuple[LorentzVector, LorentzVector]
-    sides: tuple[str, str, str]
+    vertices: tuple[int, int]
+    sides: tuple[int, int, int]
 
 
 def _all_lights() -> tuple[LorentzVector, ...]:
@@ -143,9 +145,7 @@ class Cell24Complex:
 
     def __init__(self) -> None:
         self.sides: tuple[Side, ...] = tuple(Side(lbl, c) for lbl, c in _LABEL_CENTERS)
-        self.by_center: dict[tuple[int, int, int, int], Side] = {
-            s.center: s for s in self.sides
-        }
+        self.by_center: dict[tuple[int, int, int, int], Side] = {s.center: s for s in self.sides}
         self.vertices: tuple[LorentzVector, ...] = _all_lights()
 
         if len(self.sides) != 24 or len(self.vertices) != 24:
@@ -157,73 +157,67 @@ class Cell24Complex:
             if not v.is_light():
                 raise AssertionError(f"vertex {v} is not a light vector")
 
-        self._incidence: dict[str, tuple[LorentzVector, ...]] = {}
-        self._sides_of_vertex: dict[LorentzVector, tuple[str, ...]] = {
-            v: () for v in self.vertices
-        }
-        for s in self.sides:
-            on = tuple(v for v in self.vertices if v.dot(s.normal) == 0)
-            if len(on) != 6:
-                raise AssertionError(f"side {s.label} must contain 6 ideal vertices")
-            self._incidence[s.label] = on
-            for v in on:
-                self._sides_of_vertex[v] = self._sides_of_vertex[v] + (s.label,)
-        for v, labels in self._sides_of_vertex.items():
-            if len(labels) != 6:
-                raise AssertionError(f"vertex {v} must lie on 6 sides")
-
-        ridges = []
-        for s1, s2 in combinations(self.sides, 2):
-            if s1.normal.dot(s2.normal) != 0:
-                continue
-            common = tuple(v for v in self._incidence[s1.label] if v.dot(s2.normal) == 0)
-            if len(common) != 3:
-                raise AssertionError(f"ridge {s1.label},{s2.label} must carry 3 vertices")
-            ridges.append(Ridge(tuple(sorted((s1.label, s2.label))), common))
-        self.ridges: tuple[Ridge, ...] = tuple(
-            sorted(ridges, key=lambda r: r.sides)
-        )
-        if len(self.ridges) != 96:
-            raise AssertionError("24-cell must have 96 ridges")
-        self.ridge_by_vertices: dict[frozenset[LorentzVector], Ridge] = {
-            frozenset(r.vertices): r for r in self.ridges
-        }
-        if len(self.ridge_by_vertices) != 96:
-            raise AssertionError("ridge vertex triples must be distinct")
-
-        edges = []
-        for v1, v2 in combinations(self.vertices, 2):
-            common = tuple(
-                lbl
-                for lbl in self._sides_of_vertex[v1]
-                if lbl in set(self._sides_of_vertex[v2])
-            )
-            if len(common) == 3:
-                edges.append(Edge((v1, v2), tuple(sorted(common))))
-            elif len(common) > 3:
-                raise AssertionError("vertex pair on more than 3 sides")
-        self.edges: tuple[Edge, ...] = tuple(
-            sorted(edges, key=lambda e: (e.vertices[0].coords, e.vertices[1].coords))
-        )
-        if len(self.edges) != 96:
-            raise AssertionError("24-cell must have 96 edges")
-        self.edge_by_vertices: dict[frozenset[LorentzVector], Edge] = {
-            frozenset(e.vertices): e for e in self.edges
-        }
-
-        # the integer tables of the edge and vertex walks: a vertex by its
-        # index in `vertices` (coordinate order), a side by its index in
-        # `sides` (label order), an edge by its index in `edges`.  Vertex
-        # indices are keyed by coordinates, whose tuples hash in C.
+        # a vertex by its index in `vertices` (coordinate order), keyed by
+        # coordinates, whose tuples hash in C; a side by its index in
+        # `sides` (label order)
         self.vertex_index: dict[tuple[int, ...], int] = {
             v.coords: i for i, v in enumerate(self.vertices)
         }
         self.side_index: dict[str, int] = {s.label: i for i, s in enumerate(self.sides)}
-        side_index = self.side_index
-        self.vertex_sides: tuple[tuple[int, ...], ...] = tuple(
-            tuple(side_index[label] for label in self.sides_of_vertex(v))
-            for v in self.vertices
+        self.side_vertices: tuple[tuple[int, ...], ...] = tuple(
+            tuple(i for i, v in enumerate(self.vertices) if v.dot(s.normal) == 0)
+            for s in self.sides
         )
+        self.vertex_sides: tuple[tuple[int, ...], ...] = tuple(
+            tuple(s for s, on in enumerate(self.side_vertices) if i in on)
+            for i in range(len(self.vertices))
+        )
+        if {len(on) for on in self.side_vertices + self.vertex_sides} != {6}:
+            raise AssertionError("each side must carry 6 ideal vertices, and each vertex 6 sides")
+
+        # index pairs come in increasing order, so both face lists are sorted
+        ridges = []
+        for s, t in combinations(range(len(self.sides)), 2):
+            if self.sides[s].normal.dot(self.sides[t].normal) != 0:
+                continue
+            common = tuple(v for v in self.side_vertices[s] if v in self.side_vertices[t])
+            if len(common) != 3:
+                raise AssertionError(
+                    f"ridge {self.sides[s].label},{self.sides[t].label} must carry 3 vertices"
+                )
+            ridges.append(Ridge((s, t), common))
+        self.ridges: tuple[Ridge, ...] = tuple(ridges)
+        if len(self.ridges) != 96:
+            raise AssertionError("24-cell must have 96 ridges")
+        # any order of a ridge's vertices looks up the ridge's index
+        self.ridge_by_vertices: dict[tuple[int, ...], int] = {
+            key: k for k, r in enumerate(self.ridges) for key in permutations(r.vertices)
+        }
+        if len(self.ridge_by_vertices) != 6 * len(self.ridges):
+            raise AssertionError("ridge vertex triples must be distinct")
+
+        edges = []
+        for i, j in combinations(range(len(self.vertices)), 2):
+            common = tuple(s for s in self.vertex_sides[i] if s in self.vertex_sides[j])
+            if len(common) == 3:
+                edges.append(Edge((i, j), common))
+            elif len(common) > 3:
+                raise AssertionError("vertex pair on more than 3 sides")
+        self.edges: tuple[Edge, ...] = tuple(edges)
+        if len(self.edges) != 96:
+            raise AssertionError("24-cell must have 96 edges")
+        # either order of an edge's ends looks up the edge's index
+        self.edge_by_ends: dict[tuple[int, int], int] = {}
+        for k, e in enumerate(self.edges):
+            i, j = e.vertices
+            self.edge_by_ends[i, j] = self.edge_by_ends[j, i] = k
+
+        # the four sides of each support in decoding order, by sign
+        # pattern: (+,+), (+,-), (-,+), (-,-)
+        self.support_sides: dict[tuple[int, int], tuple[Side, ...]] = {}
+        for side in sorted(self.sides, key=lambda side: side.signs, reverse=True):
+            self.support_sides[side.support] = self.support_sides.get(side.support, ()) + (side,)
+
         # each vertex's cube chart x_a = 1/2 + <x, n_a> / (lam <-x, u>) on
         # the light cone, n_a the normal of face (a, +1), puts face (a, s)
         # at x_a = s/2: opposite normals sum to lam u, lam = 1 or 2, and
@@ -241,38 +235,16 @@ class Cell24Complex:
                 holds = tuple(map(add, x, y)) in sums if a[0] == b[0] else not lorentz_product(x, y)
                 if not holds:
                     raise AssertionError(f"faces {a} and {b} at {v} are not opposite or orthogonal")
-        self.edge_ends: tuple[tuple[int, int], ...] = tuple(
-            (self.vertex_index[e.vertices[0].coords], self.vertex_index[e.vertices[1].coords])
-            for e in self.edges
-        )
-        self.edge_sides: tuple[tuple[int, int, int], ...] = tuple(
-            tuple(side_index[label] for label in e.sides)
-            for e in self.edges
-        )
-        # either order of an edge's ends looks up the edge
-        self.edge_by_ends: dict[tuple[int, int], int] = {}
-        for k, (i, j) in enumerate(self.edge_ends):
-            self.edge_by_ends[i, j] = self.edge_by_ends[j, i] = k
-
-    def vertices_of_side(self, label: str) -> tuple[LorentzVector, ...]:
-        return self._incidence[label]
-
-    def sides_of_vertex(self, vertex: LorentzVector) -> tuple[str, ...]:
-        return self._sides_of_vertex[vertex]
 
     def sides_with_support(self, p: int, q: int) -> tuple[Side, Side, Side, Side]:
         """The four sides with nonzero center entries at 1-based p < q.
 
         Ordered by sign pattern: (+,+), (+,-), (-,+), (-,-).
         """
-        order = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
-        found: list[Side | None] = [None] * 4
-        for s in self.sides:
-            if s.support == (p, q):
-                found[order[s.signs]] = s
-        if any(s is None for s in found):
-            raise ValueError(f"no side quadruple with support ({p}, {q})")
-        return tuple(found)  # type: ignore[return-value]
+        try:
+            return self.support_sides[p, q]  # type: ignore[return-value]
+        except KeyError:
+            raise ValueError(f"no side quadruple with support ({p}, {q})") from None
 
 
 @cache

@@ -114,9 +114,8 @@ def _loop_cube_map(pairing_set: SidePairingSet, moves: list, vertex: int, word: 
     letters trace, from the last letter on, as the walk of
     `vertex_classes` composes a stabilizer element.  A word whose path
     leaves the cell's vertices is refused."""
-    cell = pairing_set.cell
     perms = pairing_set.vertex_permutations
-    sides = {pairing_set.transition(side.label)[:2]: s for s, side in enumerate(cell.sides)}
+    sides = {t[:2]: s for s, t in enumerate(pairing_set.transitions)}
     element, v = _IDENTITY, vertex
     for letter in reversed(word.letters):
         s = sides[letter]
@@ -146,7 +145,7 @@ def vertex_classes(pairing_set: SidePairingSet) -> list[VertexClass]:
     cell = the_24_cell()
     perms = pairing_set.vertex_permutations
     # the (letter, exponent) and the cube maps of leaving through each side
-    letters = [pairing_set.transition(side.label)[:2] for side in cell.sides]
+    letters = [t[:2] for t in pairing_set.transitions]
     moves = _cube_steps(pairing_set)
     vertex_sides = cell.vertex_sides
 

@@ -25,7 +25,6 @@ classification of closed simply connected 4-manifolds.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -298,6 +297,11 @@ def cover_record_from_table(
     return _cover_record(analysis, d, lift_counts, tags, orientable, spin_status)
 
 
+# the most cusps whose types a record lists, one character each: every
+# cover within the default coset limit has at most 5 * 10^6
+MAX_LISTED_CUSPS = 10**8
+
+
 def _cover_record(
     analysis: CodeAnalysis,
     d: int,
@@ -309,7 +313,7 @@ def _cover_record(
     """The record of a degree-d regular cover from its lift counts, the
     cusp type of each class's lifts and its orientability."""
     count = sum(lift_counts)
-    if count > sys.maxsize:
+    if count > MAX_LISTED_CUSPS:
         raise ValueError(f"the cover has {count} cusps, too many to list their types")
     all_cusps = "".join(t * c for t, c in zip(tags, lift_counts))
     sigma = signature(all_cusps) if orientable else None

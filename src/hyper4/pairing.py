@@ -11,14 +11,14 @@ letter pairs the next unused side with the remaining one.  Each pairing
 matrix is the reflection in the target side composed with k.
 
 A pairing is an isometry carrying its source side onto its target side,
-so its whole action on the faces of the cell is its vertex map: the
-bijection of the source side's 6 ideal vertices onto the target side's.
-Decoding builds each map once, at 6 matrix-vector products per letter;
-the ridge and edge walks move faces by the maps and apply no matrix.
-The ridge walk looks each image ridge up by its vertex triple.  The edge
-walk reads each side's map as a permutation of vertex indices, built on
-first use, and looks each image edge up by its pair of end indices in
-the cell's integer tables.
+so its whole action on the faces of the cell is a permutation of vertex
+indices: the bijection of the source side's 6 ideal vertices onto the
+target side's.  Decoding builds each side's permutation once, from 6
+matrix-vector products per letter, beside its transition (letter,
+exponent, matrix, partner side), both indexed by side.  The ridge and
+edge walks move faces by the permutations and apply no matrix: the
+ridge walk looks each image ridge up by its vertex indices, the edge
+walk each image edge by its end indices, in the cell's integer tables.
 
 The manifold gate on ridges and edges counts faces (Poincare's polyhedron
 theorem, Ratcliffe, Foundations of Hyperbolic Manifolds, sec. 11.2).  A
@@ -31,13 +31,12 @@ an orbit of another size is walked with matrices, to name its loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import prod
 from typing import NoReturn
 
 from .cell24 import Cell24Complex, Side, the_24_cell
 from .grouppres import GroupPresentation, orbit_edges
-from .lorentz import IDENTITY, LorentzMatrix, LorentzVector, diagonal_k
+from .lorentz import IDENTITY, LorentzMatrix, diagonal_k
 from .words import Word
 
 __all__ = [
@@ -94,10 +93,6 @@ def parse_code(text: str) -> list[tuple[int, int, int, int]]:
     return kparts
 
 
-# (letter, exponent, matrix, partner side label, vertex map)
-Transition = tuple[str, int, LorentzMatrix, str, dict[LorentzVector, LorentzVector]]
-
-
 @dataclass(frozen=True)
 class SidePairing:
     """One generator: an isometry carrying the source side onto the target."""
@@ -121,40 +116,54 @@ class SidePairing:
 
 @dataclass(frozen=True)
 class SidePairingSet:
-    """The 12 generators of one code.
+    """The 12 generators of one code, with the two side-indexed tables
+    that every walk reads.
 
-    Each letter's inverse, by the checked `LorentzMatrix.inverse`, and
-    its vertex map are computed once, and each side's transition is
-    looked up in a table; neither table takes part in equality, nor do
-    the vertex permutations built from the maps on first use.
+    `transitions[s]` is (letter, exponent, matrix, partner side index)
+    for leaving the cell through side index s: the generator when s is
+    its source, its inverse, by the checked `LorentzMatrix.inverse`, when
+    s is its target.  `vertex_permutations[s]` is that move on vertex
+    indices: entry v is the index of the image of vertex v when v lies on
+    side s, and -1 otherwise.  Neither table, nor the letters' matrices,
+    takes part in equality.
     """
 
     code: str
     pairings: tuple[SidePairing, ...]
+    transitions: tuple[tuple[str, int, LorentzMatrix, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    vertex_permutations: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
     _letters: dict = field(init=False, repr=False, compare=False)
-    _transitions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cell = self.cell
+        vertices, index = cell.vertices, cell.vertex_index
         letters: dict[tuple[str, int], LorentzMatrix] = {}
-        transitions: dict[str, Transition] = {}
+        transitions: list = [None] * len(cell.sides)
+        perms: list = [None] * len(cell.sides)
         for p in self.pairings:
-            source, target = p.source.label, p.target.label
-            vmap = {v: p.matrix.apply(v) for v in cell.vertices_of_side(source)}
-            if set(vmap.values()) != set(cell.vertices_of_side(target)):
+            source, target = cell.side_index[p.source.label], cell.side_index[p.target.label]
+            on = cell.side_vertices[source]
+            images = [index.get(p.matrix.apply(vertices[v]).coords) for v in on]
+            if set(images) != set(cell.side_vertices[target]):
                 raise ValueError(
                     f"pairing {p.letter} does not carry the vertices of side "
-                    f"{source} onto those of side {target}"
+                    f"{p.source.label} onto those of side {p.target.label}"
                 )
-            inverse = p.matrix.inverse()
+            perm, inverse = [-1] * len(vertices), [-1] * len(vertices)
+            for v, w in zip(on, images):
+                perm[v], inverse[w] = w, v
+            inverse_matrix = letters[p.letter, -1] = p.matrix.inverse()
             letters[p.letter, 1] = p.matrix
-            letters[p.letter, -1] = inverse
-            transitions[source] = (p.letter, 1, p.matrix, target, vmap)
-            transitions[target] = (
-                p.letter, -1, inverse, source, {w: v for v, w in vmap.items()}
-            )
+            transitions[source] = (p.letter, 1, p.matrix, target)
+            transitions[target] = (p.letter, -1, inverse_matrix, source)
+            perms[source], perms[target] = tuple(perm), tuple(inverse)
         object.__setattr__(self, "_letters", letters)
-        object.__setattr__(self, "_transitions", transitions)
+        object.__setattr__(self, "transitions", tuple(transitions))
+        object.__setattr__(self, "vertex_permutations", tuple(perms))
 
     @property
     def cell(self) -> Cell24Complex:
@@ -169,41 +178,6 @@ class SidePairingSet:
             except KeyError:
                 raise ValueError(f"word uses unknown generator {letter[0]!r}") from None
         return out
-
-    @cached_property
-    def vertex_permutations(self) -> tuple[tuple[int, ...], ...]:
-        """Each side's vertex map on vertex indices, in side order.
-
-        Entry v of a side's permutation is the index of the image of
-        vertex v when v lies on the side, and -1 otherwise.  A code that
-        fails the ridge gate never builds them.
-        """
-        cell = self.cell
-        index = cell.vertex_index
-        perms: list = [None] * len(cell.sides)
-        for p in self.pairings:
-            perm = [-1] * len(cell.vertices)
-            inverse = [-1] * len(cell.vertices)
-            for v, w in self._transitions[p.source.label][4].items():
-                i, j = index[v.coords], index[w.coords]
-                perm[i] = j
-                inverse[j] = i
-            perms[cell.side_index[p.source.label]] = tuple(perm)
-            perms[cell.side_index[p.target.label]] = tuple(inverse)
-        return tuple(perms)
-
-    def transition(self, side_label: str) -> Transition:
-        """(letter, exponent, matrix, partner label, vertex map) for leaving
-        through a side.
-
-        The matrix is the generator itself when the side is a source,
-        its inverse when the side is a target; the vertex map carries the
-        side's 6 ideal vertices onto the partner's.
-        """
-        try:
-            return self._transitions[side_label]
-        except KeyError:
-            raise KeyError(f"side {side_label!r} is not paired") from None
 
 
 def build_side_pairings(code: str) -> SidePairingSet:
@@ -279,11 +253,12 @@ def validate_pairings(pairing_set: SidePairingSet) -> None:
 class FaceCycle:
     """Orbit of a ridge (dimension 2) or edge (dimension 1) with its cycle data.
 
-    For ridges the word multiplies, left to right, to the cycle matrix;
-    a manifold code needs every ridge cycle to have length 4 and
-    identity matrix.  Edge orbits carry no cycle relation of their own
-    (their stabilizers are checked to be trivial); word and matrix are
-    the identity for them.
+    The members are the faces in walk order: a ridge by its pair of
+    side indices, an edge by its pair of vertex indices.  For ridges the
+    word multiplies, left to right, to the cycle matrix; a manifold code
+    needs every ridge cycle to have length 4 and identity matrix.  Edge
+    orbits carry no cycle relation of their own (their stabilizers are
+    checked to be trivial); word and matrix are the identity for them.
     """
 
     dimension: int
@@ -297,7 +272,7 @@ class FaceCycle:
 
 
 def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
-    """The ridge cycles, walked on the vertex maps.
+    """The ridge cycles, walked on the vertex permutations.
 
     Each ridge lies on two sides of different supports.  The cell is
     right-angled and a k-part keeps supports, so the walk alternates
@@ -310,50 +285,55 @@ def _ridge_cycles(pairing_set: SidePairingSet) -> list[FaceCycle]:
     product, and only a cycle of another length evaluates its word.
     """
     cell = pairing_set.cell
-    seen: set[tuple[str, str]] = set()
+    ridges, ridge_by_vertices = cell.ridges, cell.ridge_by_vertices
+    transitions, perms = pairing_set.transitions, pairing_set.vertex_permutations
+    seen: set[int] = set()
     cycles = []
-    for ridge in cell.ridges:  # sorted by side-label pair
-        if ridge.sides in seen:
+    for k, ridge in enumerate(ridges):  # sorted by side pair
+        if k in seen:
             continue
-        # traverse states (ridge, active side), starting through the
-        # smaller-labeled side
-        start = (ridge, ridge.sides[0])
-        state = start
+        # traverse states (ridge index, active side), starting through the
+        # ridge's first side
+        start = state = (k, ridge.sides[0])
         letters: list[tuple[str, int]] = []
-        members: list[tuple[str, str]] = []
-        for _ in range(8 * len(cell.ridges)):
-            (current, active) = state
-            members.append(current.sides)
-            letter, exp, _, arrival, vmap = pairing_set.transition(active)
+        members: list[int] = []
+        for _ in range(8 * len(ridges)):
+            current, active = state
+            members.append(current)
+            letter, exp, _, arrival = transitions[active]
             letters.append((letter, exp))
-            image = cell.ridge_by_vertices[frozenset(vmap[v] for v in current.vertices)]
+            a, b, c = ridges[current].vertices
+            perm = perms[active]
+            image = ridge_by_vertices[perm[a], perm[b], perm[c]]
             # the image ridge's side other than the arrival side is active next
-            first, second = image.sides
+            first, second = ridges[image].sides
             state = (image, second if first == arrival else first)
             if state == start:
                 break
         else:
-            raise ValueError(f"ridge cycle at {ridge.sides} did not close")
-        ordered_members = tuple(dict.fromkeys(members))
-        seen.update(ordered_members)
+            raise ValueError(
+                f"ridge cycle at {tuple(cell.sides[s].label for s in ridge.sides)} did not close"
+            )
+        ordered = tuple(dict.fromkeys(members))
+        seen.update(ordered)
         word = Word.make(tuple(reversed(letters)))
-        matrix = IDENTITY if len(ordered_members) == 4 else pairing_set.evaluate(word)
-        cycles.append(FaceCycle(2, ordered_members, word, matrix))
+        matrix = IDENTITY if len(ordered) == 4 else pairing_set.evaluate(word)
+        cycles.append(FaceCycle(2, tuple(ridges[r].sides for r in ordered), word, matrix))
     return cycles
 
 
 def _edge_steps(pairing_set: SidePairingSet):
     """steps(e) for `orbit_edges` over edge indices: for each of the
-    edge's 3 sides, in label order, the side's index and the image edge,
+    edge's 3 sides, in index order, the side's index and the image edge,
     looked up by the end indices that the side's vertex permutation
     moves."""
-    cell = pairing_set.cell
+    edges, edge_by_ends = pairing_set.cell.edges, pairing_set.cell.edge_by_ends
     perms = pairing_set.vertex_permutations
-    ends, sides, edge_by_ends = cell.edge_ends, cell.edge_sides, cell.edge_by_ends
 
     def steps(e):
-        a, b = ends[e]
-        for s in sides[e]:
+        edge = edges[e]
+        a, b = edge.vertices
+        for s in edge.sides:
             perm = perms[s]
             yield s, edge_by_ends[perm[a], perm[b]]
 
@@ -402,10 +382,10 @@ def _raise_edge_loop(pairing_set: SidePairingSet, start: int) -> NoReturn:
     An orbit with no nontrivial loop contradicts the link-area argument
     of `_edge_orbits`, and raises as well.
     """
-    sides = pairing_set.cell.sides
+    transitions = pairing_set.transitions
     trans = {start: (Word(()), IDENTITY)}
     for p, s, image, new in orbit_edges(start, _edge_steps(pairing_set)):
-        letter, exp, g, *_ = pairing_set.transition(sides[s].label)
+        letter, exp, g, _ = transitions[s]
         word, matrix = trans[p]
         moved = g @ matrix
         if new:

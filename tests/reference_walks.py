@@ -8,8 +8,12 @@ orbit, and `vertex_classes` carries a (word, matrix) pair through the
 whole Schreier transversal, marking as a generator each element it
 keeps before its inverse, and reads each kept matrix's action with
 `horospherical_action`, kept as the six integers of its cube map by
-`cube_map`.  They return what the package's walks return, and raise the
-same messages.
+`cube_map`.  They read none of the package's tables: each step's
+matrix comes from a scan of the pairings (`side_moves`), each image
+from `g.apply`, and each face from lookups keyed by sets of light
+vectors that `face_tables` builds from the side normals and
+`cell.vertices` alone.  They return what the package's walks return,
+and raise the same messages.
 
 `chart_map` finds a matrix's map between two vertices' cube charts from
 the chart points of the cell's other ideal vertices alone, with no
@@ -45,49 +49,92 @@ def cube_map(action: AffineMap) -> tuple:
     return cube
 
 
+def side_moves(pairing_set) -> dict:
+    """side label -> (letter, exponent, matrix, partner label) of leaving
+    the cell through it, by a scan of the pairings."""
+    moves = {}
+    for p in pairing_set.pairings:
+        moves[p.source.label] = (p.letter, 1, p.matrix, p.target.label)
+        moves[p.target.label] = (p.letter, -1, p.matrix.inverse(), p.source.label)
+    return moves
+
+
+@functools.cache
+def face_tables() -> tuple[dict, dict, dict]:
+    """Each side's ideal vertices, the ridges and the edges, from the
+    side normals and `cell.vertices` alone: a vertex v lies on the side
+    with normal n when <v, n> = 0, a ridge is the vertex set common to
+    two orthogonal sides, and an edge is a vertex pair on three common
+    sides.  Ridges map to their side labels and edges to theirs, keyed
+    by vertex sets, in the order of side pairs and of vertex pairs."""
+    cell = the_24_cell()
+    on = {s.label: frozenset(v for v in cell.vertices if v.dot(s.normal) == 0) for s in cell.sides}
+    ridges = {
+        on[s.label] & on[t.label]: (s.label, t.label)
+        for s, t in combinations(cell.sides, 2)
+        if s.normal.dot(t.normal) == 0
+    }
+    edges = {}
+    for v, w in combinations(cell.vertices, 2):
+        labels = tuple(s.label for s in cell.sides if {v, w} <= on[s.label])
+        if len(labels) == 3:
+            edges[frozenset((v, w))] = labels
+    return on, ridges, edges
+
+
+def _indices(faces, names) -> tuple:
+    """Each face as the package names it, a sorted pair of indices into
+    `names`, the cell's sides by label or its vertices."""
+    order = {name: i for i, name in enumerate(names)}
+    return tuple(tuple(sorted(order[x] for x in face)) for face in faces)
+
+
 def ridge_cycles(pairing_set) -> list[FaceCycle]:
     cell = pairing_set.cell
+    moves = side_moves(pairing_set)
+    _, ridges, _ = face_tables()
     seen: set = set()
     cycles = []
-    for ridge in cell.ridges:
-        if ridge.sides in seen:
+    for ridge, sides in ridges.items():
+        if ridge in seen:
             continue
-        start = (ridge, ridge.sides[0])
+        start = (ridge, sides[0])
         state = start
         letters, members = [], []
         matrix = IDENTITY
-        for _ in range(8 * len(cell.ridges)):
+        for _ in range(8 * len(ridges)):
             current, active = state
-            members.append(current.sides)
-            letter, exp, g, arrival, vmap = pairing_set.transition(active)
+            members.append(current)
+            letter, exp, g, arrival = moves[active]
             letters.append((letter, exp))
             matrix = g @ matrix
-            image = cell.ridge_by_vertices[frozenset(vmap[v] for v in current.vertices)]
-            first, second = image.sides
+            image = frozenset(g.apply(v) for v in current)
+            first, second = ridges[image]
             state = (image, second if first == arrival else first)
             if state == start:
                 break
         else:
-            raise ValueError(f"ridge cycle at {ridge.sides} did not close")
+            raise ValueError(f"ridge cycle at {sides} did not close")
         ordered = tuple(dict.fromkeys(members))
         seen.update(ordered)
-        cycles.append(FaceCycle(2, ordered, Word.make(tuple(reversed(letters))), matrix))
+        labels = _indices((ridges[r] for r in ordered), [s.label for s in cell.sides])
+        cycles.append(FaceCycle(2, labels, Word.make(tuple(reversed(letters))), matrix))
     return cycles
 
 
 def edge_orbits(pairing_set) -> list[FaceCycle]:
     cell = pairing_set.cell
+    moves = side_moves(pairing_set)
+    _, _, edges = face_tables()
 
     def steps(key):
-        current = cell.edge_by_vertices[key]
-        for side_label in current.sides:
-            letter, exp, g, _, vmap = pairing_set.transition(side_label)
-            yield ((letter, exp), g), frozenset(vmap[v] for v in current.vertices)
+        for side_label in edges[key]:
+            letter, exp, g, _ = moves[side_label]
+            yield ((letter, exp), g), frozenset(g.apply(v) for v in key)
 
     seen: set = set()
     orbits = []
-    for edge in cell.edges:
-        key = frozenset(edge.vertices)
+    for key in edges:
         if key in seen:
             continue
         trans = {key: (Word(()), IDENTITY)}
@@ -100,18 +147,20 @@ def edge_orbits(pairing_set) -> list[FaceCycle]:
                 loop = trans[image_key][0].inverse() * Word.make((letter,)) * word
                 raise ValueError(f"edge orbit loop {loop} is a nontrivial stabilizer")
         seen.update(trans)
-        members = tuple(cell.edge_by_vertices[k].vertices for k in trans)
-        orbits.append(FaceCycle(1, members, Word(()), IDENTITY))
+        orbits.append(FaceCycle(1, _indices(trans, cell.vertices), Word(()), IDENTITY))
     return orbits
 
 
 def vertex_classes(pairing_set) -> list[VertexClass]:
     cell = the_24_cell()
+    moves = side_moves(pairing_set)
+    on, _, _ = face_tables()
 
     def steps(current):
-        for side_label in cell.sides_of_vertex(current):
-            letter, exp, g, _, vmap = pairing_set.transition(side_label)
-            yield (letter, exp), (Word.make(((letter, exp),)), g), vmap[current]
+        for side_label, vertices in on.items():
+            if current in vertices:
+                letter, exp, g, _ = moves[side_label]
+                yield (letter, exp), (Word.make(((letter, exp),)), g), g.apply(current)
 
     def product(a, b):
         return b[0] * a[0], b[1] @ a[1]

@@ -1,13 +1,14 @@
 """Combinatorics of the ideal 24-cell."""
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+
+import pytest
 
 from hyper4.cell24 import SIDE_LABELS, the_24_cell
 from hyper4.lorentz import lorentz_product
 
 
 CELL = the_24_cell()
-CENTERS = {s.label: s.center for s in CELL.sides}
 
 
 def test_counts():
@@ -39,23 +40,25 @@ def test_vertices_are_light():
 
 
 def test_incidence_degrees():
-    for side in CELL.sides:
-        assert len(CELL.vertices_of_side(side.label)) == 6
-    for v in CELL.vertices:
-        assert len(CELL.sides_of_vertex(v)) == 6
+    for s, on in enumerate(CELL.side_vertices):
+        assert len(on) == 6
+        assert all(s in CELL.vertex_sides[v] for v in on)
+    for v, on in enumerate(CELL.vertex_sides):
+        assert len(on) == 6
+        assert all(v in CELL.side_vertices[s] for s in on)
 
 
 def test_ridges_pair_adjacent_sides():
     for ridge in CELL.ridges:
         a, b = ridge.sides
-        ca = CENTERS[a]
-        cb = CENTERS[b]
+        ca = CELL.sides[a].center
+        cb = CELL.sides[b].center
         # adjacent side centers meet at inner product 1
         assert sum(x * y for x, y in zip(ca, cb)) == 1
         assert len(ridge.vertices) == 3
         for v in ridge.vertices:
-            assert a in CELL.sides_of_vertex(v)
-            assert b in CELL.sides_of_vertex(v)
+            assert a in CELL.vertex_sides[v]
+            assert b in CELL.vertex_sides[v]
 
 
 def test_edges_join_three_sides():
@@ -63,8 +66,8 @@ def test_edges_join_three_sides():
         assert len(edge.sides) == 3
         assert len(edge.vertices) == 2
         for v in edge.vertices:
-            for label in edge.sides:
-                assert label in CELL.sides_of_vertex(v)
+            for s in edge.sides:
+                assert s in CELL.vertex_sides[v]
 
 
 def test_side_lookup_by_center():
@@ -73,17 +76,51 @@ def test_side_lookup_by_center():
 
 
 def test_index_tables_follow_the_vector_tables():
-    assert [CELL.vertex_index[v.coords] for v in CELL.vertices] == list(range(24))
+    # every index table against the geometry: v lies on the side with
+    # normal n when <v, n> = 0, a ridge is two orthogonal sides and the
+    # vertices on both, an edge two vertices and the sides they share,
+    # which are exactly three
+    normals = [side.normal.coords for side in CELL.sides]
+    points = [v.coords for v in CELL.vertices]
+    assert [CELL.vertex_index[u] for u in points] == list(range(24))
     assert [CELL.side_index[s.label] for s in CELL.sides] == list(range(24))
-    for i, v in enumerate(CELL.vertices):
-        labels = tuple(CELL.sides[s].label for s in CELL.vertex_sides[i])
-        assert labels == CELL.sides_of_vertex(v)
+    on = [tuple(v for v, u in enumerate(points) if lorentz_product(u, n) == 0) for n in normals]
+    assert CELL.side_vertices == tuple(on)
+    assert CELL.vertex_sides == tuple(
+        tuple(s for s, n in enumerate(normals) if lorentz_product(u, n) == 0) for u in points
+    )
+    ridges = [
+        ((s, t), tuple(v for v in on[s] if v in on[t]))
+        for s, t in combinations(range(24), 2)
+        if lorentz_product(normals[s], normals[t]) == 0
+    ]
+    assert [(r.sides, r.vertices) for r in CELL.ridges] == ridges
+    assert all(len(vertices) == 3 for _, vertices in ridges)
+    for k, ridge in enumerate(CELL.ridges):
+        for key in permutations(ridge.vertices):
+            assert CELL.ridge_by_vertices[key] == k
+    assert len(CELL.ridge_by_vertices) == 6 * 96
+    shared = {
+        (i, j): tuple(s for s in range(24) if i in on[s] and j in on[s])
+        for i, j in combinations(range(24), 2)
+    }
+    assert max(map(len, shared.values())) == 3
+    edges = [(ends, sides) for ends, sides in shared.items() if len(sides) == 3]
+    assert [(e.vertices, e.sides) for e in CELL.edges] == edges
     for k, edge in enumerate(CELL.edges):
-        i, j = CELL.edge_ends[k]
-        assert (CELL.vertices[i], CELL.vertices[j]) == edge.vertices
-        assert tuple(CELL.sides[s].label for s in CELL.edge_sides[k]) == edge.sides
+        i, j = edge.vertices
         assert CELL.edge_by_ends[i, j] == CELL.edge_by_ends[j, i] == k
     assert len(CELL.edge_by_ends) == 2 * len(CELL.edges)
+
+
+def test_support_quadruples_are_the_scan_over_the_sides():
+    order = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    for p, q in combinations(range(1, 5), 2):
+        quad = [side for side in CELL.sides if side.support == (p, q)]
+        quad.sort(key=lambda side: order.index(side.signs))
+        assert CELL.sides_with_support(p, q) == tuple(quad)
+    with pytest.raises(ValueError, match=r"^no side quadruple with support \(2, 1\)$"):
+        CELL.sides_with_support(2, 1)
 
 
 def test_cube_chart_of_every_vertex():

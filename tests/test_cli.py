@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import hyper4.analysis as analysis_module
 import hyper4.cli as cli_module
 from hyper4.cli import DETERMINISM_NOTE, ORIENTABLE_NOTE, SCHEMA, TORSION_NOTE, main
+from hyper4.filling import MAX_LISTED_CUSPS
 from hyper4.flatgroups import StructuralError
 from hyper4.pairing import CODE_ALPHABET, SidePairingSet, build_side_pairings
 from hyper4.words import Word
@@ -492,16 +493,29 @@ def test_meridian_power_beyond_the_coset_limit_is_refused(verb, monkeypatch, tmp
 
 @pytest.mark.parametrize("extra", [(), ("--classify-filling",)], ids=["cover", "classify-filling"])
 def test_a_cover_with_more_cusps_than_a_string_holds_is_refused(extra):
-    # 4n + 1 cusps exceed sys.maxsize, the longest cusp type string; the
-    # count is refused by name before the string is built
-    n = 10**20
-    code, doc = run_json("cover", "14FF28", "--cyclic", str(n), "--max-cosets", str(10**24), *extra)
-    assert 4 * n + 1 > sys.maxsize
-    assert code == 1
-    assert doc["records"] == []
-    assert doc["errors"] == [
-        {"message": f"the cover has {4 * n + 1} cusps, too many to list their types"}
-    ]
+    # 4n + 1 cusps pass MAX_LISTED_CUSPS, first at n = 2.5 * 10^7, and at
+    # n = 10^20 pass sys.maxsize, the longest string; the count is refused
+    # by name before the cusp type string is built.  A 2 GB address space,
+    # which 4 * 10^9 types would not fit, shows it.
+    assert 4 * 25_000_000 + 1 > MAX_LISTED_CUSPS >= 4 * 24_999_999 + 1
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    for n in (25_000_000, 10**9, 10**20):
+        argv = ["cover", "14FF28", "--cyclic", str(n), "--max-cosets", str(10 * n), *extra]
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, resource.RLIM_INFINITY))\n"
+            "from hyper4.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert (proc.returncode, proc.stderr) == (1, ""), n
+        doc = json.loads(proc.stdout)
+        assert doc["records"] == []
+        assert doc["errors"] == [
+            {"message": f"the cover has {4 * n + 1} cusps, too many to list their types"}
+        ]
 
 
 def test_classify_unknown_spin_reports_both():

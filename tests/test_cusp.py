@@ -146,8 +146,9 @@ def test_step_maps_are_the_chart_maps_of_the_letters():
             for p in pairings.pairings[2 * position - 2 : 2 * position]:
                 for side, g in ((p.source, p.matrix), (p.target, p.matrix.inverse())):
                     s = cell.side_index[side.label]
-                    for v in cell.vertices_of_side(side.label):
-                        d0, d1, d2, *shift = moves[s][cell.vertex_index[v.coords]]
+                    for i in cell.side_vertices[s]:
+                        v = cell.vertices[i]
+                        d0, d1, d2, *shift = moves[s][i]
                         step = AffineMap(((d0, 0, 0), (0, d1, 0), (0, 0, d2)), tuple(shift))
                         assert reference_walks.chart_map(g, v, g.apply(v)) == step, (code, side)
                         steps += 1

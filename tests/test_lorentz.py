@@ -151,7 +151,7 @@ def _decode_letters() -> tuple:
             except CodeError:
                 continue
             for p in ps.pairings[2 * position : 2 * position + 2]:
-                letters.append((p, ps.transition(p.target.label)[2]))
+                letters.append((p, ps.transitions[ps.cell.side_index[p.target.label]][2]))
     return tuple(letters)
 
 

@@ -10,7 +10,7 @@ chart points of the cell's other ideal vertices is the reference for
 the vertex's three "+" face normals, and the w-frame action of
 `reference_walks` raises its guards' messages too; a linear scan over the
 pairings, applying each matrix to the side's vertices, is the reference
-for the transition table and its vertex maps; orbit counting over
+for the transition table and its vertex permutations; orbit counting over
 the cosets is the reference for a cover's face counts, which are d times
 the base's, and for its cusp lift counts, which are d over the size of
 coset 0's orbit.
@@ -391,27 +391,31 @@ def test_cover_face_counts_match_orbit_counting():
         }, label
 
 
-def _scan_transition(pairing_set, side_label):
-    """The transition found by a scan over the pairings, with its vertex
-    map formed by applying the matrix to the side's vertices."""
+def _scan_transition(pairing_set, side):
+    """The transition found by a scan over the pairings, and its vertex
+    permutation, formed by applying the matrix to the vertices v with
+    <v, n> = 0, n the side's normal."""
     cell = pairing_set.cell
     for p in pairing_set.pairings:
-        if side_label in (p.source.label, p.target.label):
-            exp = 1 if p.source.label == side_label else -1
+        if side in (p.source, p.target):
+            exp = 1 if p.source == side else -1
             g = p.matrix if exp == 1 else p.matrix.inverse()
-            partner = p.target.label if exp == 1 else p.source.label
-            vmap = {v: g.apply(v) for v in cell.vertices_of_side(side_label)}
-            return p.letter, exp, g, partner, vmap
-    raise KeyError(side_label)
+            partner = cell.sides.index(p.target if exp == 1 else p.source)
+            perm = [-1] * len(cell.vertices)
+            for i, v in enumerate(cell.vertices):
+                if v.dot(side.normal) == 0:
+                    perm[i] = cell.vertices.index(g.apply(v))
+            return (p.letter, exp, g, partner), tuple(perm)
+    raise KeyError(side.label)
 
 
 def test_transition_matches_linear_scan():
     for code in ACTION_CODES + POOL_REJECTED:
         pairing_set = build_side_pairings(code)
-        for side in pairing_set.cell.sides:
-            assert pairing_set.transition(side.label) == _scan_transition(
-                pairing_set, side.label
-            ), (code, side.label)
+        for s, side in enumerate(pairing_set.cell.sides):
+            assert (
+                pairing_set.transitions[s], pairing_set.vertex_permutations[s]
+            ) == _scan_transition(pairing_set, side), (code, side.label)
 
 
 letters = st.tuples(st.sampled_from(GENERATOR_LETTERS), st.sampled_from((1, -1)))

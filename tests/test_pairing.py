@@ -145,9 +145,10 @@ def test_validate_pairings_names_the_bad_letter_or_side(tamper, message):
 
 def test_partner_involution():
     ps = build_side_pairings("14FF28")
-    assert ps.transition("A")[3] == "A'"
-    assert ps.transition("A'")[3] == "A"
-    assert ps.transition("K'")[3] == "K"
+    labels = [side.label for side in ps.cell.sides]
+    partner = {labels[s]: labels[t[3]] for s, t in enumerate(ps.transitions)}
+    assert (partner["A"], partner["A'"], partner["K'"]) == ("A'", "A", "K")
+    assert all(ps.transitions[t[3]][3] == s for s, t in enumerate(ps.transitions))
 
 
 @pytest.mark.parametrize("position", range(1, 7))
@@ -155,12 +156,15 @@ def test_every_decode_entry_maps_faces_onto_faces(position):
     """All 15 characters at one position, with F (decodable everywhere)
     at the other five.  A letter's pairing depends only on the character
     at its own position, so over the six positions this covers every
-    letter of all 12^6 decodable codes: each letter's vertex map and its
-    inverse carry a side's ridges onto ridges and its edges onto edges,
-    which is all the ridge, edge and vertex walks ask of them.  Every
-    set passes `validate_pairings`, and each letter's sign -prod(k) is
-    its determinant by sympy, so no code needs either check again."""
+    letter of all 12^6 decodable codes: each side's vertex permutation is
+    its transition matrix applied to the side's vertices, and carries the
+    side's ridges onto ridges and its edges onto edges of the partner
+    side, found by the vector-keyed tables of `reference_walks`; that is
+    all the ridge, edge and vertex walks ask of them.  Every set passes
+    `validate_pairings`, and each letter's sign -prod(k) is its
+    determinant by sympy, so no code needs either check again."""
     cell = the_24_cell()
+    on, ridges, edges = reference_walks.face_tables()
     fixing, letters = [], 0
     for ch in CODE_ALPHABET:
         code = "F" * (position - 1) + ch + "F" * (6 - position)
@@ -174,21 +178,23 @@ def test_every_decode_entry_maps_faces_onto_faces(position):
         for p in ps.pairings[2 * position - 2 : 2 * position]:
             letters += 1
             assert p.sign == sympy.Matrix(p.matrix.rows).det(), (code, p.letter)
-            for side, partner in ((p.source, p.target), (p.target, p.source)):
-                vmap = ps.transition(side.label)[4]
-                assert set(vmap) == set(cell.vertices_of_side(side.label))
-                assert set(vmap.values()) == set(cell.vertices_of_side(partner.label))
-                # the side's vertex permutation is its map on vertex indices
-                perm = ps.vertex_permutations[cell.side_index[side.label]]
+            for side, partner, g in (
+                (p.source, p.target, p.matrix), (p.target, p.source, p.matrix.inverse())
+            ):
+                s = cell.sides.index(side)
+                assert ps.transitions[s][2:] == (g, cell.sides.index(partner))
+                # the side's vertex permutation is g on its vertices, by index
+                perm = ps.vertex_permutations[s]
+                moved = {v: g.apply(v) for v in on[side.label]}
                 assert {
                     cell.vertices[i]: cell.vertices[j] for i, j in enumerate(perm) if j >= 0
-                } == vmap
-                for face in cell.ridges + cell.edges:
-                    if side.label not in face.sides:
-                        continue
-                    image = frozenset(vmap[v] for v in face.vertices)
-                    table = cell.ridge_by_vertices if len(image) == 3 else cell.edge_by_vertices
-                    assert partner.label in table[image].sides, (code, p.letter, face)
+                } == moved, (code, side.label)
+                assert set(moved.values()) == on[partner.label]
+                for face, labels in (*ridges.items(), *edges.items()):
+                    if side.label in labels:
+                        image = frozenset(moved[v] for v in face)
+                        table = ridges if len(image) == 3 else edges
+                        assert partner.label in table[image], (code, p.letter, labels)
     # the three characters leaving both signs of the support at +1
     assert len(fixing) == 3 and letters == 24
 
@@ -234,7 +240,8 @@ def test_ridge_cycles():
     for cyc in ridge:
         assert cyc.length == 4
         assert ps.evaluate(cyc.word) == IDENTITY
-    by_start = {c.members[0]: c for c in ridge}
+    labels = [side.label for side in ps.cell.sides]
+    by_start = {tuple(labels[s] for s in c.members[0]): c for c in ridge}
     assert str(by_start[("A", "C")].word) == "CAda"
 
 
@@ -267,7 +274,9 @@ def test_ridge_cycle_has_identity_matrix_exactly_at_length_4():
                 chars[first], chars[second] = x, y
                 ps = build_side_pairings("".join(chars))
                 for cyc in face_cycles(ps, 2):
-                    positions = {_position(side) for ridge in cyc.members for side in ridge}
+                    positions = {
+                        _position(ps.cell.sides[s].label) for ridge in cyc.members for s in ridge
+                    }
                     assert len(positions) == 2, (chars, cyc.members)
                     if positions != {first, second}:
                         continue
@@ -313,17 +322,16 @@ def _edge_loop_words(pairing_set):
     """Every edge orbit loop as a word, in discovery order, rebuilt from
     the breadth-first tree over the edges: the word of a tree path to p
     is extended on the left by the letter leaving p."""
-    cell = pairing_set.cell
+    moves = reference_walks.side_moves(pairing_set)
+    edges = reference_walks.face_tables()[2]
 
     def steps(key):
-        current = cell.edge_by_vertices[key]
-        for side_label in current.sides:
-            letter, exp, g, *_ = pairing_set.transition(side_label)
-            yield (letter, exp), frozenset(g.apply(v) for v in current.vertices)
+        for side_label in edges[key]:
+            letter, exp, g, _ = moves[side_label]
+            yield (letter, exp), frozenset(g.apply(v) for v in key)
 
     paths: dict = {}
-    for edge in cell.edges:
-        key = frozenset(edge.vertices)
+    for key in edges:
         if key in paths:
             continue
         paths[key] = Word(())
@@ -426,6 +434,21 @@ def test_edge_gate_matches_the_matrix_walk_on_the_pool():
     assert verdicts == {"passes": 183, "fails": 420}
 
 
+def test_ridge_cycles_match_the_matrix_walk_on_the_pool():
+    # the first 400 R and M codes of the pool, in file order: the same
+    # members, words and matrices as the walk that applies and multiplies
+    # on every step
+    rows = [line.split() for line in POOL.read_text().splitlines() if not line.startswith("#")]
+    codes = [code for code, cls, *_ in rows if cls in "MR"][:400]
+    lengths = Counter()
+    for code in codes:
+        ps = build_side_pairings(code)
+        cycles = face_cycles(ps, 2)
+        assert cycles == reference_walks.ridge_cycles(ps), code
+        lengths.update(c.length for c in cycles)
+    assert sorted(lengths) == [2, 4]
+
+
 def _verify(code: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -470,19 +493,3 @@ def test_parse_census_lines():
         (2, "14FF28", "five cusps"),
         (4, "1428BD", ""),
     ]
-
-
-def test_vertex_permutations_are_built_only_past_the_ridge_gate(monkeypatch):
-    built = []
-
-    def recording(code):
-        built.append(build_side_pairings(code))
-        return built[-1]
-
-    monkeypatch.setattr(analysis_module, "build_side_pairings", recording)
-    with pytest.raises(ValueError, match="ridge cycle Ca"):
-        CodeAnalysis("FF79DA")
-    CodeAnalysis("14FF28")
-    rejected, manifold = built
-    assert "vertex_permutations" not in vars(rejected)
-    assert "vertex_permutations" in vars(manifold)

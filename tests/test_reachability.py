@@ -49,7 +49,7 @@ LIBRARY_ONLY = {
     "flatgroups.AffineMap.__matmul__": "composition for library users of the affine maps that horospherical_action, cusp_flat_group and reference_flat_groups return; the cusp groups compose cube maps, and the affine oracles of the cover record's helpers compose with it",
     "flatgroups.AffineMap.inverse": "the inverse for library users of the affine maps that horospherical_action, cusp_flat_group and reference_flat_groups return; the cusp groups invert cube maps, and the affine oracles of the cover record's helpers invert with it",
     "flatgroups._inv3": "the exact inverse of a 3x3 matrix, the linear part of AffineMap.inverse",
-    "lorentz.LorentzVector.__str__": "the coordinate form of a vector for library users; the walks read vertex maps, so no message prints one",
+    "lorentz.LorentzVector.__str__": "the coordinate form of a vector for library users; the walks read vertex permutations, so no message prints one",
 }
 
 SWEEP = r"""
